@@ -28,8 +28,8 @@ import numpy as np
 from .errors import SingularResponseError, UnstableStateError
 from .linearize import drift_matrix, fluctuation_amplitudes, stability
 from .params import SystemParams
-from .spectrum import (NoiseModel, SpectrumSeries, brownian_weight, detect_peaks,
-                       spectrum_matrix)
+from .spectrum import (NoiseModel, SpectrumSeries, brownian_weight, default_omega_grid,
+                       detect_peaks, spectrum_matrix)
 from .steady_state import SteadyState
 
 log = logging.getLogger(__name__)
@@ -209,7 +209,6 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: Noise
     summary at WARNING).
     """
     if omega_grid is None:
-        from .spectrum import default_omega_grid
         omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
     report = stability(drift_matrix(params, steady))

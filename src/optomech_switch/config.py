@@ -106,7 +106,7 @@ def _to_int(raw, key, line):
         value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}", line) from None
-    if value != int(value):
+    if not value.is_integer():  # also rejects nan and inf
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}", line)
     return int(value)
 

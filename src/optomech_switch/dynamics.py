@@ -14,7 +14,6 @@ tolerances, no randomness.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -131,15 +130,14 @@ def _integrate(params: SystemParams, eta_func, t_span, y0, tol, c_rocking,
 
 def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
                         init=None, tol: float = DEFAULT_TOL,
-                        n_samples: int | None = None,
                         c_rocking: float = 0.0) -> TimeTrace:
     """Integrate the mean-field equations over ``t_span``.
 
     ``init`` may be a SteadyState, an 8-vector, or None (vacuum start).
     ``c_rocking`` adds the averaged radiation-pressure shift of a fast
     modulation to the mirror force; leave it at 0 when the modulation is
-    integrated explicitly.  Samples are uniform; with a modulated drive
-    the density defaults to SAMPLES_PER_PERIOD per drive period.
+    integrated explicitly.  Samples are uniform: SAMPLES_PER_PERIOD per
+    drive period with a modulated drive, else 2000 over the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -155,13 +153,12 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    if n_samples is None:
-        if drive.p_amp > 0.0 and drive.omega_mod > 0.0:
-            # +1 keeps the sample step commensurate with the drive period
-            period = 2.0 * math.pi / drive.omega_mod
-            n_samples = max(2, int(round((t1 - t0) / period * SAMPLES_PER_PERIOD)) + 1)
-        else:
-            n_samples = 2000
+    if drive.p_amp > 0.0 and drive.omega_mod > 0.0:
+        # +1 keeps the sample step commensurate with the drive period
+        period = 2.0 * math.pi / drive.omega_mod
+        n_samples = max(2, int(round((t1 - t0) / period * SAMPLES_PER_PERIOD)) + 1)
+    else:
+        n_samples = 2000
     t_eval = np.linspace(t0, t1, n_samples)
 
     y = _integrate(params, lambda t: drive.eta0 + drive.p_amp * math.cos(drive.omega_mod * t),
@@ -174,7 +171,7 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
                      output_power=np.abs(a) ** 2, drive_power=eta**2)
 
 
-def _refined_extrema(t: np.ndarray, series: np.ndarray) -> tuple[float, float]:
+def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
     """(max, min) of a sampled smooth series, parabola-refined at interior extrema."""
 
     def refine(idx):
@@ -198,7 +195,7 @@ def switch_ratio(trace: TimeTrace, measure_window=None) -> float:
         trace = trace.window(*measure_window)
     if trace.t.size < 2:
         raise DegenerateGridError("measurement window contains fewer than 2 samples")
-    hi, lo = _refined_extrema(trace.t, trace.output_power)
+    hi, lo = _refined_extrema(trace.output_power)
     if lo <= 1e-30:
         raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
     return hi / lo
@@ -212,8 +209,8 @@ def gain(trace: TimeTrace, drive: DriveConfig, measure_window=None) -> float:
         trace = trace.window(*measure_window)
     if trace.t.size < 2:
         raise DegenerateGridError("measurement window contains fewer than 2 samples")
-    out_hi, out_lo = _refined_extrema(trace.t, trace.output_power)
-    in_hi, in_lo = _refined_extrema(trace.t, trace.drive_power)
+    out_hi, out_lo = _refined_extrema(trace.output_power)
+    in_hi, in_lo = _refined_extrema(trace.drive_power)
     in_amp = 0.5 * (in_hi - in_lo)
     if in_amp <= 0.0:
         raise UndefinedGainError("input power modulation amplitude vanished")
@@ -277,22 +274,19 @@ def gain_vs_frequency(params: SystemParams, eta0: float, p_amp: float,
 def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
               transient_periods: int = DEFAULT_TRANSIENT_PERIODS,
               measure_periods: int = DEFAULT_MEASURE_PERIODS,
-              tol: float = DEFAULT_TOL,
-              gain_curve: np.ndarray | None = None) -> float:
+              tol: float = DEFAULT_TOL) -> float:
     """-3 dB width of gain(omega_mod): measure of {gain >= max/sqrt(2)}.
 
     Interval boundaries between grid points are located by linear
-    interpolation.  A precomputed ``gain_curve`` on the same grid may be
-    supplied to avoid re-simulation.
+    interpolation.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size < 2:
         raise DegenerateGridError("bandwidth needs at least 2 frequency points")
     if np.any(np.diff(omega_grid) <= 0.0):
         raise DegenerateGridError("frequency grid must be strictly ascending")
-    g = gain_curve if gain_curve is not None else gain_vs_frequency(
-        params, eta0, p_amp, omega_grid, transient_periods, measure_periods, tol)
-    g = np.asarray(g, dtype=float)
+    g = gain_vs_frequency(params, eta0, p_amp, omega_grid, transient_periods,
+                          measure_periods, tol)
     top = np.max(g)
     if top <= 0.0:
         return 0.0
@@ -391,39 +385,3 @@ def jump_input_power(curve: np.ndarray) -> tuple[float, float]:
     k = min(i + max(half, 1) - 1, j)
     return float(0.5 * (inp[k] + inp[k + 1])), float(total)
 
-
-def linear_gain(params: SystemParams, eta0: float, omega_mod: float) -> float:
-    """Small-signal gain of the linear system (valid for chi = 0).
-
-    First-harmonic response of the output power to a unit-amplitude power
-    modulation, from the exact sideband solution of the coupled linear
-    cavity/dot equations.
-    """
-    if params.chi != 0.0:
-        raise ValueError("linear_gain applies to the chi = 0 system only")
-    if eta0 == 0.0:
-        raise UndefinedGainError("linear gain needs a nonzero bias")
-    a_s = _linear_amplitude(params, eta0)
-
-    def sideband(sign):
-        om = sign * omega_mod
-        dd = params.kappa_d + 1j * (params.delta_d + om)
-        den_b = params.kappa_b + 1j * (params.delta_b + om) \
-            - params.g_qd**2 * params.n_inversion / dd
-        return 0.5 / (params.kappa_a + 1j * (params.delta_a + om)
-                      + params.j_coupling**2 / den_b)
-
-    z_plus = np.conj(a_s) * sideband(+1)
-    z_minus = np.conj(a_s) * sideband(-1)
-    return float(abs(z_plus + np.conj(z_minus)) / eta0)
-
-
-def _linear_amplitude(params: SystemParams, eta0: float) -> complex:
-    dd = params.kappa_d + 1j * params.delta_d
-    den_b = params.kappa_b + 1j * params.delta_b \
-        - params.g_qd**2 * params.n_inversion / dd
-    num = eta0 + (-1j * params.j_coupling) * (
-        -params.g_qd * params.lambda_pump * params.n_inversion
-        * cmath.exp(-1j * params.theta) / dd) / den_b
-    return num / (params.kappa_a + 1j * params.delta_a
-                  + params.j_coupling**2 / den_b)

@@ -23,8 +23,6 @@ from .steady_state import SteadyState
 # Eigenvalues with real part above this count as unstable.
 STABILITY_TOL = -1e-10
 
-STATE_LABELS = ("q", "p", "u1", "v1", "u2", "v2")
-
 
 @dataclass(frozen=True)
 class FluctuationAmplitudes:
@@ -44,14 +42,8 @@ def fluctuation_amplitudes(steady: SteadyState, params: SystemParams) -> Fluctua
                                  a_minus_i=-scale * steady.a_s.imag)
 
 
-@dataclass(frozen=True)
-class DriftMatrix:
-    m: np.ndarray  # 6x6 real, state order [q, p, u1, v1, u2, v2]
-    eff_detuning: float
-
-
-def drift_matrix(params: SystemParams, steady: SteadyState) -> DriftMatrix:
-    """6x6 drift matrix at the given fixed point.
+def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
+    """6x6 real drift matrix at the given fixed point, state order O.
 
     The caller guarantees ``steady`` is an actual fixed point (mean-field
     residual below 1e-8); the matrix is then time independent.
@@ -71,7 +63,7 @@ def drift_matrix(params: SystemParams, steady: SteadyState) -> DriftMatrix:
     ])
     if not np.all(np.isfinite(m)):
         raise ValueError("drift matrix has non-finite entries")
-    return DriftMatrix(m=m, eff_detuning=d)
+    return m
 
 
 @dataclass(frozen=True)
@@ -81,9 +73,9 @@ class StabilityReport:
     max_real_part: float
 
 
-def stability(dm: DriftMatrix) -> StabilityReport:
+def stability(m: np.ndarray) -> StabilityReport:
     """Lyapunov stability of the fixed point: all Re(eig) < -1e-10."""
-    eig = np.linalg.eigvals(dm.m)
+    eig = np.linalg.eigvals(m)
     max_re = float(np.max(eig.real))
     return StabilityReport(stable=max_re < STABILITY_TOL, eigenvalues=eig,
                            max_real_part=max_re)

@@ -1,14 +1,19 @@
 """Displacement noise spectrum of the movable mirror.
 
-The linear fluctuation system dO/dt = M O + f(t) is solved channel by
-channel in Fourier space, O(w) = (-i w I - M)^{-1} f(w), and the
-symmetrized position spectrum is assembled from the input-noise
-correlations: delta-correlated vacuum noise for both cavities (including
-the imaginary amplitude-phase cross correlations, which cancel in the
-symmetrized combination and are carried along as a consistency check)
-and the Brownian force on the mirror with spectral weight
+The linear fluctuation system dO/dt = M O + F f(t) is solved in Fourier
+space, O(w) = (-i w I - M)^{-1} F f(w).  Its q row is the response T_k(w)
+of the mirror position to unit noise in channel k (Brownian force, then
+the amplitude/phase vacuum inputs of cavities B and A, each
+delta-correlated with the [[1, i], [-i, 1]] block).  The symmetrized
+position spectrum is the closed sum
 
-    (gamma_m / omega_m) * w * [1 + coth(hbar*w / (2 kB T))].
+    S_q(w) = (gamma_m / omega_m) * w coth(hbar*w / (2 kB T)) * |T_0|^2
+             + sum_{k>=1} |T_k|^2,
+
+real and non-negative by construction: T(-w) = conj T(w), so the +-i
+amplitude-phase cross correlations of each vacuum input enter the
+w and -w halves with opposite sign and cancel.  The Brownian term is the
+even part of the full weight (gamma_m / omega_m) w [1 + coth(...)].
 
 The delta-function bookkeeping is fixed so that for a decoupled mirror at
 high temperature  integral S_q(w) dw / (2 pi) = kB T / (hbar omega_m),
@@ -22,13 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import NumericalError, SingularResponseError, UnstableStateError
-from .linearize import DriftMatrix, drift_matrix, stability
+from .errors import SingularResponseError, UnstableStateError
+from .linearize import drift_matrix, stability
 from .params import SystemParams
 from .steady_state import SteadyState
 
-# Relative ceiling on the imaginary residue of the assembled spectrum.
-REALITY_TOL = 1e-12
 # Peaks must protrude by this fraction of the global maximum.
 PEAK_PROMINENCE_FRACTION = 0.01
 
@@ -97,85 +100,43 @@ def brownian_weight(omega, noise: NoiseModel):
     return noise.gamma_m / noise.omega_m * (omega + thermal_coth_times_omega(omega, noise))
 
 
-def _input_matrix(noise: NoiseModel) -> np.ndarray:
-    """Column k is the state-space footprint of noise channel k.
+def _q_transfer(m: np.ndarray, noise: NoiseModel, omega_grid: np.ndarray) -> np.ndarray:
+    """T_k(w): response of q to unit noise in channel k, shape (nw, 5).
 
-    Channel order: Brownian force, (u_in, v_in) of cavity B, (u_in, v_in)
-    of cavity A, with the square-root decay-rate input couplings.
+    Row q of the resolvent (-i w I - M)^{-1}, solved from the transposed
+    system, times the input couplings: the Brownian force drives p, the
+    (u_in, v_in) vacuum inputs of cavities B and A drive (u1, v1) and
+    (u2, v2) with the square-root decay rates.
     """
-    f = np.zeros((6, 5))
-    f[1, 0] = 1.0
-    f[2, 1] = np.sqrt(noise.kappa_b)
-    f[3, 2] = np.sqrt(noise.kappa_b)
-    f[4, 3] = np.sqrt(noise.kappa_a)
-    f[5, 4] = np.sqrt(noise.kappa_a)
-    return f
-
-
-def _correlation_matrix(omega, noise: NoiseModel) -> np.ndarray:
-    """Channel correlation matrix D(w), shape (nw, 5, 5), complex.
-
-    Optical blocks are [[1, i], [-i, 1]] per cavity; the Brownian channel
-    carries the full (non-symmetrized) weight at the given frequency.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    d = np.zeros((omega.size, 5, 5), dtype=complex)
-    d[:, 0, 0] = brownian_weight(omega, noise)
-    for base in (1, 3):
-        d[:, base, base] = 1.0
-        d[:, base + 1, base + 1] = 1.0
-        d[:, base, base + 1] = 1j
-        d[:, base + 1, base] = -1j
-    return d
-
-
-def _q_transfer(dm: DriftMatrix, noise: NoiseModel, omega_grid: np.ndarray) -> np.ndarray:
-    """T_k(w): response of q to unit noise in channel k, shape (nw, 5)."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    nw = omega_grid.size
-    a = -1j * omega_grid[:, None, None] * np.eye(6) - dm.m[None, :, :]
-    f = np.broadcast_to(_input_matrix(noise), (nw, 6, 5))
+    a_t = -1j * omega_grid[:, None, None] * np.eye(6) - m.T
+    e_q = np.broadcast_to(np.eye(6)[:, :1], (omega_grid.size, 6, 1))
     try:
-        x = np.linalg.solve(a, f)
+        row = np.linalg.solve(a_t, e_q)[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SingularResponseError(f"singular response matrix: {exc}") from exc
-    return x[:, 0, :]
+    kb, ka = np.sqrt(noise.kappa_b), np.sqrt(noise.kappa_a)
+    return row[:, 1:] * np.array([1.0, kb, kb, ka, ka])
 
 
 def spectrum_matrix(params: SystemParams, steady: SteadyState, noise: NoiseModel,
                     omega_grid: np.ndarray | None = None) -> SpectrumSeries:
     """Symmetrized displacement spectrum S_q(w) by matrix inversion.
 
-    Refuses dynamically unstable steady states.  The assembled spectrum
-    is checked to be real (to REALITY_TOL, relative) and non-negative.
+    Refuses dynamically unstable steady states.
     """
     if omega_grid is None:
         omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
-    dm = drift_matrix(params, steady)
-    report = stability(dm)
+    m = drift_matrix(params, steady)
+    report = stability(m)
     if not report.stable:
         raise UnstableStateError(
             f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
 
-    t = _q_transfer(dm, noise, omega_grid)
-    tc = np.conj(t)
-    d_plus = _correlation_matrix(omega_grid, noise)
-    d_minus = _correlation_matrix(-omega_grid, noise)
-    # S = 1/2 [ T(w) D(w) T(-w) + T(-w) D(-w) T(w) ], with T(-w) = conj T(w)
-    s1 = np.einsum("wj,wjk,wk->w", t, d_plus, tc)
-    s2 = np.einsum("wj,wjk,wk->w", tc, d_minus, t)
-    s_complex = 0.5 * (s1 + s2)
-
-    scale = np.max(np.abs(s_complex.real)) or 1.0
-    if np.max(np.abs(s_complex.imag)) >= REALITY_TOL * scale:
-        raise NumericalError(
-            f"spectrum reality check failed: max |Im| = {np.max(np.abs(s_complex.imag)):.3e} "
-            f"vs scale {scale:.3e}")
-    s_q = s_complex.real
-    if np.min(s_q) < -REALITY_TOL * scale:
-        raise NumericalError(f"negative spectral density: min = {np.min(s_q):.3e}")
-    s_q = np.maximum(s_q, 0.0)
+    power = np.abs(_q_transfer(m, noise, omega_grid)) ** 2
+    s_q = (noise.gamma_m / noise.omega_m * thermal_coth_times_omega(omega_grid, noise)
+           * power[:, 0] + power[:, 1:].sum(axis=1))
     peaks = detect_peaks(omega_grid, s_q)
     return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=peaks)
 

@@ -21,6 +21,7 @@ from optomech_switch import (DriveConfig, NoiseModel, SystemParams, bistability_
                              switch_metrics, turning_points)
 from optomech_switch.errors import NoConvergenceError
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params, spectrum_params
+from test_spectrum import assert_matches_oracle
 
 SEED = 7041
 FIG_SWITCH = SystemParams(kappa_a=0.1, kappa_b=0.1, kappa_d=1.8, gamma_m=1.8,
@@ -183,12 +184,13 @@ def test_criterion_5_spectrum_physicality():
                 break
         if state is None:
             continue
-        # spectrum_matrix enforces the 1e-12 reality residue internally
         series = spectrum_matrix(p, state, NoiseModel.from_params(p), grid)
         assert np.all(series.s_q >= 0.0) and np.all(np.isfinite(series.s_q))
+        # the full-correlation oracle is real to 1e-12 and equals spectrum_matrix
+        assert_matches_oracle(p, state, series)
         checked += 1
     ok = _verdict("5", True, f"{checked} configs x {grid.size} points, "
-                             "all real and non-negative")
+                             "all non-negative and equal to the full-correlation oracle")
     assert ok
 
 

@@ -107,6 +107,15 @@ def test_empty_sweep_values_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+def test_non_finite_integer_rejected_with_line(raw):
+    text = MINIMAL + f"input_points = {raw}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10))}" in str(err.value)
+    assert "input_points" in str(err.value)
+
+
 def test_bad_formats_rejected():
     text = MINIMAL + "\n[output]\nformats = csv,xml\n"
     with pytest.raises(ConfigError) as err:

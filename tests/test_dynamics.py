@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,10 +9,46 @@ from optomech_switch import (DegenerateGridError, DriveConfig, SystemParams,
                              hysteresis_sweep, integrate_meanfield, jump_input_power,
                              solve_transmitted_power, steady_state_direct,
                              switch_metrics, switch_ratio)
-from optomech_switch.dynamics import (driven_response, linear_gain,
-                                      lower_branch_state, state_vector,
+from optomech_switch.dynamics import (driven_response, lower_branch_state, state_vector,
                                       threshold_measure)
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
+
+
+def linear_gain(params: SystemParams, eta0: float, omega_mod: float) -> float:
+    """Small-signal gain of the linear system (valid for chi = 0).
+
+    First-harmonic response of the output power to a unit-amplitude power
+    modulation, from the exact sideband solution of the coupled linear
+    cavity/dot equations.
+    """
+    if params.chi != 0.0:
+        raise ValueError("linear_gain applies to the chi = 0 system only")
+    if eta0 == 0.0:
+        raise UndefinedGainError("linear gain needs a nonzero bias")
+    a_s = _linear_amplitude(params, eta0)
+
+    def sideband(sign):
+        om = sign * omega_mod
+        dd = params.kappa_d + 1j * (params.delta_d + om)
+        den_b = params.kappa_b + 1j * (params.delta_b + om) \
+            - params.g_qd**2 * params.n_inversion / dd
+        return 0.5 / (params.kappa_a + 1j * (params.delta_a + om)
+                      + params.j_coupling**2 / den_b)
+
+    z_plus = np.conj(a_s) * sideband(+1)
+    z_minus = np.conj(a_s) * sideband(-1)
+    return float(abs(z_plus + np.conj(z_minus)) / eta0)
+
+
+def _linear_amplitude(params: SystemParams, eta0: float) -> complex:
+    dd = params.kappa_d + 1j * params.delta_d
+    den_b = params.kappa_b + 1j * params.delta_b \
+        - params.g_qd**2 * params.n_inversion / dd
+    num = eta0 + (-1j * params.j_coupling) * (
+        -params.g_qd * params.lambda_pump * params.n_inversion
+        * cmath.exp(-1j * params.theta) / dd) / den_b
+    return num / (params.kappa_a + 1j * params.delta_a
+                  + params.j_coupling**2 / den_b)
 
 
 def test_drive_value_phases():

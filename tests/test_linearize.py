@@ -43,10 +43,9 @@ def test_amplitudes_vanish_without_coupling():
 def test_matrix_layout():
     p = FIG_BISTABLE
     st = _steady(p, 0.3, 0.10)
-    dm = drift_matrix(p, st)
+    m = drift_matrix(p, st)
     amp = fluctuation_amplitudes(st, p)
-    m = dm.m
-    d = dm.eff_detuning
+    d = st.eff_detuning
     expected = np.array([
         [0.0, p.omega_m, 0, 0, 0, 0],
         [-p.omega_m, -p.gamma_m, 0, 0, amp.a_plus, -amp.a_minus_i],
@@ -64,15 +63,14 @@ def test_trace_identity(rng):
     for _ in range(15):
         p = random_params(rng)
         st = _steady(p, rng.uniform(0.05, 1.0))
-        dm = drift_matrix(p, st)
-        assert np.trace(dm.m) == pytest.approx(
+        assert np.trace(drift_matrix(p, st)) == pytest.approx(
             -p.gamma_m - 2 * p.kappa_a - 2 * p.kappa_b, rel=1e-12)
 
 
 def test_block_diagonal_when_decoupled():
     p = SystemParams(chi=0.0, j_coupling=0.0, lambda_pump=0.0)
     st = _steady(p, 0.4)
-    m = drift_matrix(p, st).m
+    m = drift_matrix(p, st)
     assert np.all(m[:2, 2:] == 0.0) and np.all(m[2:, :2] == 0.0)
     assert np.all(m[2:4, 4:] == 0.0) and np.all(m[4:, 2:4] == 0.0)
 

@@ -9,6 +9,51 @@ from optomech_switch.spectrum import thermal_coth_times_omega
 from conftest import random_params, spectrum_params
 
 
+def _correlation_matrix(omega, noise):
+    """Channel correlation matrix D(w), shape (nw, 5, 5), complex.
+
+    Optical blocks are [[1, i], [-i, 1]] per cavity; the Brownian channel
+    carries the full (non-symmetrized) weight at the given frequency.
+    """
+    d = np.zeros((omega.size, 5, 5), dtype=complex)
+    d[:, 0, 0] = brownian_weight(omega, noise)
+    for base in (1, 3):
+        d[:, base, base] = 1.0
+        d[:, base + 1, base + 1] = 1.0
+        d[:, base, base + 1] = 1j
+        d[:, base + 1, base] = -1j
+    return d
+
+
+def correlation_oracle(params, steady, noise, omega_grid):
+    """Full-correlation S_q(w) = 1/2 [T(w) D(w) T(-w) + T(-w) D(-w) T(w)], complex.
+
+    T comes from a full per-frequency solve against the input matrix F
+    (Brownian force into p, vacuum inputs into both cavities), and
+    T(-w) = conj T(w).  The imaginary part is the residue of the optical
+    cross correlations, which cancel exactly in the symmetrized sum.
+    """
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    f = np.zeros((6, 5))
+    f[1, 0] = 1.0
+    f[2, 1] = f[3, 2] = np.sqrt(noise.kappa_b)
+    f[4, 3] = f[5, 4] = np.sqrt(noise.kappa_a)
+    a = -1j * omega_grid[:, None, None] * np.eye(6) - drift_matrix(params, steady)
+    t = np.linalg.solve(a, np.broadcast_to(f, (omega_grid.size, 6, 5)))[:, 0, :]
+    tc = np.conj(t)
+    s1 = np.einsum("wj,wjk,wk->w", t, _correlation_matrix(omega_grid, noise), tc)
+    s2 = np.einsum("wj,wjk,wk->w", tc, _correlation_matrix(-omega_grid, noise), t)
+    return 0.5 * (s1 + s2)
+
+
+def assert_matches_oracle(params, steady, series):
+    """spectrum_matrix equals the oracle's real part; its imaginary residue is < 1e-12."""
+    full = correlation_oracle(params, steady, NoiseModel.from_params(params),
+                              series.omega_grid)
+    assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full.real))
+    np.testing.assert_allclose(series.s_q, full.real, rtol=1e-12, atol=0.0)
+
+
 def _stable_state(params, eta0, c=0.0, prefer_top=True):
     roots = [r for r, _ in solve_transmitted_power(params, eta0, c)]
     order = sorted(roots, reverse=prefer_top)
@@ -66,6 +111,7 @@ def test_positive_and_real_on_random_stable_configs(rng):
         series = spectrum_matrix(p, st, NoiseModel.from_params(p), grid)
         assert np.all(series.s_q >= 0.0)
         assert np.all(np.isfinite(series.s_q))
+        assert_matches_oracle(p, st, series)
         done += 1
 
 
@@ -149,7 +195,9 @@ def test_three_peak_demo_configuration():
     st = _stable_state(demo, 0.1, 0.10)
     series = spectrum_matrix(demo, st, NoiseModel.from_params(demo))
     assert len(series.peaks) == 3
+    assert_matches_oracle(demo, st, series)
     off = demo.with_(j_coupling=0.0)
     st0 = _stable_state(off, 0.1, 0.10)
     series0 = spectrum_matrix(off, st0, NoiseModel.from_params(off))
     assert len(series0.peaks) < 3
+    assert_matches_oracle(off, st0, series0)
