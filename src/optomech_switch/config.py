@@ -14,7 +14,8 @@ serializer writes every field explicitly, so parse(serialize(c)) == c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+import math
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 from .errors import ConfigError
 from .params import DriveConfig, SystemParams
@@ -37,8 +38,6 @@ TASK_SCHEMAS = {
         "backend": (str, "matrix"),     # matrix | closed-form
     },
     "switch-metrics": {
-        "transient_periods": (int, 50),
-        "measure_periods": (int, 10),
         "bandwidth_min": (float, 0.0),
         "bandwidth_max": (float, 0.0),
         "bandwidth_points": (int, 0),   # 0: skip the bandwidth scan
@@ -94,21 +93,16 @@ def _parse_scalar(raw, line):
     return raw
 
 
-def _to_float(raw, key, line):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}", line) from None
-
-
-def _to_int(raw, key, line):
+def _to_number(raw, key, line, typ=float):
+    """Finite float, or an int for ``typ=int``, from a raw value."""
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}", line) from None
-    if not value.is_integer():  # also rejects nan and inf
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}", line)
-    return int(value)
+        value = math.nan
+    if not math.isfinite(value) or (typ is int and not value.is_integer()):
+        kind = "an integer" if typ is int else "a finite number"
+        raise ConfigError(f"key {key!r}: expected {kind}, got {raw!r}", line)
+    return typ(value)
 
 
 def _split_sections(text):
@@ -157,7 +151,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, (raw, line) in sections["system"].items():
         if key not in SYSTEM_KEYS:
             raise ConfigError(f"unknown [system] key {key!r}", line)
-        sys_kwargs[key] = _to_float(raw, key, line)
+        sys_kwargs[key] = _to_number(raw, key, line)
     try:
         params = SystemParams(**sys_kwargs)
     except ValueError as exc:
@@ -168,7 +162,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, (raw, line) in sections["drive"].items():
         if key not in DRIVE_KEYS:
             raise ConfigError(f"unknown [drive] key {key!r}", line)
-        drive_kwargs[key] = _to_float(raw, key, line)
+        drive_kwargs[key] = _to_number(raw, key, line)
     try:
         drive = DriveConfig(**drive_kwargs)
     except ValueError as exc:
@@ -203,55 +197,53 @@ def _parse_task(entries, section_line) -> TaskSpec:
         inner_raw, inner_line = entries.pop("task")
         if inner_raw not in TASK_SCHEMAS:
             raise ConfigError(f"unknown inner task {inner_raw!r}", inner_line)
-        inner = _collect_options("sweep", inner_raw, entries)
+        inner = _collect_options("sweep", inner_raw, entries, section_line)
         return TaskSpec(name="sweep", options=(("task", inner_raw),) + inner)
     if name_raw not in TASK_SCHEMAS:
         raise ConfigError(f"unknown task {name_raw!r}", name_line)
-    return TaskSpec(name=name_raw, options=_collect_options(name_raw, name_raw, entries))
+    return TaskSpec(name=name_raw,
+                    options=_collect_options(name_raw, name_raw, entries, section_line))
 
 
-def _collect_options(outer, schema_name, entries):
+def _collect_options(outer, schema_name, entries, section_line):
     schema = TASK_SCHEMAS[schema_name]
     options = {}
     for key, (raw, line) in entries.items():
         if key not in schema:
             raise ConfigError(f"unknown [task] key {key!r} for task {outer!r}", line)
         typ, _ = schema[key]
-        if typ is float:
-            options[key] = _to_float(raw, key, line)
-        elif typ is int:
-            options[key] = _to_int(raw, key, line)
-        else:
-            options[key] = raw
+        options[key] = raw if typ is str else _to_number(raw, key, line, typ)
     for key, (typ, default) in schema.items():
         options.setdefault(key, default)
-    _validate_task_options(schema_name, options)
+    # a defaulted option is blamed on the [task] header line
+    _validate_task_options(schema_name, options,
+                           lambda key: entries[key][1] if key in entries else section_line)
     return tuple(sorted(options.items()))
 
 
-def _validate_task_options(name, options):
-    if name == "bistability" or name == "hysteresis":
-        if not options["input_max"] > options["input_min"] >= 0.0:
-            raise ConfigError(f"task {name!r}: need input_max > input_min >= 0")
-        if options["input_points"] < 2:
-            raise ConfigError(f"task {name!r}: input_points must be >= 2")
+def _validate_task_options(name, o, line_of):
+    checks = []  # (holds, key blamed, message)
+    if name in ("bistability", "hysteresis"):
+        checks += [(o["input_max"] > o["input_min"] >= 0.0, "input_max",
+                    "need input_max > input_min >= 0"),
+                   (o["input_points"] >= 2, "input_points", "input_points must be >= 2")]
+    if name == "hysteresis":
+        checks.append((o["rate"] >= 0.0, "rate", "rate must be >= 0 (0: default)"))
     if name == "spectrum":
-        if options["omega_points"] < 2:
-            raise ConfigError("task 'spectrum': omega_points must be >= 2")
-        if not options["omega_max"] > options["omega_min"]:
-            raise ConfigError("task 'spectrum': need omega_max > omega_min")
-        if options["branch"] not in ("lower", "upper"):
-            raise ConfigError("task 'spectrum': branch must be lower or upper")
-        if options["backend"] not in ("matrix", "closed-form"):
-            raise ConfigError("task 'spectrum': backend must be matrix or closed-form")
+        checks += [(o["omega_points"] >= 2, "omega_points", "omega_points must be >= 2"),
+                   (o["omega_max"] > o["omega_min"], "omega_max", "need omega_max > omega_min"),
+                   (o["branch"] in ("lower", "upper"), "branch",
+                    "branch must be lower or upper"),
+                   (o["backend"] in ("matrix", "closed-form"), "backend",
+                    "backend must be matrix or closed-form")]
     if name == "switch-metrics":
-        if options["transient_periods"] < 0 or options["measure_periods"] < 1:
-            raise ConfigError("task 'switch-metrics': bad transient/measure periods")
-        if options["bandwidth_points"] not in (0, 1) and \
-                not options["bandwidth_max"] > options["bandwidth_min"] > 0.0:
-            raise ConfigError("task 'switch-metrics': need bandwidth_max > bandwidth_min > 0")
-        if options["bandwidth_points"] == 1:
-            raise ConfigError("task 'switch-metrics': bandwidth_points must be 0 or >= 2")
+        points = o["bandwidth_points"]
+        checks += [(points != 1, "bandwidth_points", "bandwidth_points must be 0 or >= 2"),
+                   (points == 0 or o["bandwidth_max"] > o["bandwidth_min"] > 0.0,
+                    "bandwidth_max", "need bandwidth_max > bandwidth_min > 0")]
+    for holds, key, message in checks:
+        if not holds:
+            raise ConfigError(f"task {name!r}: {message}", line_of(key))
 
 
 def _parse_sweep(entries, section_line) -> SweepSpec:
@@ -328,13 +320,15 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def apply_sweep_value(config: ScenarioConfig, value: float) -> ScenarioConfig:
-    """Scenario with the swept parameter replaced by ``value``."""
+    """Scenario with the swept parameter replaced by ``value``.
+
+    A value the parameter does not admit raises ConfigError.
+    """
     assert config.sweep is not None
     prefix, _, field = config.sweep.parameter.partition(".")
-    if prefix == "system":
-        params = config.params.with_(**{field: value})
-        return ScenarioConfig(params=params, drive=config.drive, task=config.task,
-                              sweep=config.sweep, output=config.output)
-    drive = config.drive.with_(**{field: value})
-    return ScenarioConfig(params=config.params, drive=drive, task=config.task,
-                          sweep=config.sweep, output=config.output)
+    try:
+        if prefix == "system":
+            return replace(config, params=config.params.with_(**{field: value}))
+        return replace(config, drive=config.drive.with_(**{field: value}))
+    except ValueError as exc:
+        raise ConfigError(f"{config.sweep.parameter} = {value!r}: {exc}") from exc

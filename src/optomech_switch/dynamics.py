@@ -3,10 +3,13 @@
 Integrates the slowly varying mean amplitudes of the two cavities, the
 dot coherence and the mirror under the modulated pump
 eta(t) = eta0 + p_amp*cos(omega_mod*t).  The dot inversion stays pinned
-at its configured value.  From the periodic long-time response the
-module extracts the switch ratio (max/min output power over a drive
-cycle), the gain (output to input power-modulation amplitude) and the
--3 dB bandwidth of the gain versus modulation frequency.
+at its configured value.  The switch ratio (max/min output power over a
+drive cycle), the gain (output to input power-modulation amplitude) and
+the -3 dB bandwidth of the gain versus modulation frequency are read off
+the T-periodic response, found by shooting: Newton on the period map
+y -> phi_T(y), with the monodromy matrix from the variational equations.
+A Floquet multiplier (monodromy eigenvalue) of modulus >= 1 means there
+is no stable T-periodic response, and the metrics raise UndefinedRatioError.
 
 Runs are deterministic: a fixed adaptive integrator with fixed
 tolerances, no randomness.
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateGridError, DegenerateModelError, IntegrationFailureError,
-                     UndefinedGainError, UndefinedRatioError)
+                     NoConvergenceError, UndefinedGainError, UndefinedRatioError)
 from .params import DriveConfig, SystemParams
 from .steady_state import SteadyState, solve_transmitted_power, steady_state_from_ptrans
 
@@ -29,9 +32,10 @@ from .steady_state import SteadyState, solve_transmitted_power, steady_state_fro
 BLOWUP_NORM = 1e8
 DEFAULT_TOL = 1e-8
 SAMPLES_PER_PERIOD = 96
-# transient policy: drive periods discarded / measured
-DEFAULT_TRANSIENT_PERIODS = 50
-DEFAULT_MEASURE_PERIODS = 10
+# Newton on the period map: step cap, and the converged update size
+# relative to |y| in units of the integrator tolerance
+NEWTON_MAX_STEPS = 10
+NEWTON_STEP_TOL = 100.0
 
 
 @dataclass(frozen=True)
@@ -45,19 +49,11 @@ class TimeTrace:
     output_power: np.ndarray
     drive_power: np.ndarray
 
-    def window(self, t_start: float, t_end: float) -> "TimeTrace":
-        keep = (self.t >= t_start) & (self.t <= t_end)
-        return TimeTrace(t=self.t[keep], a=self.a[keep], b=self.b[keep],
-                         sigma=self.sigma[keep], q=self.q[keep], p=self.p[keep],
-                         output_power=self.output_power[keep],
-                         drive_power=self.drive_power[keep])
-
 
 @dataclass(frozen=True)
 class SwitchMetrics:
     switch_ratio: float
     gain: float
-    bandwidth: float | None = None
 
 
 def drive_value(t, drive: DriveConfig):
@@ -73,7 +69,12 @@ def state_vector(steady: SteadyState) -> np.ndarray:
                      sig.real, sig.imag, steady.q_s, steady.p_s])
 
 
+def _modulated(drive: DriveConfig):
+    return lambda t: drive.eta0 + drive.p_amp * math.cos(drive.omega_mod * t)
+
+
 def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
+    """Mean-field rhs(t, y) and the rhs of its variational equations."""
     ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
     da, db, dd = params.delta_a, params.delta_b, params.delta_d
     j, g, n = params.j_coupling, params.g_qd, params.n_inversion
@@ -95,20 +96,39 @@ def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
         dp = -wm * q + g_om * (ar * ar + ai * ai + c_rocking) - gm * p
         return (dar, dai, dbr, dbi, dsr, dsi, dq, dp)
 
-    return rhs
+    linear = np.array([[-ka, da, 0, j, 0, 0, 0, 0],
+                       [-da, -ka, -j, 0, 0, 0, 0, 0],
+                       [0, j, -kb, db, 0, g, 0, 0],
+                       [-j, 0, -db, -kb, -g, 0, 0, 0],
+                       [0, 0, 0, -g * n, -kd, dd, 0, 0],
+                       [0, 0, g * n, 0, -dd, -kd, 0, 0],
+                       [0, 0, 0, 0, 0, 0, 0, wm],
+                       [0, 0, 0, 0, 0, 0, -wm, -gm]], dtype=float)
+
+    def variational(t, z):
+        # the state, then its 8x8 fundamental matrix phi: d(phi)/dt = jac(y) @ phi,
+        # with the constant part plus the linearized q*a and |a|^2 terms
+        y, phi = z[:8], z[8:].reshape(8, 8)
+        ar, ai, q = y[0], y[1], y[6]
+        dphi = linear @ phi
+        dphi[0] -= g_om * (q * phi[1] + ai * phi[6])
+        dphi[1] += g_om * (q * phi[0] + ar * phi[6])
+        dphi[7] += 2.0 * g_om * (ar * phi[0] + ai * phi[1])
+        return np.concatenate((rhs(t, y), dphi.ravel()))
+
+    return rhs, variational
 
 
 def _blowup_event(t, y):
-    return BLOWUP_NORM - float(np.dot(y, y))
+    # the state only: a variational solve appends its fundamental matrix
+    return BLOWUP_NORM - float(np.dot(y[:8], y[:8]))
 
 
 _blowup_event.terminal = True
 _blowup_event.direction = -1
 
 
-def _integrate(params: SystemParams, eta_func, t_span, y0, tol, c_rocking,
-               t_eval) -> np.ndarray:
-    rhs = _rhs_factory(params, eta_func, c_rocking)
+def _integrate(rhs, t_span, y0, tol, t_eval) -> np.ndarray:
     kwargs = dict(t_span=t_span, y0=y0, t_eval=t_eval, rtol=tol,
                   atol=tol * 1e-2, events=_blowup_event, dense_output=False)
     sol = solve_ivp(rhs, method="RK45", **kwargs)
@@ -161,8 +181,8 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
         n_samples = 2000
     t_eval = np.linspace(t0, t1, n_samples)
 
-    y = _integrate(params, lambda t: drive.eta0 + drive.p_amp * math.cos(drive.omega_mod * t),
-                   (t0, t1), y0, tol, c_rocking, t_eval)
+    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking)[0], (t0, t1), y0,
+                   tol, t_eval)
     a = y[0] + 1j * y[1]
     b = y[2] + 1j * y[3]
     sigma = y[4] + 1j * y[5]
@@ -189,26 +209,18 @@ def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
     return float(refine(int(np.argmax(series)))), float(refine(int(np.argmin(series))))
 
 
-def switch_ratio(trace: TimeTrace, measure_window=None) -> float:
-    """max/min of the output power over the measured window."""
-    if measure_window is not None:
-        trace = trace.window(*measure_window)
-    if trace.t.size < 2:
-        raise DegenerateGridError("measurement window contains fewer than 2 samples")
+def switch_ratio(trace: TimeTrace) -> float:
+    """max/min of the output power over the trace."""
     hi, lo = _refined_extrema(trace.output_power)
     if lo <= 1e-30:
         raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
     return hi / lo
 
 
-def gain(trace: TimeTrace, drive: DriveConfig, measure_window=None) -> float:
+def gain(trace: TimeTrace, drive: DriveConfig) -> float:
     """Output power modulation amplitude over input power modulation amplitude."""
     if drive.p_amp <= 0.0:
         raise UndefinedGainError("gain requires a modulated drive (p_amp > 0)")
-    if measure_window is not None:
-        trace = trace.window(*measure_window)
-    if trace.t.size < 2:
-        raise DegenerateGridError("measurement window contains fewer than 2 samples")
     out_hi, out_lo = _refined_extrema(trace.output_power)
     in_hi, in_lo = _refined_extrema(trace.drive_power)
     in_amp = 0.5 * (in_hi - in_lo)
@@ -226,54 +238,55 @@ def lower_branch_state(params: SystemParams, eta0: float,
     return steady_state_from_ptrans(params, eta0, c_rocking, roots[0][0])
 
 
-def driven_response(params: SystemParams, drive: DriveConfig,
-                    transient_periods: int = DEFAULT_TRANSIENT_PERIODS,
-                    measure_periods: int = DEFAULT_MEASURE_PERIODS,
-                    tol: float = DEFAULT_TOL,
-                    init=None) -> tuple[TimeTrace, tuple[float, float]]:
-    """Drive from the lower branch, discard the transient, return the trace
-    and the measurement window."""
+def _periodic_response(params: SystemParams, drive: DriveConfig,
+                       tol: float) -> TimeTrace:
+    """One sampled drive period of the attracting T-periodic orbit: from the
+    lower branch, one warm-up period, then Newton on y -> phi_T(y) - y with
+    the monodromy dphi_T/dy, whose eigenvalues are the Floquet multipliers."""
     if drive.omega_mod <= 0.0 or drive.p_amp <= 0.0:
-        raise UndefinedGainError("driven response requires p_amp > 0 and omega_mod > 0")
-    period = 2.0 * math.pi / drive.omega_mod
-    t_end = (transient_periods + measure_periods) * period
-    if init is None:
-        init = lower_branch_state(params, drive.eta0, 0.0)
-    trace = integrate_meanfield(params, drive, (0.0, t_end), init=init, tol=tol)
-    window = (transient_periods * period, t_end)
-    return trace, window
+        raise UndefinedGainError("switch metrics require p_amp > 0 and omega_mod > 0")
+    span = (0.0, 2.0 * math.pi / drive.omega_mod)
+    rhs, variational = _rhs_factory(params, _modulated(drive), 0.0)
+    y = _integrate(rhs, span, state_vector(lower_branch_state(params, drive.eta0)),
+                   tol, span)[:, -1]
+    eye = np.eye(8)
+    try:
+        for _ in range(NEWTON_MAX_STEPS):
+            z = _integrate(variational, span, np.concatenate((y, eye.ravel())),
+                           tol, span)[:, -1]
+            monodromy = z[8:].reshape(8, 8)
+            step = np.linalg.solve(monodromy - eye, z[:8] - y)
+            y = y - step
+            if np.linalg.norm(step) <= NEWTON_STEP_TOL * tol * max(1.0, np.linalg.norm(y)):
+                break
+        else:
+            raise NoConvergenceError(f"periodic orbit: no convergence in {NEWTON_MAX_STEPS} steps")
+        mu = float(np.max(np.abs(np.linalg.eigvals(monodromy))))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"periodic orbit: {exc}") from exc
+    if mu >= 1.0:
+        raise UndefinedRatioError(f"no stable T-periodic response, max |mu| = {mu:.4g}")
+    return integrate_meanfield(params, drive, span, init=y, tol=tol)
 
 
 def switch_metrics(params: SystemParams, drive: DriveConfig,
-                   transient_periods: int = DEFAULT_TRANSIENT_PERIODS,
-                   measure_periods: int = DEFAULT_MEASURE_PERIODS,
                    tol: float = DEFAULT_TOL) -> SwitchMetrics:
-    """Switch ratio and gain at the configured drive (no bandwidth scan)."""
-    trace, window = driven_response(params, drive, transient_periods,
-                                    measure_periods, tol)
-    return SwitchMetrics(switch_ratio=switch_ratio(trace, window),
-                         gain=gain(trace, drive, window))
+    """Switch ratio and gain of the periodic response (no bandwidth scan)."""
+    trace = _periodic_response(params, drive, tol)
+    return SwitchMetrics(switch_ratio=switch_ratio(trace), gain=gain(trace, drive))
 
 
 def gain_vs_frequency(params: SystemParams, eta0: float, p_amp: float,
-                      omega_grid, transient_periods: int = DEFAULT_TRANSIENT_PERIODS,
-                      measure_periods: int = DEFAULT_MEASURE_PERIODS,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Simulated gain at each modulation frequency of the grid."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    init = lower_branch_state(params, eta0, 0.0)
-    values = np.empty(omega_grid.size)
-    for i, om in enumerate(omega_grid):
+                      omega_grid, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Gain of the periodic response at each modulation frequency of the grid."""
+    values = []
+    for om in np.asarray(omega_grid, dtype=float):
         drive = DriveConfig(eta0=eta0, p_amp=p_amp, omega_mod=float(om))
-        trace, window = driven_response(params, drive, transient_periods,
-                                        measure_periods, tol, init=init)
-        values[i] = gain(trace, drive, window)
-    return values
+        values.append(gain(_periodic_response(params, drive, tol), drive))
+    return np.array(values)
 
 
 def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
-              transient_periods: int = DEFAULT_TRANSIENT_PERIODS,
-              measure_periods: int = DEFAULT_MEASURE_PERIODS,
               tol: float = DEFAULT_TOL) -> float:
     """-3 dB width of gain(omega_mod): measure of {gain >= max/sqrt(2)}.
 
@@ -285,8 +298,7 @@ def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
         raise DegenerateGridError("bandwidth needs at least 2 frequency points")
     if np.any(np.diff(omega_grid) <= 0.0):
         raise DegenerateGridError("frequency grid must be strictly ascending")
-    g = gain_vs_frequency(params, eta0, p_amp, omega_grid, transient_periods,
-                          measure_periods, tol)
+    g = gain_vs_frequency(params, eta0, p_amp, omega_grid, tol)
     top = np.max(g)
     if top <= 0.0:
         return 0.0
@@ -295,16 +307,11 @@ def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
 
 def threshold_measure(x: np.ndarray, y: np.ndarray, level: float) -> float:
     """Total length of {x : y(x) >= level} for a piecewise-linear y."""
-    total = 0.0
-    for i in range(x.size - 1):
-        x0, x1 = x[i], x[i + 1]
-        y0, y1 = y[i] - level, y[i + 1] - level
-        if y0 >= 0.0 and y1 >= 0.0:
-            total += x1 - x0
-        elif y0 >= 0.0 or y1 >= 0.0:
-            cross = x0 + (x1 - x0) * y0 / (y0 - y1)
-            total += (cross - x0) if y0 >= 0.0 else (x1 - cross)
-    return float(total)
+    d = np.asarray(y, dtype=float) - level
+    hi, lo = np.maximum(d[:-1], d[1:]), np.minimum(d[:-1], d[1:])
+    # share of each segment at or above the level: all, none, or up to the crossing
+    share = np.where(lo >= 0.0, 1.0, np.maximum(hi, 0.0) / np.where(hi > lo, hi - lo, 1.0))
+    return float(np.sum(share * np.diff(x)))
 
 
 def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
@@ -342,16 +349,17 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
             return math.sqrt(p0 + (p1 - p0) * frac)
 
         t_eval = (powers - p0) / (p1 - p0) * duration
-        y = _integrate(params, eta_func, (0.0, duration), y0, tol, c_rocking,
-                       t_eval)
+        y = _integrate(_rhs_factory(params, eta_func, c_rocking)[0], (0.0, duration), y0,
+                       tol, t_eval)
         out = y[0] ** 2 + y[1] ** 2
         return np.column_stack([powers, out]), y[:, -1]
 
     start = lower_branch_state(params, math.sqrt(ramp[0]), c_rocking)
     up, y_top = leg(ramp, state_vector(start))
     eta_top = math.sqrt(ramp[-1])
-    y_settled = _integrate(params, lambda t: eta_top, (0.0, settle_time), y_top,
-                           tol, c_rocking, np.array([0.0, settle_time]))[:, -1]
+    y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking)[0],
+                           (0.0, settle_time), y_top, tol,
+                           np.array([0.0, settle_time]))[:, -1]
     down, _ = leg(ramp[::-1], y_settled)
     return up, down
 

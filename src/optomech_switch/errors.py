@@ -47,7 +47,8 @@ class UnstableStateError(NumericalError):
 
 
 class UndefinedRatioError(NumericalError):
-    """Switch ratio undefined (non-positive minimum output)."""
+    """Switch ratio undefined (no stable T-periodic response, or
+    non-positive minimum output)."""
 
 
 class UndefinedGainError(NumericalError):

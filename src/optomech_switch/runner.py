@@ -23,7 +23,7 @@ from .bistability import bistability_curve
 from .closed_form import spectrum_closed_form
 from .config import ScenarioConfig, TaskSpec, apply_sweep_value, serialize_config
 from .dynamics import bandwidth, hysteresis_sweep, switch_metrics
-from .errors import NumericalError, OutputError
+from .errors import NumericalError, OptomechError, OutputError
 from .spectrum import NoiseModel, spectrum_matrix
 from .steady_state import (rocking_parameter, solve_transmitted_power,
                            steady_state_from_ptrans)
@@ -106,16 +106,11 @@ def run_spectrum(config: ScenarioConfig):
 
 def run_switch_metrics(config: ScenarioConfig):
     opt = dict(config.task.options)
-    metrics = switch_metrics(config.params, config.drive,
-                             transient_periods=opt["transient_periods"],
-                             measure_periods=opt["measure_periods"])
+    metrics = switch_metrics(config.params, config.drive)
     bw = None
     if opt["bandwidth_points"] >= 2:
-        omega_grid = np.linspace(opt["bandwidth_min"], opt["bandwidth_max"],
-                                 opt["bandwidth_points"])
-        bw = bandwidth(config.params, config.drive.eta0, config.drive.p_amp,
-                       omega_grid, transient_periods=opt["transient_periods"],
-                       measure_periods=opt["measure_periods"])
+        grid = np.linspace(opt["bandwidth_min"], opt["bandwidth_max"], opt["bandwidth_points"])
+        bw = bandwidth(config.params, config.drive.eta0, config.drive.p_amp, grid)
     headers = ("switch_ratio[dimensionless]", "gain[dimensionless]",
                "bandwidth[omega_m]")
     rows = [(metrics.switch_ratio, metrics.gain,
@@ -130,8 +125,7 @@ def run_hysteresis(config: ScenarioConfig):
     opt = dict(config.task.options)
     ramp = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
     c = rocking_parameter(config.drive)
-    rate = opt["rate"] if opt["rate"] > 0.0 else None
-    up, down = hysteresis_sweep(config.params, ramp, c, rate=rate)
+    up, down = hysteresis_sweep(config.params, ramp, c, rate=opt["rate"] or None)
     headers = ("direction", "input_power[omega_m^2]", "output_power[dimensionless]")
     rows = [("up", float(i), float(o)) for i, o in up]
     rows += [("down", float(i), float(o)) for i, o in down]
@@ -163,25 +157,23 @@ def _run_sweep_point(args):
 
 
 def run_sweep(config: ScenarioConfig, jobs: int = 1):
-    """One result bundle per sweep value; per-point failures are recorded
-    without aborting the sweep."""
+    """One result bundle per sweep value; a point's package error is recorded
+    without aborting the sweep, any other exception propagates."""
     values = config.sweep.values
     tasks = [(config, v) for v in values]
-    results = []
+
+    def outcome(call):
+        try:
+            return "ok", call()
+        except OptomechError as exc:
+            return "error", exc
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_sweep_point, t) for t in tasks]
-            for future in futures:
-                try:
-                    results.append(("ok", future.result()))
-                except Exception as exc:
-                    results.append(("error", exc))
+            results = [outcome(future.result) for future in futures]
     else:
-        for t in tasks:
-            try:
-                results.append(("ok", _run_sweep_point(t)))
-            except Exception as exc:
-                results.append(("error", exc))
+        results = [outcome(lambda t=t: _run_sweep_point(t)) for t in tasks]
 
     bundle = {"csv": {}, "json": {}, "always": {}}
     index = []

@@ -10,6 +10,12 @@ FIG_BISTABLE = SystemParams(kappa_a=0.1, kappa_b=0.1, kappa_d=1.8, gamma_m=1.8,
                             g_qd=1.0, chi=0.3, lambda_pump=0.02, theta=0.238,
                             n_inversion=0.0)
 
+# Published switch set (variant A: J = 1, g = 0.5) of the switch-trend criteria.
+FIG_SWITCH = SystemParams(kappa_a=0.1, kappa_b=0.1, kappa_d=1.8, gamma_m=1.8,
+                          delta_a=1.0, delta_b=1.0, delta_d=0.0, j_coupling=1.0,
+                          g_qd=0.5, chi=0.3, lambda_pump=0.02, theta=0.238,
+                          n_inversion=0.0)
+
 # Adiabatic-regime set with a hard fold and dynamically clean branches.
 CLEAN_BISTABLE = SystemParams(kappa_a=1.0, kappa_b=1.0, kappa_d=1.8, gamma_m=3.0,
                               delta_a=4.0, delta_b=1.0, delta_d=0.0, j_coupling=0.5,

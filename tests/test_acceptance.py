@@ -20,14 +20,11 @@ from optomech_switch import (DriveConfig, NoiseModel, SystemParams, bistability_
                              stability, steady_state_direct, steady_state_from_ptrans,
                              switch_metrics, turning_points)
 from optomech_switch.errors import NoConvergenceError
-from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params, spectrum_params
+from conftest import (CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params,
+                      spectrum_params)
 from test_spectrum import assert_matches_oracle
 
 SEED = 7041
-FIG_SWITCH = SystemParams(kappa_a=0.1, kappa_b=0.1, kappa_d=1.8, gamma_m=1.8,
-                          delta_a=1.0, delta_b=1.0, delta_d=0.0, j_coupling=1.0,
-                          g_qd=0.5, chi=0.3, lambda_pump=0.02, theta=0.238,
-                          n_inversion=0.0)
 
 
 def _verdict(tag, ok, detail=""):
@@ -319,8 +316,7 @@ def test_criterion_8_small_signal_gain():
             continue
         deriv = abs(sets[2][0][0] - sets[0][0][0]) / (2.0 * h)
         m = switch_metrics(p, DriveConfig(eta0=math.sqrt(ip), p_amp=1e-3,
-                                          omega_mod=1e-2),
-                           transient_periods=2, measure_periods=1)
+                                          omega_mod=1e-2))
         rel = abs(m.gain - deriv) / max(deriv, 1e-12)
         worst = max(worst, rel)
         assert rel < 0.05, (p, ip, deriv, m.gain)

@@ -116,6 +116,46 @@ def test_non_finite_integer_rejected_with_line(raw):
     assert "input_points" in str(err.value)
 
 
+def _task_text(lines):
+    """MINIMAL with its [task] section replaced by the given lines."""
+    return MINIMAL.replace("name = bistability\n", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("task, key", [("bistability", "input_max"),
+                                       ("spectrum", "omega_max"),
+                                       ("switch-metrics", "bandwidth_max")])
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_non_finite_float_task_option_rejected_with_line(task, key, raw):
+    text = _task_text([f"name = {task}", f"{key} = {raw}"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10))}" in str(err.value)
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("raw", ["nan", "-0.1"])
+def test_bad_hysteresis_rate_rejected_with_line(raw):
+    text = _task_text(["name = hysteresis", f"rate = {raw}", "input_points = 50"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10)) - 1}" in str(err.value)
+    assert "rate" in str(err.value)
+
+
+def test_zero_hysteresis_rate_means_default():
+    cfg = parse_config(_task_text(["name = hysteresis", "rate = 0"]))
+    assert cfg.task.option("rate") == 0.0
+
+
+@pytest.mark.parametrize("key", ["transient_periods", "measure_periods"])
+def test_removed_switch_period_keys_rejected_with_line(key):
+    text = _task_text(["name = switch-metrics", f"{key} = 50"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10))}" in str(err.value)
+    assert f"unknown [task] key {key!r}" in str(err.value)
+
+
 def test_bad_formats_rejected():
     text = MINIMAL + "\n[output]\nformats = csv,xml\n"
     with pytest.raises(ConfigError) as err:

@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from optomech_switch import (DegenerateGridError, DriveConfig, SystemParams,
-                             UndefinedGainError, bandwidth, drive_value, gain,
-                             hysteresis_sweep, integrate_meanfield, jump_input_power,
-                             solve_transmitted_power, steady_state_direct,
-                             switch_metrics, switch_ratio)
-from optomech_switch.dynamics import (driven_response, lower_branch_state, state_vector,
-                                      threshold_measure)
-from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
+                             UndefinedGainError, UndefinedRatioError, bandwidth,
+                             drive_value, gain, hysteresis_sweep, integrate_meanfield,
+                             jump_input_power, solve_transmitted_power,
+                             steady_state_direct, switch_metrics, switch_ratio)
+from optomech_switch.dynamics import (DEFAULT_TOL, _periodic_response, _rhs_factory,
+                                      lower_branch_state, state_vector, threshold_measure)
+from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
+
+
+def _state_at(trace, i):
+    """8-vector of the integrator state at sample i of a trace."""
+    return np.array([trace.a[i].real, trace.a[i].imag, trace.b[i].real,
+                     trace.b[i].imag, trace.sigma[i].real, trace.sigma[i].imag,
+                     trace.q[i], trace.p[i]])
 
 
 def linear_gain(params: SystemParams, eta0: float, omega_mod: float) -> float:
@@ -76,18 +83,47 @@ def test_vacuum_start_converges_to_monostable_root():
     assert trace.output_power[-1] == pytest.approx(target[0][0], rel=1e-6)
 
 
-def test_driven_response_is_drive_periodic():
+def test_periodic_orbit_returns_after_one_period():
     p = FIG_BISTABLE
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
-    trace, window = driven_response(p, drive, transient_periods=50,
-                                    measure_periods=10)
     period = 2.0 * math.pi / drive.omega_mod
-    tail = trace.window(window[0], window[1])
-    n_per = int(round(period / (tail.t[1] - tail.t[0])))
-    last = tail.output_power[-n_per:]
-    prev = tail.output_power[-2 * n_per:-n_per]
-    amp = np.max(last) - np.min(last)
-    assert np.max(np.abs(last - prev)) < 1e-4 * max(amp, np.max(last))
+    y0 = _state_at(_periodic_response(p, drive, DEFAULT_TOL), 0)
+    y1 = _state_at(integrate_meanfield(p, drive, (0.0, period), init=y0), -1)
+    assert np.linalg.norm(y1 - y0) < 10.0 * DEFAULT_TOL * np.linalg.norm(y0)
+
+
+def test_switch_metrics_matches_long_integration():
+    """Brute force: 50 periods from the lower branch, then measure 10 more."""
+    drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
+    period = 2.0 * math.pi / drive.omega_mod
+    init = lower_branch_state(FIG_SWITCH, drive.eta0)
+    settled = integrate_meanfield(FIG_SWITCH, drive, (0.0, 50 * period), init=init)
+    tail = integrate_meanfield(FIG_SWITCH, drive, (0.0, 10 * period),
+                               init=_state_at(settled, -1))
+    m = switch_metrics(FIG_SWITCH, drive)
+    assert m.switch_ratio == pytest.approx(switch_ratio(tail), rel=1e-6)
+    assert m.gain == pytest.approx(gain(tail, drive), rel=1e-6)
+
+
+def test_unstable_orbit_raises():
+    """Hopf-unstable lower branch: the only T-periodic orbit has max |mu| > 2."""
+    drive = DriveConfig(eta0=0.9, p_amp=0.05, omega_mod=1.0)
+    with pytest.raises(UndefinedRatioError, match="no stable T-periodic response"):
+        switch_metrics(FIG_BISTABLE, drive)
+
+
+def test_variational_rhs_is_the_jacobian(rng):
+    for _ in range(5):
+        p = random_params(rng)
+        rhs, variational = _rhs_factory(p, lambda t: 0.7, 0.2)
+        y = rng.normal(size=8)
+        z = variational(0.0, np.concatenate((y, np.eye(8).ravel())))
+        h = 1e-6
+        numeric = np.column_stack([
+            (np.array(rhs(0.0, y + h * e)) - np.array(rhs(0.0, y - h * e))) / (2.0 * h)
+            for e in np.eye(8)])
+        assert np.array_equal(z[:8], np.array(rhs(0.0, y)))
+        assert np.allclose(z[8:].reshape(8, 8), numeric, rtol=1e-7, atol=1e-8)
 
 
 def test_switch_ratio_constant_output_is_one():
@@ -122,8 +158,7 @@ def test_small_signal_gain_matches_static_slope(rng):
             continue
         deriv = abs(hi[0][0] - lo[0][0]) / (2.0 * h)
         m = switch_metrics(p, DriveConfig(eta0=math.sqrt(ip), p_amp=1e-3,
-                                          omega_mod=1e-2),
-                           transient_periods=2, measure_periods=1)
+                                          omega_mod=1e-2))
         assert m.gain == pytest.approx(deriv, rel=0.05)
         checked += 1
 
@@ -136,9 +171,7 @@ def test_linear_transfer_matches_simulated_gain():
     eta0 = 0.5
     for om in (0.4, 1.3):
         drive = DriveConfig(eta0=eta0, p_amp=5e-3, omega_mod=om)
-        trace, window = driven_response(p, drive, transient_periods=30,
-                                        measure_periods=6)
-        simulated = gain(trace, drive, window)
+        simulated = switch_metrics(p, drive).gain
         analytic = linear_gain(p, eta0, om)
         assert simulated == pytest.approx(analytic, rel=0.02)
 
@@ -153,8 +186,7 @@ def test_bandwidth_linear_system_analytic():
     analytic = np.array([linear_gain(p, eta0, om) for om in grid])
     bw_analytic = threshold_measure(grid, analytic,
                                     np.max(analytic) / math.sqrt(2.0))
-    bw_sim = bandwidth(p, eta0, 5e-3, grid, transient_periods=30,
-                       measure_periods=6)
+    bw_sim = bandwidth(p, eta0, 5e-3, grid)
     assert bw_sim == pytest.approx(bw_analytic, rel=0.05)
 
 
@@ -163,10 +195,30 @@ def test_bandwidth_rejects_degenerate_grid():
         bandwidth(FIG_BISTABLE, 0.3, 0.1, [1.0])
 
 
-def test_threshold_measure_interpolates():
+def _threshold_measure_loop(x, y, level):
+    """Segment-by-segment reference for threshold_measure."""
+    total = 0.0
+    for i in range(x.size - 1):
+        x0, x1 = x[i], x[i + 1]
+        y0, y1 = y[i] - level, y[i + 1] - level
+        if y0 >= 0.0 and y1 >= 0.0:
+            total += x1 - x0
+        elif y0 >= 0.0 or y1 >= 0.0:
+            cross = x0 + (x1 - x0) * y0 / (y0 - y1)
+            total += (cross - x0) if y0 >= 0.0 else (x1 - cross)
+    return total
+
+
+def test_threshold_measure_interpolates(rng):
     x = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.0, 1.0, 1.0, 0.0])
     assert threshold_measure(x, y, 0.5) == pytest.approx(2.0)
+    for _ in range(200):
+        x = np.cumsum(rng.uniform(0.1, 1.0, rng.integers(2, 20)))
+        y = np.round(rng.normal(size=x.size), 1)  # ties and exact hits of the level
+        level = rng.choice([0.0, 0.5, rng.normal()])
+        assert threshold_measure(x, y, level) == pytest.approx(
+            _threshold_measure_loop(x, y, level), rel=1e-12, abs=1e-12)
 
 
 def test_hysteresis_linear_system_no_loop():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from optomech_switch import parse_config, run_scenario
+from optomech_switch import parse_config, run_scenario, runner
 from optomech_switch.cli import main as cli_main
 from optomech_switch.errors import NumericalError
 
@@ -129,6 +129,33 @@ def test_sweep_all_points_failing_raises(tmp_path):
     assert not os.path.exists(tmp_path / "sweep_index.json")
 
 
+def test_sweep_point_without_stable_orbit_recorded(tmp_path):
+    # eta0 = 0.9: the lower branch is Hopf-unstable and the only T-periodic
+    # orbit is unstable, so that point fails with UndefinedRatioError
+    text = BISTABILITY.replace("name = bistability\n", "name = sweep\ntask = switch-metrics\n")
+    text = text.split("input_min")[0].replace("p_amp = 0.4472135954999579", "p_amp = 0.05")
+    text += "\n[sweep]\nparameter = drive.eta0\nvalues = 0.1, 0.9\n"
+    run_scenario(parse_config(text), out_dir=str(tmp_path))
+    index = json.loads(_read(tmp_path / "sweep_index.json"))
+    assert [p["status"] for p in index["points"]] == ["ok", "error"]
+    assert index["points"][1]["error"]["type"] == "UndefinedRatioError"
+    assert (tmp_path / "metrics_000.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_programming_error_propagates(tmp_path, monkeypatch, jobs):
+    def broken(config):
+        raise TypeError("bug in a task runner")
+
+    monkeypatch.setitem(runner.TASK_RUNNERS, "bistability", broken)
+    text = BISTABILITY.replace("name = bistability",
+                               "name = sweep\ntask = bistability")
+    text += "\n[sweep]\nparameter = system.kappa_a\nvalues = 0.1, 0.2\n"
+    with pytest.raises(TypeError, match="bug in a task runner"):
+        run_scenario(parse_config(text), out_dir=str(tmp_path), jobs=jobs)
+    assert not os.path.exists(tmp_path / "sweep_index.json")
+
+
 def test_failed_run_leaves_no_files(tmp_path):
     # lower branch of a monostable config is fine; force failure with an
     # unstable branch: bias inside the bistable window, branch=lower is
@@ -222,8 +249,6 @@ omega_mod = 1.0
 
 [task]
 name = switch-metrics
-transient_periods = 10
-measure_periods = 4
 bandwidth_min = 0.8
 bandwidth_max = 1.6
 bandwidth_points = 3
