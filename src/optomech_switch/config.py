@@ -265,10 +265,8 @@ def _parse_sweep(entries, section_line) -> SweepSpec:
     if entries:
         key, (_, line) = next(iter(entries.items()))
         raise ConfigError(f"unknown [sweep] key {key!r}", line)
-    try:
-        values = tuple(float(v) for v in values_raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"bad sweep values {values_raw!r}", values_line) from None
+    values = tuple(_to_number(v, "values", values_line)
+                   for v in map(str.strip, values_raw.split(",")) if v)
     if not values:
         raise ConfigError("sweep values must be a non-empty comma list", values_line)
     return SweepSpec(parameter=param_raw, values=values)

@@ -9,11 +9,14 @@ byte-identical, so the checksums are stable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import scipy
@@ -29,23 +32,61 @@ from .steady_state import (rocking_parameter, solve_transmitted_power,
                            steady_state_from_ptrans)
 
 FLOAT_FMT = "%.12g"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    return str(value)
+_CONTAINERS = (dict, list, tuple)
 
 
 def _csv(headers, rows) -> str:
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per row: float cells ``%.12g``, others ``str``.
+
+    Consecutive rows with the same shape (which cells are floats) share one
+    line format, and the whole table is formatted by a single ``%``.
+    """
+    width = len(headers)
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"every CSV row needs {width} cells, one per header")
+    cells = tuple(chain.from_iterable(rows))
+    shapes = zip(*[map(isinstance, cells, repeat(float))] * width)
+    table = "".join((",".join(FLOAT_FMT if is_float else "%s" for is_float in shape) + "\n")
+                    * len(list(run)) for shape, run in groupby(shapes))
+    return ",".join(headers) + "\n" + table % cells
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Nested dicts need str keys (the payloads' only kind).
+    """
+    return _json_at(payload, "") + "\n"
+
+
+@functools.cache
+def _flat_encoder(item_separator: str):
+    """C-encoder ``encode`` for one nesting depth (cached: building one costs
+    more than encoding a short list)."""
+    return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": ")).encode
+
+
+def _json_at(value, pad: str) -> str:
+    """Indented JSON of ``value`` whose closing bracket sits at ``pad``.
+
+    A dict or list holding no containers is encoded by one call of the C
+    encoder, with this depth's newline and indent as its item separator.
+    json.dumps with ``indent`` would format every item in Python.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    if not any(map(isinstance, items, repeat(_CONTAINERS))):
+        body = _flat_encoder(sep)(value)[1:-1]
+    elif is_dict:
+        body = sep.join(f"{encode_basestring_ascii(key)}: {_json_at(value[key], inner)}"
+                        for key in sorted(value))
+    else:
+        body = sep.join(_json_at(item, inner) for item in value)
+    return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
 
 
 def _select_branch(params, eta0, c_rocking, which):
@@ -93,12 +134,13 @@ def run_spectrum(config: ScenarioConfig):
     else:
         series = spectrum_closed_form(config.params, steady, noise, grid)
     headers = ("omega[omega_m]", "s_q[dimensionless]")
-    rows = list(zip(series.omega_grid, series.s_q))
+    omega, s_q = series.omega_grid.tolist(), series.s_q.tolist()
+    rows = list(zip(omega, s_q))
     peaks = [{"position": p.position, "height": p.height, "prominence": p.prominence}
              for p in series.peaks]
     payload = {"task": "spectrum", "backend": opt["backend"], "branch": opt["branch"],
                "p_trans": steady.p_trans, "rocking_c": c, "peaks": peaks,
-               "omega": list(series.omega_grid), "s_q": list(series.s_q)}
+               "omega": omega, "s_q": s_q}
     return {"csv": {"spectrum.csv": (headers, rows)},
             "json": {"spectrum.json": payload},
             "always": {"peaks.json": {"count": len(peaks), "peaks": peaks}}}

@@ -107,6 +107,16 @@ def test_empty_sweep_values_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "abc"])
+def test_bad_sweep_value_rejected_with_line(raw):
+    text = ("[system]\n[drive]\n[task]\nname = sweep\ntask = spectrum\n"
+            f"[sweep]\nparameter = system.chi\nvalues = 0.3, {raw}, 0.4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10))}" in str(err.value)
+    assert "values" in str(err.value) and repr(raw) in str(err.value)
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
 def test_non_finite_integer_rejected_with_line(raw):
     text = MINIMAL + f"input_points = {raw}\n"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from optomech_switch import (DegenerateGridError, DriveConfig, SystemParams,
                              UndefinedGainError, UndefinedRatioError, bandwidth,
@@ -228,8 +229,8 @@ def test_hysteresis_linear_system_no_loop():
     ramp = np.linspace(2.0, 4.0, 150)
     up, down = hysteresis_sweep(p, ramp, 0.0, rate=4e-4)
     assert np.max(np.abs(up[:, 1] - down[::-1, 1])) < 1e-4
-    area = abs(np.trapezoid(up[:, 1], up[:, 0])
-               + np.trapezoid(down[:, 1], down[:, 0]))
+    area = abs(trapezoid(up[:, 1], up[:, 0])
+               + trapezoid(down[:, 1], down[:, 0]))
     assert area < 1e-4 * (ramp[-1] - ramp[0])
 
 
@@ -246,8 +247,8 @@ def test_hysteresis_loop_brackets_knees():
     assert ju > k_hi and mag_u > 1.0
     assert jd < k_lo + 0.5 and mag_d > 1.0
     # loop area strictly positive inside the window
-    area = abs(np.trapezoid(up[:, 1], up[:, 0])
-               + np.trapezoid(down[:, 1], down[:, 0]))
+    area = abs(trapezoid(up[:, 1], up[:, 0])
+               + trapezoid(down[:, 1], down[:, 0]))
     assert area > 1.0
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -267,8 +268,7 @@ def test_switch_metrics_task_with_bandwidth(tmp_path):
                             "bandwidth[omega_m]")
 
 
-def test_hysteresis_task(tmp_path):
-    text = """
+HYSTERESIS = """
 [system]
 kappa_a = 1.0
 kappa_b = 1.0
@@ -293,7 +293,10 @@ input_max = 12.0
 input_points = 120
 rate = 0.3
 """
-    cfg = parse_config(text)
+
+
+def test_hysteresis_task(tmp_path):
+    cfg = parse_config(HYSTERESIS)
     run_scenario(cfg, out_dir=str(tmp_path))
     lines = _read(tmp_path / "hysteresis.csv").decode().splitlines()
     assert lines[0] == ("direction,input_power[omega_m^2],"
@@ -323,3 +326,139 @@ def test_parallel_sweep_matches_serial(tmp_path):
     run_scenario(cfg, out_dir=str(d2), jobs=2)
     for name in sorted(os.listdir(d1)):
         assert _read(d1 / name) == _read(d2 / name)
+
+
+# The per-value writer that runner._csv and runner._json replaced; it is the
+# oracle for their bytes.
+def _oracle_fmt(value) -> str:
+    if isinstance(value, float):
+        return "%.12g" % value
+    return str(value)
+
+
+def _oracle_csv(headers, rows) -> str:
+    lines = [",".join(headers)]
+    for row in rows:
+        lines.append(",".join(_oracle_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
+                  1e-300, 0.1, 1.0 / 3.0, np.float64(2.5), np.float64(math.nan),
+                  10**30, -2**63, 0, 7, True, False, None,
+                  "", "up", "a, b", "x: y", "ü€ \U0001f600",
+                  "\x00\x1f\n\t\"\\/", "]\n  [", "],\n    [", "}, {\"k\": ["]
+KEYS = ["a", "b", "task", "s_q", "", "a b", "ü", "\x01", "]", "Z", "k1", "k10"]
+
+
+def _random_float(rng):
+    if rng.random() < 0.3:
+        return float(rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                                 1e-300, 0.1]))
+    return float(rng.standard_normal()) * 10.0 ** int(rng.integers(-320, 309))
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.5:
+        return _random_float(rng)
+    return SPECIAL_VALUES[rng.integers(len(SPECIAL_VALUES))]
+
+
+def _random_payload(rng, depth=0):
+    """A JSON payload: nested dicts (str keys), lists, tuples and scalars."""
+    kind = int(rng.integers(7)) if depth < 4 else 0
+    n = int(rng.integers(0, 6))
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # a float-only list, like a spectrum series
+        return [_random_float(rng) for _ in range(n)]
+    if kind == 2:  # rows, like the [[i, o], ...] hysteresis legs
+        width = int(rng.integers(1, 4))
+        return [[_random_scalar(rng) for _ in range(width)] for _ in range(n)]
+    if kind in (3, 4):  # mixed and nested lists or tuples
+        items = [_random_payload(rng, depth + 1) for _ in range(n)]
+        return items if kind == 3 else tuple(items)
+    return {KEYS[rng.integers(len(KEYS))]: _random_payload(rng, depth + 1)
+            for _ in range(n)}
+
+
+def test_json_writer_matches_oracle_on_random_payloads(rng):
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert runner._json(payload) == _oracle_json(payload), payload
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, (), [[]], [[], [1.0]], [[1.0], []], [[1.0, [2.0]], [3.0]], [(1.0, 2.0), [3.0]],
+    [[1.0, 2.0], [3.0, 4.0]], {"up": [[0.5, 1.5]], "down": [], "rocking_c": -0.0},
+    [{"p_trans": np.float64(0.25), "stable": True}, {}], {"x": {"y": {"z": [1e16]}}},
+    ["]", "[", "],\n    ["], [["a", "]"], ["[", 1]]])
+def test_json_writer_matches_oracle_on_edge_payloads(payload):
+    assert runner._json(payload) == _oracle_json(payload)
+
+
+def _random_table(rng):
+    """Rows of one cell-type template; some rows change a cell's type."""
+    makers = [_random_float, lambda r: np.float64(_random_float(r)),
+              lambda r: int(r.integers(-10**6, 10**6)), lambda r: 10**20,
+              lambda r: np.float32(1.5), lambda r: np.int64(3),
+              lambda r: ("stable", "unstable", "up", "a%sb")[r.integers(4)],
+              lambda r: bool(r.integers(2)), lambda r: None]
+    width = int(rng.integers(1, 6))
+    template = rng.integers(len(makers), size=width)
+    rows = []
+    for _ in range(int(rng.integers(0, 40))):
+        kinds = template.copy()
+        if rng.random() < 0.2:
+            kinds[rng.integers(width)] = rng.integers(len(makers))
+        rows.append(tuple(makers[k](rng) for k in kinds))
+    return tuple(f"col{j}" for j in range(width)), rows
+
+
+def test_csv_writer_matches_oracle_on_random_tables(rng):
+    for _ in range(500):
+        headers, rows = _random_table(rng)
+        assert runner._csv(headers, rows) == _oracle_csv(headers, rows), rows
+
+
+def test_csv_writer_rejects_rows_that_do_not_fit_the_header():
+    with pytest.raises(ValueError, match="2 cells"):
+        runner._csv(("a", "b"), [(1.0, 2.0), (1.0, 2.0, 3.0)])
+
+
+SWEEP_WITH_FAILED_POINT = (BISTABILITY.replace("name = bistability",
+                                               "name = sweep\ntask = bistability")
+                           + "\n[sweep]\nparameter = system.kappa_a\nvalues = 0.1, -0.5\n")
+
+
+@pytest.mark.parametrize("text", [BISTABILITY, SPECTRUM, SWITCH, HYSTERESIS,
+                                  SWEEP_WITH_FAILED_POINT],
+                         ids=["bistability", "spectrum", "switch", "hysteresis", "sweep"])
+def test_written_files_match_oracle(tmp_path, monkeypatch, text):
+    cfg = parse_config(text)
+    bundles = []
+
+    def capture(task_runner):
+        def run(*args, **kwargs):
+            bundles.append(task_runner(*args, **kwargs))
+            return bundles[-1]
+        return run
+
+    if cfg.task.name == "sweep":
+        monkeypatch.setattr(runner, "run_sweep", capture(runner.run_sweep))
+    else:
+        monkeypatch.setitem(runner.TASK_RUNNERS, cfg.task.name,
+                            capture(runner.TASK_RUNNERS[cfg.task.name]))
+    manifest = run_scenario(cfg, out_dir=str(tmp_path))
+    (bundle,) = bundles
+    expected = {name: _oracle_csv(*table) for name, table in bundle["csv"].items()}
+    for kind in ("json", "always"):
+        expected.update({name: _oracle_json(p) for name, p in bundle[kind].items()})
+    expected["manifest.json"] = _oracle_json(manifest)
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for name, content in expected.items():
+        assert _read(tmp_path / name) == content.encode(), name

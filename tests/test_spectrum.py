@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from optomech_switch import (NoiseModel, SystemParams, UnstableStateError,
                              brownian_weight, default_omega_grid, detect_peaks,
@@ -96,7 +97,7 @@ def test_equipartition_high_temperature():
     noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 60.0, 400000)
     series = spectrum_matrix(p, st, noise, grid)
-    var_q = 2.0 * np.trapezoid(series.s_q, grid) / (2.0 * np.pi)
+    var_q = 2.0 * trapezoid(series.s_q, grid) / (2.0 * np.pi)
     assert var_q == pytest.approx(1.0 / p.thermal_ratio, rel=2e-2)
 
 
