@@ -14,8 +14,7 @@ from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
                      IntegrationFailureError, InvalidDriveError, NoConvergenceError,
                      NumericalError, OptomechError, OutputError, SingularResponseError,
                      UndefinedGainError, UndefinedRatioError, UnstableStateError)
-from .linearize import (FluctuationAmplitudes, StabilityReport, drift_matrix,
-                        fluctuation_amplitudes, stability)
+from .linearize import StabilityReport, drift_matrix, fluctuation_amplitudes, stability
 from .params import DriveConfig, SystemParams
 from .runner import run_scenario
 from .spectrum import (NoiseModel, Peak, SpectrumSeries, brownian_weight,

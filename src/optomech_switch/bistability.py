@@ -2,10 +2,11 @@
 
 The transmitted-power polynomial is solved on an input-power grid and
 every root is classified stable/unstable through the eigenvalues of the
-linearized dynamics.  Knees (saddle-node turning points of the S-curve)
-are computed exactly by inverting the polynomial: the input power is a
-closed-form function of the output power, so the turning points are the
-roots of its derivative, a quadratic.
+linearized dynamics, all grid points at once.  Knees (saddle-node turning
+points of the S-curve) are computed exactly by inverting the polynomial:
+the input power is a closed-form function of the output power, so the
+turning points are the roots of its derivative, a quadratic.  A grid
+point has three branches strictly between the knees and one outside.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .linearize import drift_matrix, stability
 from .params import SystemParams
-from .steady_state import (cubic_coefficients, helper_constants, solve_transmitted_power,
-                           steady_state_from_ptrans)
+from .steady_state import fold_points, steady_state_from_ptrans, transmitted_power_roots
 
 
 @dataclass(frozen=True)
@@ -39,72 +39,27 @@ class BistabilityCurve:
         return np.array([len(branches) for _, branches in self.points])
 
 
-def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans) -> np.ndarray:
-    """Input power eta0^2 that places a steady state at the given p_trans.
-
-    Inverts the steady-state polynomial.  With a pumped dot (N*lambda*J*g
-    nonzero) the relation is quadratic in eta0; the non-negative branch
-    is returned.
-    """
-    p = np.asarray(p_trans, dtype=float)
-    a1, a2 = helper_constants(params)
-    a_sq = a1 * a1 + a2 * a2
-    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
-    lhs = c3 * p**3 + c2 * p**2 + c1 * p
-    k = (params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion
-         * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta)))
-    m = (params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion)**2
-    if k == 0.0:
-        return (lhs - m) / a_sq
-    disc = np.maximum(k * k + a_sq * (lhs - m), 0.0)
-    eta0 = (-k + np.sqrt(disc)) / a_sq
-    return eta0**2
-
-
 def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
     """Exact (input_power, p_trans) saddle-node points of the S-curve."""
-    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
-    if c3 == 0.0:
-        return ()
-    # stationary points of input_power(p_trans): quadratic in p_trans
-    disc = c2 * c2 - 3.0 * c3 * c1
-    if disc <= 0.0:
-        return ()
-    root = math.sqrt(disc)
-    candidates = sorted(((-c2 - root) / (3.0 * c3), (-c2 + root) / (3.0 * c3)))
-    out = []
-    for p in candidates:
-        if p <= 0.0:
-            continue
-        inp = float(input_power_of_ptrans(params, c_rocking, p))
-        if inp >= 0.0 and math.isfinite(inp):
-            out.append((inp, float(p)))
-    return tuple(out)
-
-
-def classify_root(params: SystemParams, eta0: float, c_rocking: float,
-                  p_trans: float) -> BranchPoint:
-    steady = steady_state_from_ptrans(params, eta0, c_rocking, p_trans)
-    report = stability(drift_matrix(params, steady))
-    return BranchPoint(p_trans=p_trans, stable=report.stable,
-                       max_real_eig=report.max_real_part)
+    return tuple((inp, p) for p, inp in fold_points(params, c_rocking)
+                 if p > 0.0 and inp >= 0.0 and math.isfinite(inp))
 
 
 def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> BistabilityCurve:
     """Branches of transmitted power over an ascending input-power grid."""
     grid = np.asarray(input_grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("input grid must be ascending with >= 2 points")
+    if grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("input grid must be finite and ascending with >= 2 points")
     if np.any(grid < 0.0):
         raise ValueError("input powers must be >= 0")
-
-    points = []
-    for input_power in grid:
-        eta0 = math.sqrt(input_power)
-        roots = solve_transmitted_power(params, eta0, c_rocking)
-        branches = tuple(classify_root(params, eta0, c_rocking, p)
-                         for p, _ in roots)
-        points.append((float(input_power), branches))
-
+    eta0 = np.sqrt(grid)
+    point, p_trans, _ = transmitted_power_roots(params, eta0, c_rocking)
+    steady = steady_state_from_ptrans(params, eta0[point], c_rocking, p_trans)
+    report = stability(drift_matrix(params, steady))
+    branches = [BranchPoint(*b) for b in zip(p_trans.tolist(), report.stable.tolist(),
+                                             report.max_real_part.tolist())]
+    bounds = np.searchsorted(point, np.arange(grid.size + 1)).tolist()
+    points = tuple((ip, tuple(branches[lo:hi]))
+                   for ip, lo, hi in zip(grid.tolist(), bounds[:-1], bounds[1:]))
     knees = tuple(sorted(inp for inp, _ in turning_points(params, c_rocking)))
-    return BistabilityCurve(points=tuple(points), knees=knees)
+    return BistabilityCurve(points=points, knees=knees)

@@ -46,9 +46,8 @@ def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
     j = params.j_coupling
     d = steady.eff_detuning
     db = params.delta_b
-    amp = fluctuation_amplitudes(steady, params)
-    ap = amp.a_plus
-    am = -1j * amp.a_minus_i  # the (purely imaginary) lower fluctuation amplitude
+    ap, iam = fluctuation_amplitudes(steady, params)
+    am = -1j * iam  # the (purely imaginary) lower fluctuation amplitude
 
     dd = (-1j * w - params.gamma_m) * (
         - 1j * j**4 * w

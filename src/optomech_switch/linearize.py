@@ -24,43 +24,33 @@ from .steady_state import SteadyState
 STABILITY_TOL = -1e-10
 
 
-@dataclass(frozen=True)
-class FluctuationAmplitudes:
-    """Real optomechanical coupling entries of the drift matrix.
+def fluctuation_amplitudes(steady: SteadyState, params: SystemParams):
+    """Real optomechanical coupling entries (a_plus, a_minus_i) of the drift matrix.
 
     a_plus  = sqrt(2)*omega_m*chi*Re(a_s)
     a_minus_i = -sqrt(2)*omega_m*chi*Im(a_s)  (the real combination i*a_-)
     """
-
-    a_plus: float
-    a_minus_i: float
-
-
-def fluctuation_amplitudes(steady: SteadyState, params: SystemParams) -> FluctuationAmplitudes:
     scale = math.sqrt(2.0) * params.omega_m * params.chi
-    return FluctuationAmplitudes(a_plus=scale * steady.a_s.real,
-                                 a_minus_i=-scale * steady.a_s.imag)
+    return scale * steady.a_s.real, -scale * steady.a_s.imag
 
 
 def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
-    """6x6 real drift matrix at the given fixed point, state order O.
-
-    The caller guarantees ``steady`` is an actual fixed point (mean-field
-    residual below 1e-8); the matrix is then time independent.
+    """6x6 real drift matrix at the given fixed point, state order O; a stack
+    (..., 6, 6) for a state with array fields.  The caller guarantees fixed
+    points (mean-field residual below 1e-8), so the matrix is time independent.
     """
-    amp = fluctuation_amplitudes(steady, params)
-    ap, iam = amp.a_plus, amp.a_minus_i
+    ap, iam = fluctuation_amplitudes(steady, params)
     wm, gm = params.omega_m, params.gamma_m
     ka, kb, j = params.kappa_a, params.kappa_b, params.j_coupling
     db, d = params.delta_b, steady.eff_detuning
-    m = np.array([
-        [0.0,  wm,   0.0,  0.0,  0.0,  0.0],
-        [-wm, -gm,   0.0,  0.0,  ap,  -iam],
-        [0.0,  0.0, -kb,   db,   0.0,  j],
-        [0.0,  0.0, -db,  -kb,  -j,    0.0],
-        [iam,  0.0,  0.0,  j,   -ka,   d],
-        [ap,   0.0, -j,    0.0, -d,   -ka],
-    ])
+    entries = np.broadcast_arrays(
+        0.0,  wm,   0.0,  0.0,  0.0,  0.0,
+        -wm, -gm,   0.0,  0.0,  ap,  -iam,
+        0.0,  0.0, -kb,   db,   0.0,  j,
+        0.0,  0.0, -db,  -kb,  -j,    0.0,
+        iam,  0.0,  0.0,  j,   -ka,   d,
+        ap,   0.0, -j,    0.0, -d,   -ka)
+    m = np.stack(entries, axis=-1).reshape(entries[0].shape + (6, 6))
     if not np.all(np.isfinite(m)):
         raise ValueError("drift matrix has non-finite entries")
     return m
@@ -74,8 +64,9 @@ class StabilityReport:
 
 
 def stability(m: np.ndarray) -> StabilityReport:
-    """Lyapunov stability of the fixed point: all Re(eig) < -1e-10."""
+    """Lyapunov stability of the fixed point: all Re(eig) < -1e-10.  For a
+    stack of matrices the report's fields are arrays over the stack."""
     eig = np.linalg.eigvals(m)
-    max_re = float(np.max(eig.real))
+    max_re = eig.real.max(axis=-1)
     return StabilityReport(stable=max_re < STABILITY_TOL, eigenvalues=eig,
                            max_real_part=max_re)

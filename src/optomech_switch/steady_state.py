@@ -18,8 +18,8 @@ Taking the squared modulus turns this into a real cubic in P whose
 coefficients are assembled in :func:`cubic_coefficients`; the full
 symbolic derivation lives in docs/cubic_derivation.md.  The same fixed
 point is found independently by :func:`steady_state_direct`, a damped
-Newton iteration on ``a_s`` itself, which serves as the runtime oracle
-for the cubic route.
+Newton iteration on ``a_s`` itself, which the tests use as the oracle for
+the cubic route.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidDriveError, NoConvergenceError, SingularResponseError
 from .params import DriveConfig, SystemParams
-
-# Roots closer than this (relative) are merged into one with multiplicity.
-ROOT_MERGE_TOL = 1e-8
-# Tiny negative real roots are clamped to zero instead of discarded.
-ROOT_CLAMP_TOL = 1e-10
-# |imag| below this (relative) classifies a polynomial root as real.
-ROOT_IMAG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -121,70 +113,132 @@ def cubic_coefficients(params: SystemParams, eta0: float,
     c1 = r0 * r0 + i0 * i0
 
     lam_n = (params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion)
-    c0 = -(eta0**2 * a_sq
+    c0 = -(eta0 * eta0 * a_sq
            + 2.0 * eta0 * lam_n * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta))
            + lam_n**2)
     return c3, c2, c1, c0
 
 
-def _polish_real_root(coeffs, x: float) -> float:
-    """A few Newton steps on the polynomial; keeps the input on failure."""
+def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans) -> np.ndarray:
+    """Input power eta0^2 that places a steady state at the given p_trans.
+
+    Inverts the steady-state polynomial.  With a pumped dot (N*lambda*J*g
+    nonzero) the relation is quadratic in eta0; the non-negative branch
+    is returned, and nan where that branch is negative (no drive reaches
+    p_trans).
+    """
+    p = np.asarray(p_trans, dtype=float)
+    a1, a2 = helper_constants(params)
+    a_sq = a1 * a1 + a2 * a2
+    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
+    lhs = c3 * p**3 + c2 * p**2 + c1 * p
+    lam_n = params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion
+    k, m = lam_n * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta)), lam_n**2
+    if k == 0.0:
+        return (lhs - m) / a_sq
+    disc = np.maximum(k * k + a_sq * (lhs - m), 0.0)
+    eta0 = (-k + np.sqrt(disc)) / a_sq
+    return np.where(eta0 >= 0.0, eta0**2, np.nan)
+
+
+def fold_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
+    """(p_trans, input power) at the stationary points of the cubic, ascending;
+    the input power is nan or negative where no drive reaches the point."""
+    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
+    disc = c2 * c2 - 3.0 * c3 * c1
+    if c3 == 0.0 or disc <= 0.0:
+        return ()
+    root = math.sqrt(disc)
+    ps = sorted(((-c2 - root) / (3.0 * c3), (-c2 + root) / (3.0 * c3)))
+    return tuple((p, float(input_power_of_ptrans(params, c_rocking, p))) for p in ps)
+
+
+def _newton_polish(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Three Newton steps on each root (row polynomials, leading coefficient
+    first); a root stops at its first step that is not finite."""
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(3):
-        p = 0.0
-        dp = 0.0
-        for c in coeffs:
+        p = dp = np.zeros_like(x)
+        for c in poly.T:
             dp = dp * x + p
             p = p * x + c
-        if dp == 0.0 or not math.isfinite(p):
-            return x
-        step = p / dp
-        if not math.isfinite(step):
-            return x
-        x = x - step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = p / dp
+        live &= np.isfinite(step)
+        x = np.where(live, x - step, x)
     return x
+
+
+def transmitted_power_roots(params: SystemParams, eta0,
+                            c_rocking: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical roots of the transmitted-power polynomial at every eta0.
+
+    Returns (point, p_trans, multiplicity) arrays, ordered by point, then
+    p_trans.  Leading coefficients at most 1e-14 of the largest are dropped
+    point by point; one ``eigvals`` call per degree on the companion
+    matrices (as ``np.roots`` builds them), then three Newton steps.
+    Which roots exist comes from the exact stationary values, not from the
+    eigenvalues (c3, c1 >= 0 >= c0): a cubic has three roots strictly
+    between the knee inputs of :func:`fold_points`, one outside, and on a
+    knee the fold's p_trans as a double root, listed once.  Where three are
+    due, a conjugate pair (a near double root) splits into re -+ |im|.
+    """
+    eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
+    coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
+    if not np.all(np.isfinite(coeffs)):
+        raise DegenerateModelError("non-finite polynomial coefficients")
+    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
+    if np.any(scale == 0.0):
+        raise DegenerateModelError("transmitted-power polynomial vanished identically")
+    degree = 3 - np.cumprod(np.abs(coeffs[:, :3]) <= 1e-14 * scale, axis=1).sum(axis=1)
+    folds = fold_points(params, c_rocking)
+    if len(folds) < 2 or folds[0][0] <= 0.0:  # no three-root window
+        folds = ((math.nan, math.nan),) * 2
+    # c0 at which a fold is a double root: its value at the knee input (inf: none)
+    (fold_lo, level_lo), (fold_hi, level_hi) = (
+        (p, cubic_coefficients(params, math.sqrt(inp), c_rocking)[3] if inp >= 0.0 else math.inf)
+        for p, inp in folds)
+    found = [(np.zeros(0, int), np.zeros(0), np.zeros(0, int))]
+    for deg in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == deg)
+        poly = coeffs[rows, 3 - deg:]
+        companion = np.zeros((rows.size, deg, deg))
+        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+        companion[:, range(1, deg), range(deg - 1)] = 1.0
+        z = np.linalg.eigvals(companion)
+        imag = np.abs(z.imag)
+        most_real = np.where(imag == imag.min(axis=1, keepdims=True), z.real, np.nan)
+        top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
+        lead, mid, c0 = poly[:, 0], poly[:, 1], poly[:, -1]
+        if deg == 2:  # roots of opposite sign for lead > 0; both >= 0 if real for lead < 0
+            disc = np.sign(mid * mid - 4.0 * lead * c0)
+            every = (lead < 0.0) & (disc > 0)
+            single = np.where(lead > 0.0, top, np.nan)
+            double = np.where((lead < 0.0) & (disc == 0), -mid / (2.0 * lead), np.nan)
+        else:  # sign of the cubic at each fold: + below its knee input, 0 on it
+            levels = (level_lo, level_hi) if deg == 3 else (math.inf, math.inf)  # a line: none
+            at_lo, at_hi = (np.sign(c0 - level) for level in levels)
+            every = (at_lo > 0) & (at_hi < 0)
+            single = np.where(at_hi >= 0, bottom, top)
+            double = np.select([at_lo == 0, at_hi == 0], [fold_lo, fold_hi], np.nan)
+        cand = np.column_stack([np.where(every[:, None], np.sort(z.real + z.imag, axis=1), np.nan),
+                                np.where(every, np.nan, single), double])
+        r, col = np.nonzero(~np.isnan(cand))
+        simple = col <= deg
+        x = cand[r, col]
+        x[simple] = _newton_polish(poly[r[simple]], x[simple])
+        found.append((rows[r], np.where(x > 0.0, x, 0.0), np.where(simple, 1, 2)))
+    point, p_trans, mult = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((p_trans, point))
+    return point[order], p_trans[order], mult[order]
 
 
 def solve_transmitted_power(params: SystemParams, eta0: float,
                             c_rocking: float) -> list[tuple[float, int]]:
-    """All physical roots of the transmitted-power polynomial.
-
-    Returns ascending (p_trans, multiplicity) pairs.  Complex pairs and
-    genuinely negative roots are discarded; tiny negatives are clamped to
-    zero; near-coincident roots are merged.
-    """
-    coeffs = np.array(cubic_coefficients(params, eta0, c_rocking), dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise DegenerateModelError("non-finite polynomial coefficients")
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        raise DegenerateModelError("transmitted-power polynomial vanished identically")
-    trimmed = coeffs.copy()
-    while trimmed.size > 1 and abs(trimmed[0]) <= 1e-14 * scale:
-        trimmed = trimmed[1:]
-    if trimmed.size == 1:
-        if abs(trimmed[0]) <= 1e-14 * scale:
-            raise DegenerateModelError("transmitted-power polynomial vanished identically")
-        return []  # nonzero constant: no roots
-
-    raw = np.roots(trimmed)
-    real_roots = []
-    for z in raw:
-        if abs(z.imag) > ROOT_IMAG_TOL * max(1.0, abs(z)):
-            continue
-        x = _polish_real_root(trimmed, z.real)
-        if x < -ROOT_CLAMP_TOL * max(1.0, abs(x)):
-            continue
-        real_roots.append(max(x, 0.0))
-    real_roots.sort()
-
-    merged: list[tuple[float, int]] = []
-    for x in real_roots:
-        if merged and abs(x - merged[-1][0]) <= ROOT_MERGE_TOL * max(1.0, abs(x)):
-            prev, mult = merged[-1]
-            merged[-1] = (prev, mult + 1)
-        else:
-            merged.append((x, 1))
-    return merged
+    """Ascending (p_trans, multiplicity) pairs at one eta0: the one-point
+    case of :func:`transmitted_power_roots`."""
+    _, p_trans, mult = transmitted_power_roots(params, eta0, c_rocking)
+    return list(zip(p_trans, mult.tolist()))
 
 
 def _assemble_state(params: SystemParams, eta0: float, c_rocking: float,
@@ -207,21 +261,21 @@ def _assemble_state(params: SystemParams, eta0: float, c_rocking: float,
 
 
 def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float,
-                             p_trans: float) -> SteadyState:
+                             p_trans) -> SteadyState:
     """Steady state on the branch with transmitted power ``p_trans``.
 
     ``p_trans`` is normally a root from :func:`solve_transmitted_power`;
     the returned amplitude then satisfies |a_s|^2 = p_trans to the root
     accuracy.  Phase convention: the two pump frames coincide (the drive
-    frequency offset is zero).
+    frequency offset is zero).  Array arguments give array fields.
     """
-    if p_trans < 0.0:
-        raise ValueError(f"p_trans must be >= 0, got {p_trans}")
+    if np.any(p_trans < 0.0):
+        raise ValueError(f"p_trans must be >= 0, got {np.min(p_trans)}")
     a1, a2 = helper_constants(params)
     delta = effective_detuning(params, p_trans, c_rocking)
     den = ((1j * delta + params.kappa_a) * (a1 + 1j * a2)
            + params.j_coupling**2 * (params.kappa_d + 1j * params.delta_d))
-    if abs(den) < 1e-12:
+    if np.any(np.abs(den) < 1e-12):
         raise SingularResponseError(
             f"cavity-A response denominator vanished at p_trans={p_trans}")
     a_s = _drive_terms(params, eta0) / den

@@ -3,9 +3,81 @@ import math
 import numpy as np
 import pytest
 
-from optomech_switch import bistability_curve, solve_transmitted_power, turning_points
-from optomech_switch.bistability import input_power_of_ptrans
+from optomech_switch import (SystemParams, bistability_curve, cubic_coefficients, drift_matrix,
+                             solve_transmitted_power, stability, steady_state_from_ptrans,
+                             turning_points)
+from optomech_switch.steady_state import input_power_of_ptrans
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
+
+
+def _reference_roots(params, eta0, c):
+    """The per-point route the batched solver replaced: ``np.roots``, an
+    |imag| cut, three Newton steps, a clamp of tiny negatives and a merge of
+    near-coincident roots, each with its own tolerance."""
+    coeffs = np.array(cubic_coefficients(params, eta0, c), dtype=float)
+    scale = np.max(np.abs(coeffs))
+    while coeffs.size > 1 and abs(coeffs[0]) <= 1e-14 * scale:
+        coeffs = coeffs[1:]
+    real = []
+    for z in np.roots(coeffs):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
+            continue
+        x = z.real
+        for _ in range(3):
+            p = dp = 0.0
+            for cf in coeffs:
+                dp = dp * x + p
+                p = p * x + cf
+            if dp == 0.0 or not math.isfinite(p) or not math.isfinite(p / dp):
+                break
+            x = x - p / dp
+        if x >= -1e-10 * max(1.0, abs(x)):
+            real.append(max(x, 0.0))
+    merged = []
+    for x in sorted(real):
+        if merged and abs(x - merged[-1][0]) <= 1e-8 * max(1.0, abs(x)):
+            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
+        else:
+            merged.append((x, 1))
+    return merged
+
+
+def _reference_branches(params, input_power, c):
+    """(p_trans, stable, max_real_eig) per root, one scalar drift matrix each."""
+    eta0 = math.sqrt(input_power)
+    out = []
+    for p, _ in _reference_roots(params, eta0, c):
+        report = stability(drift_matrix(params, steady_state_from_ptrans(params, eta0, c, p)))
+        out.append((p, bool(report.stable), float(report.max_real_part)))
+    return out
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20240811)
+    yield FIG_BISTABLE, 0.10, np.linspace(0.01, 1.0, 400)
+    yield CLEAN_BISTABLE, 0.0, np.linspace(1.5, 14.0, 400)
+    yield FIG_BISTABLE.with_(chi=0.0), 0.0, np.linspace(0.01, 1.0, 50)
+    # the cubic term, or also the quadratic one, dropped at some grid points
+    for delta_a in (1.0, -1.0):
+        yield FIG_BISTABLE.with_(chi=1e-6, delta_a=delta_a), 0.0, np.geomspace(1e-3, 1e3, 60)
+    for _ in range(20):
+        yield random_params(rng), rng.uniform(0.0, 0.4), np.geomspace(1e-3, 1e2, 80)
+
+
+def test_batched_curve_equals_per_point_route():
+    pumped = 0
+    for params, c, grid in _oracle_cases():
+        pumped += params.lambda_pump * params.n_inversion != 0.0
+        knees = np.array([inp for inp, _ in turning_points(params, c)] or [np.inf])
+        grid = grid[np.min(np.abs(grid[:, None] / knees - 1.0), axis=1) > 1e-6]
+        curve = bistability_curve(params, grid, c)
+        for ip, branches in curve.points:
+            ref = _reference_branches(params, ip, c)
+            assert [b.p_trans for b in branches] == [r[0] for r in ref]
+            assert [b.stable for b in branches] == [r[1] for r in ref]
+            assert [b.max_real_eig for b in branches] == pytest.approx(
+                [r[2] for r in ref], rel=1e-12, abs=1e-13)
+    assert pumped > 0
 
 
 def test_bistable_window_exists():
@@ -68,9 +140,64 @@ def test_middle_branch_unstable_published_set():
     assert mids and all(not m.stable for m in mids)
 
 
+def _check_side(roots, fold, upper, inside):
+    """Roots near a knee: three simple ones inside the window, one on the far
+    side of the fold outside, or the fold itself as a double root beside one
+    simple root (on the knee, to the resolution of the constant coefficient)."""
+    ps = [p for p, _ in roots]
+    assert ps == sorted(set(ps))
+    if (fold, 2) in roots:
+        assert [m for _, m in roots] == ([2, 1] if upper else [1, 2])
+    elif inside:
+        assert [m for _, m in roots] == [1, 1, 1]
+    else:
+        assert [m for _, m in roots] == [1] and (ps[0] > fold) == upper
+
+
+@pytest.mark.parametrize("params, c", [(FIG_BISTABLE, 0.10), (FIG_BISTABLE, 0.36),
+                                       (FIG_BISTABLE, 0.49), (CLEAN_BISTABLE, 0.0)])
+def test_root_count_follows_the_side_of_each_knee(params, c):
+    """Count from the exact knees: 3 strictly inside, 1 outside, and exactly
+    on a knee the fold's p_trans once as a double root beside the simple one.
+    A few ulps from the knee, eigvals misjudges which roots are real."""
+    folds = turning_points(params, c)
+    for knee, fold in folds:
+        upper = fold == min(p for _, p in folds)  # the lower-power fold closes the window above
+        offsets = (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)
+        inputs = [knee * (1.0 + e) for e in offsets]
+        curve = bistability_curve(params, inputs, c)
+        for e, ip, (_, branches) in zip(offsets, inputs, curve.points):
+            roots = solve_transmitted_power(params, math.sqrt(ip), c)
+            assert [p for p, _ in roots] == [b.p_trans for b in branches]
+            assert ((fold, 2) in roots) == (e == 0.0)
+            _check_side(roots, fold, upper, inside=(e < 0.0) == upper)
+        for step in (-1, 1):
+            eta = math.sqrt(knee)
+            for _ in range(4):
+                eta = float(np.nextafter(eta, step * np.inf))
+                _check_side(solve_transmitted_power(params, eta, c), fold, upper,
+                            inside=(step < 0) == upper)
+
+
+def test_fold_that_no_drive_reaches_is_no_knee():
+    """Pumped dot: the fold at p_trans ~620 would need a negative eta0, so it
+    is no knee, and the three-root window runs from zero input."""
+    p = SystemParams(kappa_a=0.33, kappa_b=1.96, kappa_d=0.36, gamma_m=1.5, delta_a=1.05,
+                     delta_b=-0.41, delta_d=0.07, j_coupling=0.8, g_qd=1.38, chi=0.04,
+                     lambda_pump=0.91, theta=4.29, n_inversion=0.77)
+    assert len(turning_points(p, 0.44)) == 1
+    curve = bistability_curve(p, np.geomspace(0.1, 300.0, 60), 0.44)
+    assert curve.root_counts()[0] == 3
+    for ip, branches in curve.points:
+        assert [b.p_trans for b in branches] == [r[0] for r in _reference_branches(p, ip, 0.44)]
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         bistability_curve(FIG_BISTABLE, [0.5], 0.0)
+    for grid in ([0.1, np.nan], [0.1, np.inf], [np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            bistability_curve(FIG_BISTABLE, grid, 0.0)
     with pytest.raises(ValueError):
         bistability_curve(FIG_BISTABLE, [0.5, 0.4], 0.0)
     with pytest.raises(ValueError):
