@@ -5,7 +5,7 @@ stability and the mirror displacement noise spectrum."""
 __version__ = "0.1.0"
 
 from .bistability import BistabilityCurve, bistability_curve, turning_points
-from .closed_form import closed_form_audit, spectrum_closed_form
+from .closed_form import spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
 from .dynamics import (SwitchMetrics, TimeTrace, bandwidth, drive_value, gain,
                        gain_vs_frequency, hysteresis_sweep, integrate_meanfield,

@@ -21,7 +21,6 @@ audit).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,34 +245,3 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: Noise
 def _relative_deviation(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
     floor = 1e-300 + np.max(np.abs(reference)) * 1e-30
     return np.abs(candidate - reference) / np.maximum(np.abs(reference), floor)
-
-
-@dataclass(frozen=True)
-class ClosedFormAudit:
-    omega_grid: np.ndarray
-    matrix_s_q: np.ndarray
-    closed_s_q: dict  # convention -> s_q array
-    deviation: dict   # convention -> per-omega relative deviation
-    max_deviation: dict
-    frac_above_tol: dict
-
-
-def closed_form_audit(params: SystemParams, steady: SteadyState, noise: NoiseModel,
-                      omega_grid: np.ndarray,
-                      conventions: tuple[str, ...] = ("sqrt", "printed")) -> ClosedFormAudit:
-    """Evaluate every thermal convention of the closed form against the oracle."""
-    reference = spectrum_matrix(params, steady, noise, omega_grid)
-    closed, deviation, max_dev, frac = {}, {}, {}, {}
-    for conv in conventions:
-        series = spectrum_closed_form(params, steady, noise, omega_grid,
-                                      thermal_convention=conv,
-                                      check_against_matrix=False)
-        dev = _relative_deviation(series.s_q, reference.s_q)
-        closed[conv] = series.s_q
-        deviation[conv] = dev
-        finite = dev[np.isfinite(dev)]
-        max_dev[conv] = float(np.max(finite)) if finite.size else float("inf")
-        frac[conv] = float(np.mean(dev > AUDIT_TOL))
-    return ClosedFormAudit(omega_grid=omega_grid, matrix_s_q=reference.s_q,
-                           closed_s_q=closed, deviation=deviation,
-                           max_deviation=max_dev, frac_above_tol=frac)

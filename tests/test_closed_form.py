@@ -1,11 +1,44 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from optomech_switch import (NoiseModel, closed_form_audit, drift_matrix,
+from optomech_switch import (NoiseModel, SteadyState, SystemParams, drift_matrix,
                              solve_transmitted_power, spectrum_closed_form,
                              spectrum_matrix, steady_state_from_ptrans)
-from optomech_switch.closed_form import _coefficients
+from optomech_switch.closed_form import AUDIT_TOL, _coefficients, _relative_deviation
 from conftest import spectrum_params
+
+
+@dataclass(frozen=True)
+class ClosedFormAudit:
+    omega_grid: np.ndarray
+    matrix_s_q: np.ndarray
+    closed_s_q: dict  # convention -> s_q array
+    deviation: dict   # convention -> per-omega relative deviation
+    max_deviation: dict
+    frac_above_tol: dict
+
+
+def closed_form_audit(params: SystemParams, steady: SteadyState, noise: NoiseModel,
+                      omega_grid: np.ndarray,
+                      conventions: tuple[str, ...] = ("sqrt", "printed")) -> ClosedFormAudit:
+    """Evaluate every thermal convention of the closed form against the matrix route."""
+    reference = spectrum_matrix(params, steady, noise, omega_grid)
+    closed, deviation, max_dev, frac = {}, {}, {}, {}
+    for conv in conventions:
+        series = spectrum_closed_form(params, steady, noise, omega_grid,
+                                      thermal_convention=conv,
+                                      check_against_matrix=False)
+        dev = _relative_deviation(series.s_q, reference.s_q)
+        closed[conv] = series.s_q
+        deviation[conv] = dev
+        finite = dev[np.isfinite(dev)]
+        max_dev[conv] = float(np.max(finite)) if finite.size else float("inf")
+        frac[conv] = float(np.mean(dev > AUDIT_TOL))
+    return ClosedFormAudit(omega_grid=omega_grid, matrix_s_q=reference.s_q,
+                           closed_s_q=closed, deviation=deviation,
+                           max_deviation=max_dev, frac_above_tol=frac)
 
 
 def _fig_state(j_coupling=1.0, chi=0.2):

@@ -6,7 +6,7 @@ from optomech_switch import (NoiseModel, SystemParams, UnstableStateError,
                              brownian_weight, default_omega_grid, detect_peaks,
                              drift_matrix, solve_transmitted_power, spectrum_matrix,
                              stability, steady_state_from_ptrans)
-from optomech_switch.spectrum import thermal_coth_times_omega
+from optomech_switch.spectrum import _q_transfer, thermal_coth_times_omega
 from conftest import random_params, spectrum_params
 
 
@@ -202,3 +202,41 @@ def test_three_peak_demo_configuration():
     series0 = spectrum_matrix(off, st0, NoiseModel.from_params(off))
     assert len(series0.peaks) < 3
     assert_matches_oracle(off, st0, series0)
+
+
+@pytest.mark.parametrize("j_coupling", [1.45, 1.55])
+def test_oracle_near_mode_crossing(j_coupling):
+    """Near J = 1.5 the Schur factors' rounding reaches ~1e-12 of S_q.
+
+    The refinement step against M is what keeps these inside the oracle's
+    rtol 1e-12 (about 1e-13 with it, 2.0e-12 and 1.2e-12 without).
+    """
+    p = spectrum_params(j_coupling=j_coupling)
+    st = _stable_state(p, 0.1, 0.10)
+    assert_matches_oracle(p, st, spectrum_matrix(p, st, NoiseModel.from_params(p)))
+
+
+@pytest.mark.parametrize("split", [1e-6, 1e-9, 1e-12])
+def test_transfer_near_exceptional_point(split):
+    """Two complex pairs `split` apart, chained by an identity block (almost a
+    Jordan block), in a random basis: the transfer row equals per-w solves."""
+    def pair(re, im):
+        return np.array([[re, im], [-im, re]])
+
+    block = np.zeros((6, 6))
+    block[:2, :2] = pair(-0.05, 1.0)
+    block[2:4, 2:4] = pair(-0.05 + split, 1.0)
+    block[:2, 2:4] = np.eye(2)
+    block[4:, 4:] = pair(-0.3, 0.6)
+    basis = np.random.default_rng(7).standard_normal((6, 6))
+    m = basis @ block @ np.linalg.inv(basis)
+    assert stability(m).stable
+    noise = NoiseModel(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0,
+                       kappa_a=0.2, kappa_b=0.3)
+    grid = np.linspace(0.0, 2.5, 2001)
+    got = _q_transfer(m, noise, grid)
+    couplings = np.sqrt([1.0, 0.3, 0.3, 0.2, 0.2])
+    expected = np.array([np.linalg.solve((-1j * w * np.eye(6) - m).T, np.eye(6)[0])[1:]
+                         for w in grid]) * couplings
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert np.max(np.abs(got - expected) / scale) < 1e-11
