@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .bistability import BistabilityCurve, bistability_curve, turning_points
 from .closed_form import spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
-from .dynamics import (SwitchMetrics, TimeTrace, bandwidth, drive_value, gain,
-                       gain_vs_frequency, hysteresis_sweep, integrate_meanfield,
-                       jump_input_power, switch_metrics, switch_ratio)
+from .dynamics import (SwitchMetrics, bandwidth, gain, gain_vs_frequency, hysteresis_sweep,
+                       switch_metrics, switch_ratio)
 from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
                      IntegrationFailureError, InvalidDriveError, NoConvergenceError,
                      NumericalError, OptomechError, OutputError, SingularResponseError,
@@ -20,8 +19,7 @@ from .runner import run_scenario
 from .spectrum import (NoiseModel, Peak, SpectrumSeries, brownian_weight,
                        default_omega_grid, detect_peaks, spectrum_matrix)
 from .steady_state import (SteadyState, cubic_coefficients, helper_constants,
-                           meanfield_residual, rocking_parameter,
-                           solve_transmitted_power, steady_state_direct,
+                           rocking_parameter, solve_transmitted_power,
                            steady_state_from_ptrans)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

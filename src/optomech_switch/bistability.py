@@ -4,9 +4,11 @@ The transmitted-power polynomial is solved on an input-power grid and
 every root is classified stable/unstable through the eigenvalues of the
 linearized dynamics, all grid points at once.  Knees (saddle-node turning
 points of the S-curve) are computed exactly by inverting the polynomial:
-the input power is a closed-form function of the output power, so the
-turning points are the roots of its derivative, a quadratic.  A grid
-point has three branches strictly between the knees and one outside.
+the input power is a closed-form function of the output power (two-valued
+with a pumped dot), so the turning points are the roots of its
+derivative, a quadratic.  The branch count switches between one and
+three at every knee: without a pumped dot, three strictly between the
+knees and one outside.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .linearize import drift_matrix, stability
 from .params import SystemParams
-from .steady_state import fold_points, steady_state_from_ptrans, transmitted_power_roots
+from .steady_state import (fold_points, input_power_of_ptrans, steady_state_from_ptrans,
+                           transmitted_power_roots)
 
 
 @dataclass(frozen=True)
@@ -35,14 +38,15 @@ class BistabilityCurve:
     # exact saddle-node input powers (ascending); empty when monostable
     knees: tuple[float, ...]
 
-    def root_counts(self) -> np.ndarray:
-        return np.array([len(branches) for _, branches in self.points])
-
 
 def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
-    """Exact (input_power, p_trans) saddle-node points of the S-curve."""
-    return tuple((inp, p) for p, inp in fold_points(params, c_rocking)
-                 if p > 0.0 and inp >= 0.0 and math.isfinite(inp))
+    """Exact (input_power, p_trans) saddle-node points of the S-curve,
+    ascending in input power: each fold at every drive eta0 >= 0 that
+    reaches it.  With a pumped dot the reach is quadratic in eta0, so one
+    fold can be reached twice."""
+    reaches = {(float(input_power_of_ptrans(params, c_rocking, p, sign)), p)
+               for p, _ in fold_points(params, c_rocking) if p > 0.0 for sign in (1.0, -1.0)}
+    return tuple(sorted((inp, p) for inp, p in reaches if inp >= 0.0 and math.isfinite(inp)))
 
 
 def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> BistabilityCurve:
@@ -61,5 +65,5 @@ def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> Bis
     bounds = np.searchsorted(point, np.arange(grid.size + 1)).tolist()
     points = tuple((ip, tuple(branches[lo:hi]))
                    for ip, lo, hi in zip(grid.tolist(), bounds[:-1], bounds[1:]))
-    knees = tuple(sorted(inp for inp, _ in turning_points(params, c_rocking)))
+    knees = tuple(inp for inp, _ in turning_points(params, c_rocking))
     return BistabilityCurve(points=points, knees=knees)

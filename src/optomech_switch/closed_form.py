@@ -27,8 +27,7 @@ import numpy as np
 from .errors import SingularResponseError, UnstableStateError
 from .linearize import drift_matrix, fluctuation_amplitudes, stability
 from .params import SystemParams
-from .spectrum import (NoiseModel, SpectrumSeries, brownian_weight, default_omega_grid,
-                       detect_peaks, spectrum_matrix)
+from .spectrum import NoiseModel, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import SteadyState
 
 log = logging.getLogger(__name__)
@@ -197,17 +196,13 @@ def _thermal_factor(omega: np.ndarray, noise: NoiseModel, convention: str) -> np
 
 
 def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: NoiseModel,
-                         omega_grid: np.ndarray | None = None,
-                         thermal_convention: str = "sqrt",
-                         check_against_matrix: bool = True) -> SpectrumSeries:
+                         omega_grid: np.ndarray,
+                         thermal_convention: str = "sqrt") -> SpectrumSeries:
     """Closed-form S_q(w).  Experimental; the matrix route is authoritative.
 
-    When ``check_against_matrix`` is set, relative deviations from the
-    matrix route above 1% are logged (per-frequency records at DEBUG, a
-    summary at WARNING).
+    Relative deviations from the matrix route above 1% are logged
+    (per-frequency records at DEBUG, a summary at WARNING).
     """
-    if omega_grid is None:
-        omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
     report = stability(drift_matrix(params, steady))
     if not report.stable:
@@ -223,19 +218,18 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: Noise
         s_q = (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
                + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2
 
-    if check_against_matrix:
-        reference = spectrum_matrix(params, steady, noise, omega_grid)
-        deviation = _relative_deviation(s_q, reference.s_q)
-        bad = deviation > AUDIT_TOL
-        if np.any(bad):
-            for i in np.nonzero(bad)[0]:
-                log.debug("closed-form deviation %.3e at omega=%.6g",
-                          deviation[i], omega_grid[i])
-            log.warning(
-                "closed-form spectrum deviates >%.0f%% from the matrix route at "
-                "%d/%d frequencies (max %.3g); matrix route is authoritative",
-                100 * AUDIT_TOL, int(np.sum(bad)), omega_grid.size,
-                float(np.max(deviation[np.isfinite(deviation)], initial=0.0)))
+    reference = spectrum_matrix(params, steady, noise, omega_grid)
+    deviation = _relative_deviation(s_q, reference.s_q)
+    bad = deviation > AUDIT_TOL
+    if np.any(bad):
+        for i in np.nonzero(bad)[0]:
+            log.debug("closed-form deviation %.3e at omega=%.6g",
+                      deviation[i], omega_grid[i])
+        log.warning(
+            "closed-form spectrum deviates >%.0f%% from the matrix route at "
+            "%d/%d frequencies (max %.3g); matrix route is authoritative",
+            100 * AUDIT_TOL, int(np.sum(bad)), omega_grid.size,
+            float(np.max(deviation[np.isfinite(deviation)], initial=0.0)))
 
     finite = np.where(np.isfinite(s_q), s_q, 0.0)
     peaks = detect_peaks(omega_grid, finite)

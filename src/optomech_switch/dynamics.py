@@ -6,10 +6,12 @@ eta(t) = eta0 + p_amp*cos(omega_mod*t).  The dot inversion stays pinned
 at its configured value.  The switch ratio (max/min output power over a
 drive cycle), the gain (output to input power-modulation amplitude) and
 the -3 dB bandwidth of the gain versus modulation frequency are read off
-the T-periodic response, found by shooting: Newton on the period map
-y -> phi_T(y), with the monodromy matrix from the variational equations.
-A Floquet multiplier (monodromy eigenvalue) of modulus >= 1 means there
-is no stable T-periodic response, and the metrics raise UndefinedRatioError.
+one sampled period of the T-periodic response, found by shooting: Newton
+on the period map y -> phi_T(y), with the monodromy matrix from the
+variational equations.  A Floquet multiplier (monodromy eigenvalue) of
+modulus >= 1 means there is no stable T-periodic response, and the
+metrics raise UndefinedRatioError.  A quasi-static up-then-down ramp of
+the input power gives the hysteresis loop.
 
 Runs are deterministic: a fixed adaptive integrator with fixed
 tolerances, no randomness.
@@ -23,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (DegenerateGridError, DegenerateModelError, IntegrationFailureError,
-                     NoConvergenceError, UndefinedGainError, UndefinedRatioError)
+from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergenceError,
+                     UndefinedGainError, UndefinedRatioError)
 from .params import DriveConfig, SystemParams
-from .steady_state import SteadyState, solve_transmitted_power, steady_state_from_ptrans
+from .steady_state import SteadyState, steady_state
 
 # |state|^2 beyond this aborts the integration as a blow-up.
 BLOWUP_NORM = 1e8
-DEFAULT_TOL = 1e-8
+# integrator rtol (atol is 1e-2 of it)
+TOL = 1e-8
 SAMPLES_PER_PERIOD = 96
 # Newton on the period map: step cap, and the converged update size
 # relative to |y| in units of the integrator tolerance
@@ -39,26 +42,9 @@ NEWTON_STEP_TOL = 100.0
 
 
 @dataclass(frozen=True)
-class TimeTrace:
-    t: np.ndarray
-    a: np.ndarray       # complex cavity-A amplitude
-    b: np.ndarray       # complex cavity-B amplitude
-    sigma: np.ndarray   # complex dot coherence (equation-of-motion sign)
-    q: np.ndarray
-    p: np.ndarray
-    output_power: np.ndarray
-    drive_power: np.ndarray
-
-
-@dataclass(frozen=True)
 class SwitchMetrics:
     switch_ratio: float
     gain: float
-
-
-def drive_value(t, drive: DriveConfig):
-    """Instantaneous pump amplitude eta(t)."""
-    return drive.eta0 + drive.p_amp * np.cos(drive.omega_mod * np.asarray(t))
 
 
 def state_vector(steady: SteadyState) -> np.ndarray:
@@ -148,49 +134,6 @@ def _integrate(rhs, t_span, y0, tol, t_eval) -> np.ndarray:
     return sol.y
 
 
-def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
-                        init=None, tol: float = DEFAULT_TOL,
-                        c_rocking: float = 0.0) -> TimeTrace:
-    """Integrate the mean-field equations over ``t_span``.
-
-    ``init`` may be a SteadyState, an 8-vector, or None (vacuum start).
-    ``c_rocking`` adds the averaged radiation-pressure shift of a fast
-    modulation to the mirror force; leave it at 0 when the modulation is
-    integrated explicitly.  Samples are uniform: SAMPLES_PER_PERIOD per
-    drive period with a modulated drive, else 2000 over the span.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must have positive length")
-    if init is None:
-        y0 = np.zeros(8)
-    elif isinstance(init, SteadyState):
-        y0 = state_vector(init)
-    else:
-        y0 = np.asarray(init, dtype=float)
-        if y0.shape != (8,):
-            raise ValueError("init vector must have 8 components")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
-
-    if drive.p_amp > 0.0 and drive.omega_mod > 0.0:
-        # +1 keeps the sample step commensurate with the drive period
-        period = 2.0 * math.pi / drive.omega_mod
-        n_samples = max(2, int(round((t1 - t0) / period * SAMPLES_PER_PERIOD)) + 1)
-    else:
-        n_samples = 2000
-    t_eval = np.linspace(t0, t1, n_samples)
-
-    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking)[0], (t0, t1), y0,
-                   tol, t_eval)
-    a = y[0] + 1j * y[1]
-    b = y[2] + 1j * y[3]
-    sigma = y[4] + 1j * y[5]
-    eta = drive_value(t_eval, drive)
-    return TimeTrace(t=t_eval, a=a, b=b, sigma=sigma, q=y[6], p=y[7],
-                     output_power=np.abs(a) ** 2, drive_power=eta**2)
-
-
 def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
     """(max, min) of a sampled smooth series, parabola-refined at interior extrema."""
 
@@ -209,55 +152,44 @@ def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
     return float(refine(int(np.argmax(series)))), float(refine(int(np.argmin(series))))
 
 
-def switch_ratio(trace: TimeTrace) -> float:
-    """max/min of the output power over the trace."""
-    hi, lo = _refined_extrema(trace.output_power)
+def switch_ratio(output_power: np.ndarray) -> float:
+    """max/min of the sampled output power."""
+    hi, lo = _refined_extrema(output_power)
     if lo <= 1e-30:
         raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
     return hi / lo
 
 
-def gain(trace: TimeTrace, drive: DriveConfig) -> float:
-    """Output power modulation amplitude over input power modulation amplitude."""
-    if drive.p_amp <= 0.0:
-        raise UndefinedGainError("gain requires a modulated drive (p_amp > 0)")
-    out_hi, out_lo = _refined_extrema(trace.output_power)
-    in_hi, in_lo = _refined_extrema(trace.drive_power)
+def gain(output_power: np.ndarray, drive_power: np.ndarray) -> float:
+    """Output power modulation amplitude over input power modulation
+    amplitude, from samples at the same times."""
+    out_hi, out_lo = _refined_extrema(output_power)
+    in_hi, in_lo = _refined_extrema(drive_power)
     in_amp = 0.5 * (in_hi - in_lo)
     if in_amp <= 0.0:
         raise UndefinedGainError("input power modulation amplitude vanished")
     return 0.5 * (out_hi - out_lo) / in_amp
 
 
-def lower_branch_state(params: SystemParams, eta0: float,
-                       c_rocking: float = 0.0) -> SteadyState:
-    """Steady state on the lowest-power branch at the given bias."""
-    roots = solve_transmitted_power(params, eta0, c_rocking)
-    if not roots:
-        raise DegenerateModelError("no steady-state root at the requested bias")
-    return steady_state_from_ptrans(params, eta0, c_rocking, roots[0][0])
-
-
-def _periodic_response(params: SystemParams, drive: DriveConfig,
-                       tol: float) -> TimeTrace:
-    """One sampled drive period of the attracting T-periodic orbit: from the
-    lower branch, one warm-up period, then Newton on y -> phi_T(y) - y with
-    the monodromy dphi_T/dy, whose eigenvalues are the Floquet multipliers."""
+def _periodic_orbit(params: SystemParams, drive: DriveConfig) -> np.ndarray:
+    """Start state of the attracting T-periodic orbit: from the lower branch,
+    one warm-up period, then Newton on y -> phi_T(y) - y with the monodromy
+    dphi_T/dy, whose eigenvalues are the Floquet multipliers."""
     if drive.omega_mod <= 0.0 or drive.p_amp <= 0.0:
         raise UndefinedGainError("switch metrics require p_amp > 0 and omega_mod > 0")
     span = (0.0, 2.0 * math.pi / drive.omega_mod)
     rhs, variational = _rhs_factory(params, _modulated(drive), 0.0)
-    y = _integrate(rhs, span, state_vector(lower_branch_state(params, drive.eta0)),
-                   tol, span)[:, -1]
+    y = _integrate(rhs, span, state_vector(steady_state(params, drive.eta0, 0.0, "lower")),
+                   TOL, span)[:, -1]
     eye = np.eye(8)
     try:
         for _ in range(NEWTON_MAX_STEPS):
             z = _integrate(variational, span, np.concatenate((y, eye.ravel())),
-                           tol, span)[:, -1]
+                           TOL, span)[:, -1]
             monodromy = z[8:].reshape(8, 8)
             step = np.linalg.solve(monodromy - eye, z[:8] - y)
             y = y - step
-            if np.linalg.norm(step) <= NEWTON_STEP_TOL * tol * max(1.0, np.linalg.norm(y)):
+            if np.linalg.norm(step) <= NEWTON_STEP_TOL * TOL * max(1.0, np.linalg.norm(y)):
                 break
         else:
             raise NoConvergenceError(f"periodic orbit: no convergence in {NEWTON_MAX_STEPS} steps")
@@ -266,28 +198,37 @@ def _periodic_response(params: SystemParams, drive: DriveConfig,
         raise NoConvergenceError(f"periodic orbit: {exc}") from exc
     if mu >= 1.0:
         raise UndefinedRatioError(f"no stable T-periodic response, max |mu| = {mu:.4g}")
-    return integrate_meanfield(params, drive, span, init=y, tol=tol)
+    return y
 
 
-def switch_metrics(params: SystemParams, drive: DriveConfig,
-                   tol: float = DEFAULT_TOL) -> SwitchMetrics:
+def _periodic_response(params: SystemParams,
+                       drive: DriveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Output and drive power over one period of the T-periodic orbit, at
+    SAMPLES_PER_PERIOD + 1 uniform times, both ends included."""
+    y0 = _periodic_orbit(params, drive)
+    period = 2.0 * math.pi / drive.omega_mod
+    t = np.linspace(0.0, period, SAMPLES_PER_PERIOD + 1)
+    y = _integrate(_rhs_factory(params, _modulated(drive), 0.0)[0], (0.0, period), y0, TOL, t)
+    return (np.abs(y[0] + 1j * y[1]) ** 2,
+            (drive.eta0 + drive.p_amp * np.cos(drive.omega_mod * t)) ** 2)
+
+
+def switch_metrics(params: SystemParams, drive: DriveConfig) -> SwitchMetrics:
     """Switch ratio and gain of the periodic response (no bandwidth scan)."""
-    trace = _periodic_response(params, drive, tol)
-    return SwitchMetrics(switch_ratio=switch_ratio(trace), gain=gain(trace, drive))
+    output_power, drive_power = _periodic_response(params, drive)
+    return SwitchMetrics(switch_ratio=switch_ratio(output_power),
+                         gain=gain(output_power, drive_power))
 
 
 def gain_vs_frequency(params: SystemParams, eta0: float, p_amp: float,
-                      omega_grid, tol: float = DEFAULT_TOL) -> np.ndarray:
+                      omega_grid) -> np.ndarray:
     """Gain of the periodic response at each modulation frequency of the grid."""
-    values = []
-    for om in np.asarray(omega_grid, dtype=float):
-        drive = DriveConfig(eta0=eta0, p_amp=p_amp, omega_mod=float(om))
-        values.append(gain(_periodic_response(params, drive, tol), drive))
-    return np.array(values)
+    return np.array([gain(*_periodic_response(
+        params, DriveConfig(eta0=eta0, p_amp=p_amp, omega_mod=float(om))))
+        for om in np.asarray(omega_grid, dtype=float)])
 
 
-def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
-              tol: float = DEFAULT_TOL) -> float:
+def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid) -> float:
     """-3 dB width of gain(omega_mod): measure of {gain >= max/sqrt(2)}.
 
     Interval boundaries between grid points are located by linear
@@ -298,7 +239,7 @@ def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid,
         raise DegenerateGridError("bandwidth needs at least 2 frequency points")
     if np.any(np.diff(omega_grid) <= 0.0):
         raise DegenerateGridError("frequency grid must be strictly ascending")
-    g = gain_vs_frequency(params, eta0, p_amp, omega_grid, tol)
+    g = gain_vs_frequency(params, eta0, p_amp, omega_grid)
     top = np.max(g)
     if top <= 0.0:
         return 0.0
@@ -315,16 +256,16 @@ def threshold_measure(x: np.ndarray, y: np.ndarray, level: float) -> float:
 
 
 def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
-                     rate: float | None = None, tol: float = DEFAULT_TOL,
-                     settle_time: float | None = None):
+                     rate: float | None = None):
     """Quasi-static up-then-down sweep of the input power.
 
     ``input_ramp`` is the ascending grid of input powers (eta0^2) for the
     upward leg; the downward leg retraces it in reverse.  The default
     ramp rate gamma_m/20 per unit input power keeps the sweep adiabatic
     relative to the mechanical relaxation.  Between the legs the drive is
-    held at the top input for ``settle_time`` so post-jump ringing does
-    not contaminate the downward leg.  Returns (up, down), each an (n, 2)
+    held at the top input for 20 times the slowest of the cavity-A,
+    mechanical and damping times, so post-jump ringing does not
+    contaminate the downward leg.  Returns (up, down), each an (n, 2)
     array of (input_power, output_power).
     """
     ramp = np.asarray(input_ramp, dtype=float)
@@ -334,10 +275,9 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
         raise ValueError("input powers must be >= 0")
     if rate is None:
         rate = params.gamma_m / 20.0
-    if settle_time is None:
-        settle_time = 20.0 * max(1.0 / params.kappa_a,
-                                 params.gamma_m / params.omega_m**2,
-                                 1.0 / params.gamma_m)
+    settle_time = 20.0 * max(1.0 / params.kappa_a,
+                             params.gamma_m / params.omega_m**2,
+                             1.0 / params.gamma_m)
     span = ramp[-1] - ramp[0]
     duration = span / rate
 
@@ -350,46 +290,15 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
 
         t_eval = (powers - p0) / (p1 - p0) * duration
         y = _integrate(_rhs_factory(params, eta_func, c_rocking)[0], (0.0, duration), y0,
-                       tol, t_eval)
+                       TOL, t_eval)
         out = y[0] ** 2 + y[1] ** 2
         return np.column_stack([powers, out]), y[:, -1]
 
-    start = lower_branch_state(params, math.sqrt(ramp[0]), c_rocking)
+    start = steady_state(params, math.sqrt(ramp[0]), c_rocking, "lower")
     up, y_top = leg(ramp, state_vector(start))
     eta_top = math.sqrt(ramp[-1])
     y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking)[0],
-                           (0.0, settle_time), y_top, tol,
+                           (0.0, settle_time), y_top, TOL,
                            np.array([0.0, settle_time]))[:, -1]
     down, _ = leg(ramp[::-1], y_settled)
     return up, down
-
-
-def jump_input_power(curve: np.ndarray) -> tuple[float, float]:
-    """Input power at the largest output jump of a swept curve.
-
-    A jump may smear over several ramp samples, so consecutive
-    same-direction output steps are aggregated into runs; the largest run
-    wins and its half-change point is reported.  Returns (input power at
-    the jump, jump magnitude).
-    """
-    inp, out = curve[:, 0], curve[:, 1]
-    steps = np.diff(out)
-    best = (0.0, 0, 0)  # |total change|, start, stop (inclusive step range)
-    i = 0
-    while i < steps.size:
-        sign = np.sign(steps[i])
-        j = i
-        while j + 1 < steps.size and np.sign(steps[j + 1]) == sign:
-            j += 1
-        total = abs(out[j + 1] - out[i])
-        if total > best[0]:
-            best = (total, i, j)
-        i = j + 1
-    total, i, j = best
-    if total == 0.0:
-        return float(inp[0]), 0.0
-    cum = np.abs(out[i:j + 2] - out[i])
-    half = np.searchsorted(cum, 0.5 * total)
-    k = min(i + max(half, 1) - 1, j)
-    return float(0.5 * (inp[k] + inp[k + 1])), float(total)
-

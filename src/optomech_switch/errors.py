@@ -62,11 +62,9 @@ class DegenerateGridError(NumericalError):
 class IntegrationFailureError(NumericalError):
     """Time integration aborted (state blow-up or step-size collapse)."""
 
-    def __init__(self, message, last_valid_time=None):
+    def __init__(self, message, last_valid_time):
         self.last_valid_time = last_valid_time
-        if last_valid_time is not None:
-            message = f"{message} (last valid time t={last_valid_time:.6g})"
-        super().__init__(message)
+        super().__init__(f"{message} (last valid time t={last_valid_time:.6g})")
 
 
 class OutputError(OptomechError):

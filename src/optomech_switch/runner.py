@@ -28,8 +28,7 @@ from .config import ScenarioConfig, TaskSpec, apply_sweep_value, serialize_confi
 from .dynamics import bandwidth, hysteresis_sweep, switch_metrics
 from .errors import NumericalError, OptomechError, OutputError
 from .spectrum import NoiseModel, spectrum_matrix
-from .steady_state import (rocking_parameter, solve_transmitted_power,
-                           steady_state_from_ptrans)
+from .steady_state import rocking_parameter, steady_state
 
 FLOAT_FMT = "%.12g"
 _CONTAINERS = (dict, list, tuple)
@@ -89,14 +88,6 @@ def _json_at(value, pad: str) -> str:
     return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
 
 
-def _select_branch(params, eta0, c_rocking, which):
-    roots = solve_transmitted_power(params, eta0, c_rocking)
-    if not roots:
-        raise NumericalError("no steady-state root at the configured bias")
-    p_trans = roots[0][0] if which == "lower" else roots[-1][0]
-    return steady_state_from_ptrans(params, eta0, c_rocking, p_trans)
-
-
 def run_bistability(config: ScenarioConfig):
     opt = dict(config.task.options)
     grid = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
@@ -127,7 +118,7 @@ def run_spectrum(config: ScenarioConfig):
     opt = dict(config.task.options)
     grid = np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
     c = rocking_parameter(config.drive)
-    steady = _select_branch(config.params, config.drive.eta0, c, opt["branch"])
+    steady = steady_state(config.params, config.drive.eta0, c, opt["branch"])
     noise = NoiseModel.from_params(config.params)
     if opt["backend"] == "matrix":
         series = spectrum_matrix(config.params, steady, noise, grid)

@@ -78,9 +78,8 @@ class SpectrumSeries:
     peaks: tuple[Peak, ...] = field(default_factory=tuple)
 
 
-def default_omega_grid(omega_max: float = DEFAULT_OMEGA_MAX,
-                       n_points: int = DEFAULT_OMEGA_POINTS) -> np.ndarray:
-    return np.linspace(0.0, omega_max, n_points)
+def default_omega_grid() -> np.ndarray:
+    return np.linspace(0.0, DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_POINTS)
 
 
 def thermal_coth_times_omega(omega, noise: NoiseModel):

@@ -16,10 +16,10 @@ drive modulation, and
 
 Taking the squared modulus turns this into a real cubic in P whose
 coefficients are assembled in :func:`cubic_coefficients`; the full
-symbolic derivation lives in docs/cubic_derivation.md.  The same fixed
-point is found independently by :func:`steady_state_direct`, a damped
-Newton iteration on ``a_s`` itself, which the tests use as the oracle for
-the cubic route.
+symbolic derivation lives in docs/cubic_derivation.md.  The tests find
+the same fixed point independently, by a damped Newton iteration on
+``a_s`` itself (``steady_state_direct`` in tests/reference.py), as the
+oracle for the cubic route.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, InvalidDriveError, NoConvergenceError, SingularResponseError
+from .errors import DegenerateModelError, InvalidDriveError, SingularResponseError
 from .params import DriveConfig, SystemParams
 
 @dataclass(frozen=True)
@@ -119,13 +119,15 @@ def cubic_coefficients(params: SystemParams, eta0: float,
     return c3, c2, c1, c0
 
 
-def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans) -> np.ndarray:
+def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
+                          sign: float = 1.0) -> np.ndarray:
     """Input power eta0^2 that places a steady state at the given p_trans.
 
     Inverts the steady-state polynomial.  With a pumped dot (N*lambda*J*g
-    nonzero) the relation is quadratic in eta0; the non-negative branch
-    is returned, and nan where that branch is negative (no drive reaches
-    p_trans).
+    nonzero) the relation is quadratic in eta0, |A|^2*eta0^2 + 2*k*eta0 +
+    m = lhs(p_trans), with roots eta0 = (-k +- sqrt(D))/|A|^2; ``sign``
+    picks one.  nan where that root is complex or negative (no drive
+    reaches p_trans on it).
     """
     p = np.asarray(p_trans, dtype=float)
     a1, a2 = helper_constants(params)
@@ -136,14 +138,15 @@ def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans) -> np
     k, m = lam_n * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta)), lam_n**2
     if k == 0.0:
         return (lhs - m) / a_sq
-    disc = np.maximum(k * k + a_sq * (lhs - m), 0.0)
-    eta0 = (-k + np.sqrt(disc)) / a_sq
+    with np.errstate(invalid="ignore"):
+        eta0 = (-k + sign * np.sqrt(k * k + a_sq * (lhs - m))) / a_sq
     return np.where(eta0 >= 0.0, eta0**2, np.nan)
 
 
 def fold_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
-    """(p_trans, input power) at the stationary points of the cubic, ascending;
-    the input power is nan or negative where no drive reaches the point."""
+    """(p_trans, input power of the + root of :func:`input_power_of_ptrans`)
+    at the stationary points of the cubic, ascending in p_trans; the input
+    power is nan or negative where that root does not reach the point."""
     c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
     disc = c2 * c2 - 3.0 * c3 * c1
     if c3 == 0.0 or disc <= 0.0:
@@ -178,10 +181,11 @@ def transmitted_power_roots(params: SystemParams, eta0,
     point by point; one ``eigvals`` call per degree on the companion
     matrices (as ``np.roots`` builds them), then three Newton steps.
     Which roots exist comes from the exact stationary values, not from the
-    eigenvalues (c3, c1 >= 0 >= c0): a cubic has three roots strictly
-    between the knee inputs of :func:`fold_points`, one outside, and on a
-    knee the fold's p_trans as a double root, listed once.  Where three are
-    due, a conjugate pair (a near double root) splits into re -+ |im|.
+    eigenvalues (c3, c1 >= 0 >= c0): a cubic has three roots where c0 lies
+    strictly between its values at the two folds of :func:`fold_points`,
+    one outside, and at a fold's value (a knee) the fold's p_trans as a
+    double root, listed once.  Where three are due, a conjugate pair (a
+    near double root) splits into re -+ |im|.
     """
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
     coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
@@ -282,106 +286,12 @@ def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float
     return _assemble_state(params, eta0, c_rocking, a_s)
 
 
-def meanfield_residual(params: SystemParams, eta0: float, c_rocking: float,
-                       state: SteadyState) -> np.ndarray:
-    """Right-hand sides of the mean-field equations at a candidate state.
-
-    Evaluated directly from the unreduced equations of motion (with the
-    averaged radiation-pressure shift ``+ G*C``), so it is independent of
-    the elimination algebra used elsewhere.  Returns 7 real residuals.
-    """
-    a, b = state.a_s, state.b_s
-    sig = state.sigma_ge_s
-    q, p = state.q_s, state.p_s
-    g_om = params.omega_m * params.chi  # optomechanical coupling G
-    da = (-1j * params.delta_a * a - 1j * params.j_coupling * b + eta0
-          + 1j * g_om * a * q - params.kappa_a * a)
-    db = (-1j * params.delta_b * b - 1j * params.g_qd * sig
-          - 1j * params.j_coupling * a - params.kappa_b * b)
-    dsig = ((-1j * params.delta_d - params.kappa_d) * sig
-            + 1j * params.g_qd * b * params.n_inversion
-            - 1j * params.lambda_pump * cmath.exp(-1j * params.theta) * params.n_inversion)
-    dq = params.omega_m * p
-    dp = (-params.omega_m * q + g_om * (abs(a) ** 2 + c_rocking) - params.gamma_m * p)
-    return np.array([da.real, da.imag, db.real, db.imag,
-                     abs(dsig), dq, dp], dtype=float)
-
-
-def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
-                        initial_guess: complex | None = None,
-                        max_iter: int = 200, max_halvings: int = 40) -> SteadyState:
-    """Fixed point by damped Newton iteration on the complex amplitude a_s.
-
-    Independent of the polynomial route: iterates the self-consistency
-    condition with Delta evaluated at the current |a_s|^2.  Raises
-    :class:`NoConvergenceError` when the residual cannot be driven below
-    tolerance; callers retry from a different branch guess.
-    """
-    a1, a2 = helper_constants(params)
-    asum = a1 + 1j * a2
-    j2 = params.j_coupling**2
-    beta = params.omega_m * params.chi**2
-    dt = params.delta_a - beta * c_rocking
-    src = _drive_terms(params, eta0)
-    dd = params.kappa_d + 1j * params.delta_d
-
-    def denom(p):
-        return (1j * (dt - beta * p) + params.kappa_a) * asum + j2 * dd
-
-    if initial_guess is None:
-        initial_guess = src / denom(0.0) if abs(denom(0.0)) > 1e-300 else 0.0
-    a = complex(initial_guess)
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-        raise ValueError("initial_guess must be finite")
-
-    res_scale = max(1.0, abs(src))
-    dw = -1j * beta * asum  # d(denom)/d|a|^2
-
-    def residual(a):
-        return a * denom(abs(a) ** 2) - src
-
-    r = residual(a)
-    for _ in range(max_iter):
-        if abs(r) < 1e-12 * res_scale:
-            break
-        p = abs(a) ** 2
-        w = denom(p)
-        # Wirtinger derivatives of r = a*W(|a|^2) - src
-        r_a = w + p * dw
-        r_ac = a * a * dw
-        det = (r_a.real + r_ac.real) * (r_a.real - r_ac.real) \
-            - (r_ac.imag - r_a.imag) * (r_a.imag + r_ac.imag)
-        if det == 0.0 or not math.isfinite(det):
-            raise NoConvergenceError("singular Newton system for steady state")
-        # solve r_a*step + r_ac*conj(step) = -r as a real 2x2 system
-        rhs_re, rhs_im = -r.real, -r.imag
-        m11 = r_a.real + r_ac.real
-        m12 = -r_a.imag + r_ac.imag
-        m21 = r_a.imag + r_ac.imag
-        m22 = r_a.real - r_ac.real
-        sx = (rhs_re * m22 - rhs_im * m12) / det
-        sy = (rhs_im * m11 - rhs_re * m21) / det
-        step = complex(sx, sy)
-
-        improved = False
-        for _ in range(max_halvings):
-            a_new = a + step
-            r_new = residual(a_new)
-            if abs(r_new) < abs(r):
-                a, r = a_new, r_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            raise NoConvergenceError(
-                f"Newton damping exhausted at residual {abs(r):.3e}")
-    else:
-        raise NoConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {abs(r):.3e})")
-
-    state = _assemble_state(params, eta0, c_rocking, a)
-    full = meanfield_residual(params, eta0, c_rocking, state)
-    if np.max(np.abs(full)) >= 1e-10:
-        raise NoConvergenceError(
-            f"converged amplitude fails mean-field residual check ({np.max(np.abs(full)):.3e})")
-    return state
+def steady_state(params: SystemParams, eta0: float, c_rocking: float,
+                 branch: str) -> SteadyState:
+    """Steady state on the lowest (``"lower"``) or the highest (``"upper"``)
+    transmitted-power branch at the given bias."""
+    roots = solve_transmitted_power(params, eta0, c_rocking)
+    if not roots:
+        raise DegenerateModelError("no steady-state root at the requested bias")
+    p_trans = roots[0][0] if branch == "lower" else roots[-1][0]
+    return steady_state_from_ptrans(params, eta0, c_rocking, p_trans)

@@ -1,0 +1,220 @@
+"""Brute-force oracles for the tests, independent of the routes they check.
+
+- ``integrate_meanfield`` samples the mean-field equations over any time
+  span and start state, with the integrator of ``dynamics``; the switch
+  metrics are checked against it over long runs and over one period.
+- ``steady_state_direct`` finds a fixed point by damped Newton on the
+  cavity-A amplitude, with no use of the transmitted-power cubic, and
+  ``meanfield_residual`` evaluates the unreduced equations of motion.
+- ``jump_input_power`` reads the switching input off a swept hysteresis
+  curve, for comparison with the exact knees.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from optomech_switch import DriveConfig, SteadyState, SystemParams
+from optomech_switch.dynamics import (SAMPLES_PER_PERIOD, TOL, _integrate, _modulated,
+                                      _rhs_factory, state_vector)
+from optomech_switch.errors import NoConvergenceError
+from optomech_switch.steady_state import _assemble_state, _drive_terms, helper_constants
+
+
+@dataclass(frozen=True)
+class TimeTrace:
+    t: np.ndarray
+    a: np.ndarray       # complex cavity-A amplitude
+    b: np.ndarray       # complex cavity-B amplitude
+    sigma: np.ndarray   # complex dot coherence (equation-of-motion sign)
+    q: np.ndarray
+    p: np.ndarray
+    output_power: np.ndarray
+    drive_power: np.ndarray
+
+
+def drive_value(t, drive: DriveConfig):
+    """Instantaneous pump amplitude eta(t)."""
+    return drive.eta0 + drive.p_amp * np.cos(drive.omega_mod * np.asarray(t))
+
+
+def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
+                        init=None, tol: float = TOL,
+                        c_rocking: float = 0.0) -> TimeTrace:
+    """Integrate the mean-field equations over ``t_span``.
+
+    ``init`` may be a SteadyState, an 8-vector, or None (vacuum start).
+    ``c_rocking`` adds the averaged radiation-pressure shift of a fast
+    modulation to the mirror force; leave it at 0 when the modulation is
+    integrated explicitly.  Samples are uniform: SAMPLES_PER_PERIOD per
+    drive period with a modulated drive, else 2000 over the span.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must have positive length")
+    if init is None:
+        y0 = np.zeros(8)
+    elif isinstance(init, SteadyState):
+        y0 = state_vector(init)
+    else:
+        y0 = np.asarray(init, dtype=float)
+        if y0.shape != (8,):
+            raise ValueError("init vector must have 8 components")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial state must be finite")
+
+    if drive.p_amp > 0.0 and drive.omega_mod > 0.0:
+        # +1 keeps the sample step commensurate with the drive period
+        period = 2.0 * math.pi / drive.omega_mod
+        n_samples = max(2, int(round((t1 - t0) / period * SAMPLES_PER_PERIOD)) + 1)
+    else:
+        n_samples = 2000
+    t_eval = np.linspace(t0, t1, n_samples)
+
+    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking)[0], (t0, t1), y0,
+                   tol, t_eval)
+    a = y[0] + 1j * y[1]
+    b = y[2] + 1j * y[3]
+    sigma = y[4] + 1j * y[5]
+    eta = drive_value(t_eval, drive)
+    return TimeTrace(t=t_eval, a=a, b=b, sigma=sigma, q=y[6], p=y[7],
+                     output_power=np.abs(a) ** 2, drive_power=eta**2)
+
+
+def meanfield_residual(params: SystemParams, eta0: float, c_rocking: float,
+                       state: SteadyState) -> np.ndarray:
+    """Right-hand sides of the mean-field equations at a candidate state.
+
+    Evaluated directly from the unreduced equations of motion (with the
+    averaged radiation-pressure shift ``+ G*C``), so it is independent of
+    the elimination algebra used elsewhere.  Returns 7 real residuals.
+    """
+    a, b = state.a_s, state.b_s
+    sig = state.sigma_ge_s
+    q, p = state.q_s, state.p_s
+    g_om = params.omega_m * params.chi  # optomechanical coupling G
+    da = (-1j * params.delta_a * a - 1j * params.j_coupling * b + eta0
+          + 1j * g_om * a * q - params.kappa_a * a)
+    db = (-1j * params.delta_b * b - 1j * params.g_qd * sig
+          - 1j * params.j_coupling * a - params.kappa_b * b)
+    dsig = ((-1j * params.delta_d - params.kappa_d) * sig
+            + 1j * params.g_qd * b * params.n_inversion
+            - 1j * params.lambda_pump * cmath.exp(-1j * params.theta) * params.n_inversion)
+    dq = params.omega_m * p
+    dp = (-params.omega_m * q + g_om * (abs(a) ** 2 + c_rocking) - params.gamma_m * p)
+    return np.array([da.real, da.imag, db.real, db.imag,
+                     abs(dsig), dq, dp], dtype=float)
+
+
+def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
+                        initial_guess: complex | None = None,
+                        max_iter: int = 200, max_halvings: int = 40) -> SteadyState:
+    """Fixed point by damped Newton iteration on the complex amplitude a_s.
+
+    Independent of the polynomial route: iterates the self-consistency
+    condition with Delta evaluated at the current |a_s|^2.  Raises
+    :class:`NoConvergenceError` when the residual cannot be driven below
+    tolerance; callers retry from a different branch guess.
+    """
+    a1, a2 = helper_constants(params)
+    asum = a1 + 1j * a2
+    j2 = params.j_coupling**2
+    beta = params.omega_m * params.chi**2
+    dt = params.delta_a - beta * c_rocking
+    src = _drive_terms(params, eta0)
+    dd = params.kappa_d + 1j * params.delta_d
+
+    def denom(p):
+        return (1j * (dt - beta * p) + params.kappa_a) * asum + j2 * dd
+
+    if initial_guess is None:
+        initial_guess = src / denom(0.0) if abs(denom(0.0)) > 1e-300 else 0.0
+    a = complex(initial_guess)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise ValueError("initial_guess must be finite")
+
+    res_scale = max(1.0, abs(src))
+    dw = -1j * beta * asum  # d(denom)/d|a|^2
+
+    def residual(a):
+        return a * denom(abs(a) ** 2) - src
+
+    r = residual(a)
+    for _ in range(max_iter):
+        if abs(r) < 1e-12 * res_scale:
+            break
+        p = abs(a) ** 2
+        w = denom(p)
+        # Wirtinger derivatives of r = a*W(|a|^2) - src
+        r_a = w + p * dw
+        r_ac = a * a * dw
+        det = (r_a.real + r_ac.real) * (r_a.real - r_ac.real) \
+            - (r_ac.imag - r_a.imag) * (r_a.imag + r_ac.imag)
+        if det == 0.0 or not math.isfinite(det):
+            raise NoConvergenceError("singular Newton system for steady state")
+        # solve r_a*step + r_ac*conj(step) = -r as a real 2x2 system
+        rhs_re, rhs_im = -r.real, -r.imag
+        m11 = r_a.real + r_ac.real
+        m12 = -r_a.imag + r_ac.imag
+        m21 = r_a.imag + r_ac.imag
+        m22 = r_a.real - r_ac.real
+        sx = (rhs_re * m22 - rhs_im * m12) / det
+        sy = (rhs_im * m11 - rhs_re * m21) / det
+        step = complex(sx, sy)
+
+        improved = False
+        for _ in range(max_halvings):
+            a_new = a + step
+            r_new = residual(a_new)
+            if abs(r_new) < abs(r):
+                a, r = a_new, r_new
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            raise NoConvergenceError(
+                f"Newton damping exhausted at residual {abs(r):.3e}")
+    else:
+        raise NoConvergenceError(
+            f"no convergence after {max_iter} iterations (residual {abs(r):.3e})")
+
+    state = _assemble_state(params, eta0, c_rocking, a)
+    full = meanfield_residual(params, eta0, c_rocking, state)
+    if np.max(np.abs(full)) >= 1e-10:
+        raise NoConvergenceError(
+            f"converged amplitude fails mean-field residual check ({np.max(np.abs(full)):.3e})")
+    return state
+
+
+def jump_input_power(curve: np.ndarray) -> tuple[float, float]:
+    """Input power at the largest output jump of a swept curve.
+
+    A jump may smear over several ramp samples, so consecutive
+    same-direction output steps are aggregated into runs; the largest run
+    wins and its half-change point is reported.  Returns (input power at
+    the jump, jump magnitude).
+    """
+    inp, out = curve[:, 0], curve[:, 1]
+    steps = np.diff(out)
+    best = (0.0, 0, 0)  # |total change|, start, stop (inclusive step range)
+    i = 0
+    while i < steps.size:
+        sign = np.sign(steps[i])
+        j = i
+        while j + 1 < steps.size and np.sign(steps[j + 1]) == sign:
+            j += 1
+        total = abs(out[j + 1] - out[i])
+        if total > best[0]:
+            best = (total, i, j)
+        i = j + 1
+    total, i, j = best
+    if total == 0.0:
+        return float(inp[0]), 0.0
+    cum = np.abs(out[i:j + 2] - out[i])
+    half = np.searchsorted(cum, 0.5 * total)
+    k = min(i + max(half, 1) - 1, j)
+    return float(0.5 * (inp[k] + inp[k + 1])), float(total)

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from optomech_switch import (DriveConfig, NoiseModel, SystemParams, bistability_curve,
-                             drift_matrix, hysteresis_sweep, jump_input_power,
-                             parse_config, run_scenario,
+                             drift_matrix, hysteresis_sweep, parse_config, run_scenario,
                              serialize_config, solve_transmitted_power, spectrum_matrix,
-                             stability, steady_state_direct, steady_state_from_ptrans,
-                             switch_metrics, turning_points)
+                             stability, steady_state_from_ptrans, switch_metrics,
+                             turning_points)
 from optomech_switch.errors import NoConvergenceError
 from conftest import (CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params,
                       spectrum_params)
+from reference import jump_input_power, steady_state_direct
 from test_closed_form import closed_form_audit
 from test_spectrum import assert_matches_oracle
 

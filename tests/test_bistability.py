@@ -6,8 +6,12 @@ import pytest
 from optomech_switch import (SystemParams, bistability_curve, cubic_coefficients, drift_matrix,
                              solve_transmitted_power, stability, steady_state_from_ptrans,
                              turning_points)
-from optomech_switch.steady_state import input_power_of_ptrans
+from optomech_switch.steady_state import input_power_of_ptrans, transmitted_power_roots
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
+
+
+def _root_counts(curve):
+    return np.array([len(branches) for _, branches in curve.points])
 
 
 def _reference_roots(params, eta0, c):
@@ -82,7 +86,7 @@ def test_batched_curve_equals_per_point_route():
 
 def test_bistable_window_exists():
     curve = bistability_curve(FIG_BISTABLE, np.linspace(0.01, 1.0, 60), 0.10)
-    counts = curve.root_counts()
+    counts = _root_counts(curve)
     assert counts.max() == 3
     assert len(curve.knees) == 2
 
@@ -106,7 +110,7 @@ def test_knees_bracket_three_root_region():
 def test_chi_zero_single_branch_no_knees():
     p = FIG_BISTABLE.with_(chi=0.0)
     curve = bistability_curve(p, np.linspace(0.01, 1.0, 20), 0.0)
-    assert np.all(curve.root_counts() == 1)
+    assert np.all(_root_counts(curve) == 1)
     assert curve.knees == ()
 
 
@@ -187,9 +191,30 @@ def test_fold_that_no_drive_reaches_is_no_knee():
                      lambda_pump=0.91, theta=4.29, n_inversion=0.77)
     assert len(turning_points(p, 0.44)) == 1
     curve = bistability_curve(p, np.geomspace(0.1, 300.0, 60), 0.44)
-    assert curve.root_counts()[0] == 3
+    assert _root_counts(curve)[0] == 3
     for ip, branches in curve.points:
         assert [b.p_trans for b in branches] == [r[0] for r in _reference_branches(p, ip, 0.44)]
+
+
+def test_branch_count_changes_exactly_at_the_knees():
+    """Pumped draws whose knee equation has a negative linear term: one fold
+    reached at two inputs (draws 1393, 2622, 6301 of seed 2), or folds that
+    no drive reaches (draws 2507, 4088).  On a fine grid the branch count
+    changes within one step of every listed knee, and nowhere else."""
+    rng = np.random.default_rng(2)
+    draws = [random_params(rng) for _ in range(6302)]
+    grid = np.linspace(0.0, 50.0, 50001)
+    step = grid[1] - grid[0]
+    for index in (1393, 2507, 2622, 4088, 6301):
+        params = draws[index]
+        point, _, _ = transmitted_power_roots(params, np.sqrt(grid), 0.0)
+        counts = np.bincount(point, minlength=grid.size)
+        changes = 0.5 * (grid[1:] + grid[:-1])[np.diff(counts) != 0]
+        knees = np.array([inp for inp, _ in turning_points(params, 0.0)])
+        for x in changes:
+            assert np.any(np.abs(knees - x) <= step), (index, x, knees)
+        for knee in knees:
+            assert np.any(np.abs(changes - knee) <= step), (index, knee, changes)
 
 
 def test_grid_validation():

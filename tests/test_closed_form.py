@@ -28,8 +28,7 @@ def closed_form_audit(params: SystemParams, steady: SteadyState, noise: NoiseMod
     closed, deviation, max_dev, frac = {}, {}, {}, {}
     for conv in conventions:
         series = spectrum_closed_form(params, steady, noise, omega_grid,
-                                      thermal_convention=conv,
-                                      check_against_matrix=False)
+                                      thermal_convention=conv)
         dev = _relative_deviation(series.s_q, reference.s_q)
         closed[conv] = series.s_q
         deviation[conv] = dev
@@ -66,7 +65,7 @@ def test_decoupled_limit_reduces_to_thermal_lorentzian():
     noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 2.5, 1200)
     matrix = spectrum_matrix(p, st, noise, grid)
-    closed = spectrum_closed_form(p, st, noise, grid, check_against_matrix=False)
+    closed = spectrum_closed_form(p, st, noise, grid)
     rel_full = np.abs(closed.s_q - matrix.s_q) / np.max(matrix.s_q)
     assert np.max(rel_full) < 2e-3
 
@@ -120,7 +119,7 @@ def test_peak_positions_agree_between_routes():
     noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 2.5, 2000)
     matrix = spectrum_matrix(p, st, noise, grid)
-    closed = spectrum_closed_form(p, st, noise, grid, check_against_matrix=False)
+    closed = spectrum_closed_form(p, st, noise, grid)
     pos_m = grid[np.argmax(matrix.s_q)]
     pos_c = grid[np.argmax(closed.s_q)]
     assert abs(pos_m - pos_c) <= 3 * (grid[1] - grid[0])

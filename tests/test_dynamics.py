@@ -6,13 +6,13 @@ import pytest
 from scipy.integrate import trapezoid
 
 from optomech_switch import (DegenerateGridError, DriveConfig, SystemParams,
-                             UndefinedGainError, UndefinedRatioError, bandwidth,
-                             drive_value, gain, hysteresis_sweep, integrate_meanfield,
-                             jump_input_power, solve_transmitted_power,
-                             steady_state_direct, switch_metrics, switch_ratio)
-from optomech_switch.dynamics import (DEFAULT_TOL, _periodic_response, _rhs_factory,
-                                      lower_branch_state, state_vector, threshold_measure)
+                             UndefinedGainError, UndefinedRatioError, bandwidth, gain,
+                             hysteresis_sweep, solve_transmitted_power, switch_metrics,
+                             switch_ratio)
+from optomech_switch.dynamics import TOL, _periodic_orbit, _rhs_factory, state_vector, threshold_measure
+from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
+from reference import drive_value, integrate_meanfield, jump_input_power, steady_state_direct
 
 
 def _state_at(trace, i):
@@ -88,22 +88,34 @@ def test_periodic_orbit_returns_after_one_period():
     p = FIG_BISTABLE
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
     period = 2.0 * math.pi / drive.omega_mod
-    y0 = _state_at(_periodic_response(p, drive, DEFAULT_TOL), 0)
+    y0 = _periodic_orbit(p, drive)
     y1 = _state_at(integrate_meanfield(p, drive, (0.0, period), init=y0), -1)
-    assert np.linalg.norm(y1 - y0) < 10.0 * DEFAULT_TOL * np.linalg.norm(y0)
+    assert np.linalg.norm(y1 - y0) < 10.0 * TOL * np.linalg.norm(y0)
 
 
 def test_switch_metrics_matches_long_integration():
     """Brute force: 50 periods from the lower branch, then measure 10 more."""
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
     period = 2.0 * math.pi / drive.omega_mod
-    init = lower_branch_state(FIG_SWITCH, drive.eta0)
+    init = steady_state(FIG_SWITCH, drive.eta0, 0.0, "lower")
     settled = integrate_meanfield(FIG_SWITCH, drive, (0.0, 50 * period), init=init)
     tail = integrate_meanfield(FIG_SWITCH, drive, (0.0, 10 * period),
                                init=_state_at(settled, -1))
     m = switch_metrics(FIG_SWITCH, drive)
-    assert m.switch_ratio == pytest.approx(switch_ratio(tail), rel=1e-6)
-    assert m.gain == pytest.approx(gain(tail, drive), rel=1e-6)
+    assert m.switch_ratio == pytest.approx(switch_ratio(tail.output_power), rel=1e-6)
+    assert m.gain == pytest.approx(gain(tail.output_power, tail.drive_power), rel=1e-6)
+
+
+def test_switch_metrics_are_one_sampled_period_of_the_orbit():
+    """Bit for bit the oracle's trace over one period from the converged
+    orbit start: the same rhs, span, samples and tolerance."""
+    drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
+    period = 2.0 * math.pi / drive.omega_mod
+    trace = integrate_meanfield(FIG_SWITCH, drive, (0.0, period),
+                                init=_periodic_orbit(FIG_SWITCH, drive))
+    m = switch_metrics(FIG_SWITCH, drive)
+    assert m.switch_ratio == switch_ratio(trace.output_power)
+    assert m.gain == gain(trace.output_power, trace.drive_power)
 
 
 def test_unstable_orbit_raises():
@@ -111,6 +123,13 @@ def test_unstable_orbit_raises():
     drive = DriveConfig(eta0=0.9, p_amp=0.05, omega_mod=1.0)
     with pytest.raises(UndefinedRatioError, match="no stable T-periodic response"):
         switch_metrics(FIG_BISTABLE, drive)
+
+
+def test_switch_metrics_need_a_modulated_drive():
+    for drive in (DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=0.0),
+                  DriveConfig(eta0=0.1, p_amp=0.0, omega_mod=1.0)):
+        with pytest.raises(UndefinedGainError):
+            switch_metrics(FIG_SWITCH, drive)
 
 
 def test_variational_rhs_is_the_jacobian(rng):
@@ -132,7 +151,7 @@ def test_switch_ratio_constant_output_is_one():
     st = steady_state_direct(p, 0.3, 0.0)
     trace = integrate_meanfield(p, DriveConfig(eta0=0.3, p_amp=0.0),
                                 (0.0, 20.0), init=st, tol=1e-10)
-    assert switch_ratio(trace) == pytest.approx(1.0, abs=1e-9)
+    assert switch_ratio(trace.output_power) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gain_requires_modulation():
@@ -141,7 +160,7 @@ def test_gain_requires_modulation():
     trace = integrate_meanfield(p, DriveConfig(eta0=0.3, p_amp=0.0),
                                 (0.0, 20.0), init=st)
     with pytest.raises(UndefinedGainError):
-        gain(trace, DriveConfig(eta0=0.3, p_amp=0.0))
+        gain(trace.output_power, trace.drive_power)
 
 
 def test_small_signal_gain_matches_static_slope(rng):
@@ -263,7 +282,7 @@ def test_state_vector_round_trip():
 def test_integration_is_deterministic():
     p = FIG_BISTABLE
     drive = DriveConfig(eta0=0.1, p_amp=0.4, omega_mod=1.0)
-    init = lower_branch_state(p, 0.1, 0.0)
+    init = steady_state(p, 0.1, 0.0, "lower")
     t1 = integrate_meanfield(p, drive, (0.0, 40.0), init=init)
     t2 = integrate_meanfield(p, drive, (0.0, 40.0), init=init)
     assert np.array_equal(t1.output_power, t2.output_power)

@@ -6,10 +6,10 @@ import pytest
 
 from optomech_switch import (DegenerateModelError, DriveConfig, InvalidDriveError,
                              SystemParams, cubic_coefficients, helper_constants,
-                             meanfield_residual, rocking_parameter,
-                             solve_transmitted_power, steady_state_direct,
+                             rocking_parameter, solve_transmitted_power,
                              steady_state_from_ptrans)
 from conftest import FIG_BISTABLE, random_params
+from reference import meanfield_residual, steady_state_direct
 
 
 def test_rocking_parameter_zero_modulation():
