@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import FORMATS, parse_config
-from .errors import ConfigError, NumericalError, OptomechError, OutputError
+from .errors import ConfigError, OptomechError, OutputError
 from .runner import run_scenario
 
 TASK_CHOICES = ("bistability", "spectrum", "switch-metrics", "hysteresis", "sweep")
@@ -84,9 +84,6 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(_error_record(exc, EXIT_IO), file=sys.stderr)
         return EXIT_IO
-    except NumericalError as exc:
-        print(_error_record(exc, EXIT_NUMERICAL), file=sys.stderr)
-        return EXIT_NUMERICAL
     except OptomechError as exc:
         print(_error_record(exc, EXIT_NUMERICAL), file=sys.stderr)
         return EXIT_NUMERICAL

@@ -11,11 +11,10 @@ route (`spectrum.spectrum_matrix`), which is authoritative.  Known
 discrepancies and their suspected causes are itemized in
 docs/KNOWN_ERRATA.md.
 
-The printed thermal factor of K1 is gamma_m*coth(hbar*w/(2 kB T)); the
-dimensionally consistent alternative sqrt of the full Brownian weight is
-selectable via ``thermal_convention`` ("printed" or "sqrt"; "sqrt" is the
-default because it tracks the matrix route far more closely, see the
-audit).
+The printed thermal factor of K1, gamma_m*coth(hbar*w/(2 kB T)), is
+replaced by the dimensionally consistent sqrt of the full Brownian weight,
+which tracks the matrix route far more closely (docs/KNOWN_ERRATA.md
+item 7).
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import logging
 
 import numpy as np
 
-from .errors import SingularResponseError, UnstableStateError
-from .linearize import drift_matrix, fluctuation_amplitudes, stability
+from .errors import SingularResponseError
+from .linearize import fluctuation_amplitudes
 from .params import SystemParams
 from .spectrum import NoiseModel, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import SteadyState
@@ -184,41 +183,24 @@ def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
     return dd, k1_bracket, k2, k3, k4, np.asarray(k5) * np.ones_like(w)
 
 
-def _thermal_factor(omega: np.ndarray, noise: NoiseModel, convention: str) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    x = omega * noise.thermal_ratio / (2.0 * noise.omega_m)
-    if convention == "printed":
-        with np.errstate(divide="ignore"):
-            return noise.gamma_m / np.tanh(x)
-    if convention == "sqrt":
-        return np.sqrt(brownian_weight(omega, noise))
-    raise ValueError(f"unknown thermal convention {convention!r}")
-
-
 def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: NoiseModel,
-                         omega_grid: np.ndarray,
-                         thermal_convention: str = "sqrt") -> SpectrumSeries:
+                         omega_grid: np.ndarray) -> SpectrumSeries:
     """Closed-form S_q(w).  Experimental; the matrix route is authoritative.
 
     Relative deviations from the matrix route above 1% are logged
     (per-frequency records at DEBUG, a summary at WARNING).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    report = stability(drift_matrix(params, steady))
-    if not report.stable:
-        raise UnstableStateError(
-            f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
-
+    reference = spectrum_matrix(params, steady, noise, omega_grid)  # refuses unstable states
     dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
     scale = np.max(np.abs(dd))
     if scale == 0.0 or np.any(np.abs(dd) < 1e-14 * scale):
         raise SingularResponseError("closed-form denominator vanished on the grid")
-    k1 = k1b * _thermal_factor(omega_grid, noise, thermal_convention)
+    k1 = k1b * np.sqrt(brownian_weight(omega_grid, noise))
     with np.errstate(over="ignore", invalid="ignore"):
         s_q = (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
                + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2
 
-    reference = spectrum_matrix(params, steady, noise, omega_grid)
     deviation = _relative_deviation(s_q, reference.s_q)
     bad = deviation > AUDIT_TOL
     if np.any(bad):

@@ -177,8 +177,10 @@ def transmitted_power_roots(params: SystemParams, eta0,
     """Physical roots of the transmitted-power polynomial at every eta0.
 
     Returns (point, p_trans, multiplicity) arrays, ordered by point, then
-    p_trans.  Leading coefficients at most 1e-14 of the largest are dropped
-    point by point; one ``eigvals`` call per degree on the companion
+    p_trans.  The degree is the model's, the same at every point: c3, c2
+    and c1 do not depend on eta0, and c2 vanishes with c3 = |A|^2*beta^2,
+    so the polynomial is the full cubic, or the line c1*P + c0 where c3 = 0
+    (no root where c1 = 0 too).  One ``eigvals`` call on the companion
     matrices (as ``np.roots`` builds them), then three Newton steps.
     Which roots exist comes from the exact stationary values, not from the
     eigenvalues (c3, c1 >= 0 >= c0): a cubic has three roots where c0 lies
@@ -191,10 +193,12 @@ def transmitted_power_roots(params: SystemParams, eta0,
     coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
     if not np.all(np.isfinite(coeffs)):
         raise DegenerateModelError("non-finite polynomial coefficients")
-    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
-    if np.any(scale == 0.0):
+    if not np.all(np.any(coeffs, axis=1)):
         raise DegenerateModelError("transmitted-power polynomial vanished identically")
-    degree = 3 - np.cumprod(np.abs(coeffs[:, :3]) <= 1e-14 * scale, axis=1).sum(axis=1)
+    poly = coeffs if np.any(coeffs[:, 0]) else coeffs[:, 2:]
+    if not np.any(poly[:, 0]):  # c3 = c1 = 0: a nonzero constant
+        return np.zeros(0, int), np.zeros(0), np.zeros(0, int)
+    deg = poly.shape[1] - 1
     folds = fold_points(params, c_rocking)
     if len(folds) < 2 or folds[0][0] <= 0.0:  # no three-root window
         folds = ((math.nan, math.nan),) * 2
@@ -202,37 +206,25 @@ def transmitted_power_roots(params: SystemParams, eta0,
     (fold_lo, level_lo), (fold_hi, level_hi) = (
         (p, cubic_coefficients(params, math.sqrt(inp), c_rocking)[3] if inp >= 0.0 else math.inf)
         for p, inp in folds)
-    found = [(np.zeros(0, int), np.zeros(0), np.zeros(0, int))]
-    for deg in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == deg)
-        poly = coeffs[rows, 3 - deg:]
-        companion = np.zeros((rows.size, deg, deg))
-        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-        companion[:, range(1, deg), range(deg - 1)] = 1.0
-        z = np.linalg.eigvals(companion)
-        imag = np.abs(z.imag)
-        most_real = np.where(imag == imag.min(axis=1, keepdims=True), z.real, np.nan)
-        top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
-        lead, mid, c0 = poly[:, 0], poly[:, 1], poly[:, -1]
-        if deg == 2:  # roots of opposite sign for lead > 0; both >= 0 if real for lead < 0
-            disc = np.sign(mid * mid - 4.0 * lead * c0)
-            every = (lead < 0.0) & (disc > 0)
-            single = np.where(lead > 0.0, top, np.nan)
-            double = np.where((lead < 0.0) & (disc == 0), -mid / (2.0 * lead), np.nan)
-        else:  # sign of the cubic at each fold: + below its knee input, 0 on it
-            levels = (level_lo, level_hi) if deg == 3 else (math.inf, math.inf)  # a line: none
-            at_lo, at_hi = (np.sign(c0 - level) for level in levels)
-            every = (at_lo > 0) & (at_hi < 0)
-            single = np.where(at_hi >= 0, bottom, top)
-            double = np.select([at_lo == 0, at_hi == 0], [fold_lo, fold_hi], np.nan)
-        cand = np.column_stack([np.where(every[:, None], np.sort(z.real + z.imag, axis=1), np.nan),
-                                np.where(every, np.nan, single), double])
-        r, col = np.nonzero(~np.isnan(cand))
-        simple = col <= deg
-        x = cand[r, col]
-        x[simple] = _newton_polish(poly[r[simple]], x[simple])
-        found.append((rows[r], np.where(x > 0.0, x, 0.0), np.where(simple, 1, 2)))
-    point, p_trans, mult = (np.concatenate(a) for a in zip(*found))
+    companion = np.zeros((eta0.size, deg, deg))
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    companion[:, range(1, deg), range(deg - 1)] = 1.0
+    z = np.linalg.eigvals(companion)
+    imag = np.abs(z.imag)
+    most_real = np.where(imag == imag.min(axis=1, keepdims=True), z.real, np.nan)
+    top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
+    # sign of the polynomial at each fold: + below its knee input, 0 on it
+    at_lo, at_hi = (np.sign(poly[:, -1] - level) for level in (level_lo, level_hi))
+    every = (at_lo > 0) & (at_hi < 0)
+    single = np.where(at_hi >= 0, bottom, top)
+    double = np.select([at_lo == 0, at_hi == 0], [fold_lo, fold_hi], np.nan)
+    cand = np.column_stack([np.where(every[:, None], np.sort(z.real + z.imag, axis=1), np.nan),
+                            np.where(every, np.nan, single), double])
+    point, col = np.nonzero(~np.isnan(cand))
+    simple = col <= deg
+    x = cand[point, col]
+    x[simple] = _newton_polish(poly[point[simple]], x[simple])
+    p_trans, mult = np.where(x > 0.0, x, 0.0), np.where(simple, 1, 2)
     order = np.lexsort((p_trans, point))
     return point[order], p_trans[order], mult[order]
 

@@ -19,9 +19,6 @@ def _reference_roots(params, eta0, c):
     |imag| cut, three Newton steps, a clamp of tiny negatives and a merge of
     near-coincident roots, each with its own tolerance."""
     coeffs = np.array(cubic_coefficients(params, eta0, c), dtype=float)
-    scale = np.max(np.abs(coeffs))
-    while coeffs.size > 1 and abs(coeffs[0]) <= 1e-14 * scale:
-        coeffs = coeffs[1:]
     real = []
     for z in np.roots(coeffs):
         if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
@@ -61,7 +58,8 @@ def _oracle_cases():
     yield FIG_BISTABLE, 0.10, np.linspace(0.01, 1.0, 400)
     yield CLEAN_BISTABLE, 0.0, np.linspace(1.5, 14.0, 400)
     yield FIG_BISTABLE.with_(chi=0.0), 0.0, np.linspace(0.01, 1.0, 50)
-    # the cubic term, or also the quadratic one, dropped at some grid points
+    # chi = 1e-6: c3 is below 1e-14 of the largest coefficient at every grid
+    # point, and the full cubic has one real root at each
     for delta_a in (1.0, -1.0):
         yield FIG_BISTABLE.with_(chi=1e-6, delta_a=delta_a), 0.0, np.geomspace(1e-3, 1e3, 60)
     for _ in range(20):
@@ -82,6 +80,25 @@ def test_batched_curve_equals_per_point_route():
             assert [b.max_real_eig for b in branches] == pytest.approx(
                 [r[2] for r in ref], rel=1e-12, abs=1e-13)
     assert pumped > 0
+
+
+def test_roots_are_the_full_cubics_however_small_its_leading_term():
+    """A leading coefficient tiny against the others is still the cubic's:
+    at chi = 0.004 (draw 803 of seed 5) the cubic has three roots at inputs
+    26000 and 32000, and at chi = 1e-6 one real root at every input."""
+    rng = np.random.default_rng(5)
+    params = [random_params(rng) for _ in range(804)][803]
+    for inp in (26000.0, 32000.0):
+        eta0 = math.sqrt(inp)
+        expected = np.sort(np.roots(cubic_coefficients(params, eta0, 0.0)))
+        assert np.all(expected.imag == 0.0)
+        roots = solve_transmitted_power(params, eta0, 0.0)
+        assert [m for _, m in roots] == [1, 1, 1]
+        assert [p for p, _ in roots] == pytest.approx(expected.real, rel=1e-10)
+    tiny_chi = [case for case in _oracle_cases() if case[0].chi == 1e-6]
+    assert len(tiny_chi) == 2
+    for params, c, grid in tiny_chi:
+        assert np.all(_root_counts(bistability_curve(params, grid, c)) == 1)
 
 
 def test_bistable_window_exists():

@@ -3,8 +3,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from optomech_switch import (NoiseModel, SteadyState, SystemParams, drift_matrix,
-                             solve_transmitted_power, spectrum_closed_form,
+from optomech_switch import (NoiseModel, SteadyState, SystemParams, brownian_weight,
+                             drift_matrix, solve_transmitted_power, spectrum_closed_form,
                              spectrum_matrix, steady_state_from_ptrans)
 from optomech_switch.closed_form import AUDIT_TOL, _coefficients, _relative_deviation
 from conftest import spectrum_params
@@ -20,17 +20,28 @@ class ClosedFormAudit:
     frac_above_tol: dict
 
 
+def _printed_closed_form(params: SystemParams, steady: SteadyState, noise: NoiseModel,
+                         omega_grid: np.ndarray) -> np.ndarray:
+    """S_q(w) of the closed form with K1's thermal factor as printed,
+    gamma_m*coth(hbar*w/(2 kB T)) (KNOWN_ERRATA item 7)."""
+    dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
+    x = omega_grid * noise.thermal_ratio / (2.0 * noise.omega_m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k1 = k1b * (noise.gamma_m / np.tanh(x))
+        return (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
+                + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2
+
+
 def closed_form_audit(params: SystemParams, steady: SteadyState, noise: NoiseModel,
-                      omega_grid: np.ndarray,
-                      conventions: tuple[str, ...] = ("sqrt", "printed")) -> ClosedFormAudit:
-    """Evaluate every thermal convention of the closed form against the matrix route."""
+                      omega_grid: np.ndarray) -> ClosedFormAudit:
+    """The closed form with the library's ("sqrt") and the printed thermal
+    factor of K1, each against the matrix route."""
     reference = spectrum_matrix(params, steady, noise, omega_grid)
-    closed, deviation, max_dev, frac = {}, {}, {}, {}
-    for conv in conventions:
-        series = spectrum_closed_form(params, steady, noise, omega_grid,
-                                      thermal_convention=conv)
-        dev = _relative_deviation(series.s_q, reference.s_q)
-        closed[conv] = series.s_q
+    closed = {"sqrt": spectrum_closed_form(params, steady, noise, omega_grid).s_q,
+              "printed": _printed_closed_form(params, steady, noise, omega_grid)}
+    deviation, max_dev, frac = {}, {}, {}
+    for conv, s_q in closed.items():
+        dev = _relative_deviation(s_q, reference.s_q)
         deviation[conv] = dev
         finite = dev[np.isfinite(dev)]
         max_dev[conv] = float(np.max(finite)) if finite.size else float("inf")
@@ -69,10 +80,8 @@ def test_decoupled_limit_reduces_to_thermal_lorentzian():
     rel_full = np.abs(closed.s_q - matrix.s_q) / np.max(matrix.s_q)
     assert np.max(rel_full) < 2e-3
 
-    from optomech_switch.closed_form import _thermal_factor
-
     dd, k1b, k2, k3, k4, k5 = _coefficients(p, st, grid)
-    k1 = k1b * _thermal_factor(grid, noise, "sqrt")
+    k1 = k1b * np.sqrt(brownian_weight(grid, noise))
     without_k5 = (np.abs(k1) ** 2 + np.abs(k2) ** 2 + np.abs(k3) ** 2
                   + np.abs(k4) ** 2) / np.abs(dd) ** 2
     rel = np.abs(without_k5 - matrix.s_q) / np.abs(matrix.s_q)
@@ -129,6 +138,5 @@ def test_deviation_logging(caplog):
     p, st = _fig_state()
     grid = np.linspace(1e-3, 2.5, 200)
     with caplog.at_level("WARNING", logger="optomech_switch.closed_form"):
-        spectrum_closed_form(p, st, NoiseModel.from_params(p), grid,
-                             thermal_convention="printed")
+        spectrum_closed_form(p, st, NoiseModel.from_params(p), grid)
     assert any("authoritative" in rec.message for rec in caplog.records)
