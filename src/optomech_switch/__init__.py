@@ -16,8 +16,7 @@ from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
 from .linearize import StabilityReport, drift_matrix, fluctuation_amplitudes, stability
 from .params import DriveConfig, SystemParams
 from .runner import run_scenario
-from .spectrum import (NoiseModel, Peak, SpectrumSeries, brownian_weight,
-                       default_omega_grid, detect_peaks, spectrum_matrix)
+from .spectrum import Peak, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import (SteadyState, cubic_coefficients, helper_constants,
                            rocking_parameter, solve_transmitted_power,
                            steady_state_from_ptrans)

@@ -13,11 +13,11 @@ import argparse
 import json
 import sys
 
-from .config import FORMATS, parse_config
+from .config import FORMATS, TASK_SCHEMAS, parse_config
 from .errors import ConfigError, OptomechError, OutputError
 from .runner import run_scenario
 
-TASK_CHOICES = ("bistability", "spectrum", "switch-metrics", "hysteresis", "sweep")
+TASK_CHOICES = (*TASK_SCHEMAS, "sweep")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SingularResponseError
 from .linearize import fluctuation_amplitudes
 from .params import SystemParams
-from .spectrum import NoiseModel, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
+from .spectrum import SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import SteadyState
 
 log = logging.getLogger(__name__)
@@ -183,7 +183,7 @@ def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
     return dd, k1_bracket, k2, k3, k4, np.asarray(k5) * np.ones_like(w)
 
 
-def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: NoiseModel,
+def spectrum_closed_form(params: SystemParams, steady: SteadyState,
                          omega_grid: np.ndarray) -> SpectrumSeries:
     """Closed-form S_q(w).  Experimental; the matrix route is authoritative.
 
@@ -191,12 +191,12 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState, noise: Noise
     (per-frequency records at DEBUG, a summary at WARNING).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    reference = spectrum_matrix(params, steady, noise, omega_grid)  # refuses unstable states
+    reference = spectrum_matrix(params, steady, omega_grid)  # refuses unstable states
     dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
     scale = np.max(np.abs(dd))
     if scale == 0.0 or np.any(np.abs(dd) < 1e-14 * scale):
         raise SingularResponseError("closed-form denominator vanished on the grid")
-    k1 = k1b * np.sqrt(brownian_weight(omega_grid, noise))
+    k1 = k1b * np.sqrt(brownian_weight(omega_grid, params))
     with np.errstate(over="ignore", invalid="ignore"):
         s_q = (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
                + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2

@@ -27,7 +27,7 @@ from .closed_form import spectrum_closed_form
 from .config import ScenarioConfig, TaskSpec, apply_sweep_value, serialize_config
 from .dynamics import bandwidth, hysteresis_sweep, switch_metrics
 from .errors import NumericalError, OptomechError, OutputError
-from .spectrum import NoiseModel, spectrum_matrix
+from .spectrum import spectrum_matrix
 from .steady_state import rocking_parameter, steady_state
 
 FLOAT_FMT = "%.12g"
@@ -119,11 +119,8 @@ def run_spectrum(config: ScenarioConfig):
     grid = np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
     c = rocking_parameter(config.drive)
     steady = steady_state(config.params, config.drive.eta0, c, opt["branch"])
-    noise = NoiseModel.from_params(config.params)
-    if opt["backend"] == "matrix":
-        series = spectrum_matrix(config.params, steady, noise, grid)
-    else:
-        series = spectrum_closed_form(config.params, steady, noise, grid)
+    backend = spectrum_matrix if opt["backend"] == "matrix" else spectrum_closed_form
+    series = backend(config.params, steady, grid)
     headers = ("omega[omega_m]", "s_q[dimensionless]")
     omega, s_q = series.omega_grid.tolist(), series.s_q.tolist()
     rows = list(zip(omega, s_q))
@@ -159,12 +156,10 @@ def run_hysteresis(config: ScenarioConfig):
     ramp = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
     c = rocking_parameter(config.drive)
     up, down = hysteresis_sweep(config.params, ramp, c, rate=opt["rate"] or None)
+    up, down = up.tolist(), down.tolist()
     headers = ("direction", "input_power[omega_m^2]", "output_power[dimensionless]")
-    rows = [("up", float(i), float(o)) for i, o in up]
-    rows += [("down", float(i), float(o)) for i, o in down]
-    payload = {"task": "hysteresis", "rocking_c": c,
-               "up": [[float(i), float(o)] for i, o in up],
-               "down": [[float(i), float(o)] for i, o in down]}
+    rows = [("up", i, o) for i, o in up] + [("down", i, o) for i, o in down]
+    payload = {"task": "hysteresis", "rocking_c": c, "up": up, "down": down}
     return {"csv": {"hysteresis.csv": (headers, rows)},
             "json": {"hysteresis.json": payload}, "always": {}}
 
@@ -201,8 +196,9 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1):
         except OptomechError as exc:
             return "error", exc
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_sweep_point, t) for t in tasks]
             results = [outcome(future.result) for future in futures]
     else:

@@ -25,7 +25,7 @@ against M, with no BLAS matmul (`_q_transfer`; Laub, IEEE TAC 26, 407, 1981).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
@@ -39,30 +39,6 @@ from .steady_state import SteadyState
 # Peaks must protrude by this fraction of the global maximum.
 PEAK_PROMINENCE_FRACTION = 0.01
 
-DEFAULT_OMEGA_MAX = 2.5
-DEFAULT_OMEGA_POINTS = 2000
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Rates entering the input-noise correlations."""
-
-    thermal_ratio: float  # hbar*omega_m / (kB*T)
-    gamma_m: float
-    omega_m: float
-    kappa_a: float
-    kappa_b: float
-
-    def __post_init__(self):
-        if not self.thermal_ratio > 0.0:
-            raise ValueError(f"thermal_ratio must be > 0, got {self.thermal_ratio}")
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "NoiseModel":
-        return cls(thermal_ratio=params.thermal_ratio, gamma_m=params.gamma_m,
-                   omega_m=params.omega_m, kappa_a=params.kappa_a,
-                   kappa_b=params.kappa_b)
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -75,32 +51,28 @@ class Peak:
 class SpectrumSeries:
     omega_grid: np.ndarray
     s_q: np.ndarray
-    peaks: tuple[Peak, ...] = field(default_factory=tuple)
+    peaks: tuple[Peak, ...]
 
 
-def default_omega_grid() -> np.ndarray:
-    return np.linspace(0.0, DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_POINTS)
-
-
-def thermal_coth_times_omega(omega, noise: NoiseModel):
+def thermal_coth_times_omega(omega, params: SystemParams):
     """Even part w*coth(hbar*w/(2 kB T)) of the Brownian weight.
 
     Evaluated by series near w = 0, where the product has the finite
     limit 2 kB T / hbar = 2*omega_m/thermal_ratio.
     """
     omega = np.asarray(omega, dtype=float)
-    r = noise.thermal_ratio
-    x = omega * r / (2.0 * noise.omega_m)
+    r = params.thermal_ratio
+    x = omega * r / (2.0 * params.omega_m)
     small = np.abs(x) < 1e-4
     return np.where(small,
-                    2.0 * noise.omega_m / r + omega * x / 3.0,
+                    2.0 * params.omega_m / r + omega * x / 3.0,
                     omega / np.tanh(np.where(small, 1.0, x)))
 
 
-def brownian_weight(omega, noise: NoiseModel):
+def brownian_weight(omega, params: SystemParams):
     """(gamma_m/omega_m) * w * [1 + coth(hbar*w/(2 kB T))], any sign of w."""
     omega = np.asarray(omega, dtype=float)
-    return noise.gamma_m / noise.omega_m * (omega + thermal_coth_times_omega(omega, noise))
+    return params.gamma_m / params.omega_m * (omega + thermal_coth_times_omega(omega, params))
 
 
 def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -113,7 +85,7 @@ def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _q_transfer(m: np.ndarray, noise: NoiseModel, omega_grid: np.ndarray) -> np.ndarray:
+def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> np.ndarray:
     """T_k(w): response of q to unit noise in channel k, shape (nw, 5).
 
     Row q of the resolvent, x (-i w I - M) = e_q, times the input
@@ -146,18 +118,16 @@ def _q_transfer(m: np.ndarray, noise: NoiseModel, omega_grid: np.ndarray) -> np.
     residual = _rows_times(x, m) + 1j * omega_grid * x
     residual[0] += 1.0
     x += solve(_rows_times(residual, q))
-    kb, ka = np.sqrt(noise.kappa_b), np.sqrt(noise.kappa_a)
+    kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
     return (x[1:] * np.array([1.0, kb, kb, ka, ka])[:, None]).T
 
 
-def spectrum_matrix(params: SystemParams, steady: SteadyState, noise: NoiseModel,
-                    omega_grid: np.ndarray | None = None) -> SpectrumSeries:
+def spectrum_matrix(params: SystemParams, steady: SteadyState,
+                    omega_grid: np.ndarray) -> SpectrumSeries:
     """Symmetrized displacement spectrum S_q(w) by matrix inversion.
 
     Refuses dynamically unstable steady states.
     """
-    if omega_grid is None:
-        omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
     m = drift_matrix(params, steady)
     report = stability(m)
@@ -165,8 +135,8 @@ def spectrum_matrix(params: SystemParams, steady: SteadyState, noise: NoiseModel
         raise UnstableStateError(
             f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
 
-    power = np.abs(_q_transfer(m, noise, omega_grid)) ** 2
-    s_q = (noise.gamma_m / noise.omega_m * thermal_coth_times_omega(omega_grid, noise)
+    power = np.abs(_q_transfer(m, params, omega_grid)) ** 2
+    s_q = (params.gamma_m / params.omega_m * thermal_coth_times_omega(omega_grid, params)
            * power[:, 0] + power[:, 1:].sum(axis=1))
     peaks = detect_peaks(omega_grid, s_q)
     return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=peaks)

@@ -3,6 +3,9 @@ import pytest
 
 from optomech_switch import SystemParams
 
+# The omega grid of a spectrum task that leaves its omega_* keys unset.
+SPECTRUM_GRID = np.linspace(0.0, 2.5, 2000)
+
 # Rocking-bistability parameter set used across the suite (the published
 # S-curve configuration; gamma_m taken from the companion captions).
 FIG_BISTABLE = SystemParams(kappa_a=0.1, kappa_b=0.1, kappa_d=1.8, gamma_m=1.8,

@@ -13,14 +13,14 @@ import os
 import numpy as np
 import pytest
 
-from optomech_switch import (DriveConfig, NoiseModel, SystemParams, bistability_curve,
+from optomech_switch import (DriveConfig, SystemParams, bistability_curve,
                              drift_matrix, hysteresis_sweep, parse_config, run_scenario,
                              serialize_config, solve_transmitted_power, spectrum_matrix,
                              stability, steady_state_from_ptrans, switch_metrics,
                              turning_points)
 from optomech_switch.errors import NoConvergenceError
-from conftest import (CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params,
-                      spectrum_params)
+from conftest import (CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, SPECTRUM_GRID,
+                      random_params, spectrum_params)
 from reference import jump_input_power, steady_state_direct
 from test_closed_form import closed_form_audit
 from test_spectrum import assert_matches_oracle
@@ -129,7 +129,7 @@ def _fig6_top_spectrum(j_coupling, chi):
     p = spectrum_params(j_coupling=j_coupling, chi=chi, gamma_m=1e-3)
     roots = [r for r, _ in solve_transmitted_power(p, 0.1, 0.10)]
     st = steady_state_from_ptrans(p, 0.1, 0.10, roots[-1])
-    return p, spectrum_matrix(p, st, NoiseModel.from_params(p))
+    return p, spectrum_matrix(p, st, SPECTRUM_GRID)
 
 
 def test_criterion_4a_three_peaks_at_published_rates():
@@ -182,7 +182,7 @@ def test_criterion_5_spectrum_physicality():
                 break
         if state is None:
             continue
-        series = spectrum_matrix(p, state, NoiseModel.from_params(p), grid)
+        series = spectrum_matrix(p, state, grid)
         assert np.all(series.s_q >= 0.0) and np.all(np.isfinite(series.s_q))
         # the full-correlation oracle is real to 1e-12 and equals spectrum_matrix
         assert_matches_oracle(p, state, series)
@@ -210,7 +210,7 @@ def test_criterion_6_closed_form_audit():
                 break
         if state is None:
             continue
-        audit = closed_form_audit(p, state, NoiseModel.from_params(p), grid)
+        audit = closed_form_audit(p, state, grid)
         report.append({"max_dev": audit.max_deviation,
                        "frac_above_1pct": audit.frac_above_tol})
     complete = len(report) >= 20

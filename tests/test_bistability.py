@@ -116,8 +116,6 @@ def test_upper_knee_decreases_with_rocking():
 
 def test_knees_bracket_three_root_region():
     c = 0.10
-    lo, hi = sorted(turning_points(FIG_BISTABLE, c))[0][0], \
-        sorted(turning_points(FIG_BISTABLE, c))[-1][0]
     lo, hi = sorted(inp for inp, _ in turning_points(FIG_BISTABLE, c))
     for ip in (0.5 * lo, lo + 0.3 * (hi - lo), hi * 1.2):
         n = sum(m for _, m in solve_transmitted_power(FIG_BISTABLE, math.sqrt(ip), c))

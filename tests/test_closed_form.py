@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from optomech_switch import (NoiseModel, SteadyState, SystemParams, brownian_weight,
+from optomech_switch import (SteadyState, SystemParams, brownian_weight,
                              drift_matrix, solve_transmitted_power, spectrum_closed_form,
                              spectrum_matrix, steady_state_from_ptrans)
 from optomech_switch.closed_form import AUDIT_TOL, _coefficients, _relative_deviation
@@ -20,25 +20,25 @@ class ClosedFormAudit:
     frac_above_tol: dict
 
 
-def _printed_closed_form(params: SystemParams, steady: SteadyState, noise: NoiseModel,
+def _printed_closed_form(params: SystemParams, steady: SteadyState,
                          omega_grid: np.ndarray) -> np.ndarray:
     """S_q(w) of the closed form with K1's thermal factor as printed,
     gamma_m*coth(hbar*w/(2 kB T)) (KNOWN_ERRATA item 7)."""
     dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
-    x = omega_grid * noise.thermal_ratio / (2.0 * noise.omega_m)
+    x = omega_grid * params.thermal_ratio / (2.0 * params.omega_m)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k1 = k1b * (noise.gamma_m / np.tanh(x))
+        k1 = k1b * (params.gamma_m / np.tanh(x))
         return (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
                 + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2
 
 
-def closed_form_audit(params: SystemParams, steady: SteadyState, noise: NoiseModel,
+def closed_form_audit(params: SystemParams, steady: SteadyState,
                       omega_grid: np.ndarray) -> ClosedFormAudit:
     """The closed form with the library's ("sqrt") and the printed thermal
     factor of K1, each against the matrix route."""
-    reference = spectrum_matrix(params, steady, noise, omega_grid)
-    closed = {"sqrt": spectrum_closed_form(params, steady, noise, omega_grid).s_q,
-              "printed": _printed_closed_form(params, steady, noise, omega_grid)}
+    reference = spectrum_matrix(params, steady, omega_grid)
+    closed = {"sqrt": spectrum_closed_form(params, steady, omega_grid).s_q,
+              "printed": _printed_closed_form(params, steady, omega_grid)}
     deviation, max_dev, frac = {}, {}, {}
     for conv, s_q in closed.items():
         dev = _relative_deviation(s_q, reference.s_q)
@@ -73,15 +73,14 @@ def test_decoupled_limit_reduces_to_thermal_lorentzian():
     channel, the transcription matches the matrix route to 1e-6.
     """
     p, st = _decoupled_state()
-    noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 2.5, 1200)
-    matrix = spectrum_matrix(p, st, noise, grid)
-    closed = spectrum_closed_form(p, st, noise, grid)
+    matrix = spectrum_matrix(p, st, grid)
+    closed = spectrum_closed_form(p, st, grid)
     rel_full = np.abs(closed.s_q - matrix.s_q) / np.max(matrix.s_q)
     assert np.max(rel_full) < 2e-3
 
     dd, k1b, k2, k3, k4, k5 = _coefficients(p, st, grid)
-    k1 = k1b * np.sqrt(brownian_weight(grid, noise))
+    k1 = k1b * np.sqrt(brownian_weight(grid, p))
     without_k5 = (np.abs(k1) ** 2 + np.abs(k2) ** 2 + np.abs(k3) ** 2
                   + np.abs(k4) ** 2) / np.abs(dd) ** 2
     rel = np.abs(without_k5 - matrix.s_q) / np.abs(matrix.s_q)
@@ -117,7 +116,7 @@ def test_k1_finite_at_zero_frequency():
 def test_audit_prefers_sqrt_convention():
     p, st = _fig_state()
     grid = np.linspace(1e-3, 2.5, 400)
-    audit = closed_form_audit(p, st, NoiseModel.from_params(p), grid)
+    audit = closed_form_audit(p, st, grid)
     assert audit.frac_above_tol["sqrt"] < 0.15
     assert audit.frac_above_tol["printed"] > 0.95
     assert audit.max_deviation["printed"] > 1e6
@@ -125,10 +124,9 @@ def test_audit_prefers_sqrt_convention():
 
 def test_peak_positions_agree_between_routes():
     p, st = _fig_state()
-    noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 2.5, 2000)
-    matrix = spectrum_matrix(p, st, noise, grid)
-    closed = spectrum_closed_form(p, st, noise, grid)
+    matrix = spectrum_matrix(p, st, grid)
+    closed = spectrum_closed_form(p, st, grid)
     pos_m = grid[np.argmax(matrix.s_q)]
     pos_c = grid[np.argmax(closed.s_q)]
     assert abs(pos_m - pos_c) <= 3 * (grid[1] - grid[0])
@@ -138,5 +136,5 @@ def test_deviation_logging(caplog):
     p, st = _fig_state()
     grid = np.linspace(1e-3, 2.5, 200)
     with caplog.at_level("WARNING", logger="optomech_switch.closed_form"):
-        spectrum_closed_form(p, st, NoiseModel.from_params(p), grid)
+        spectrum_closed_form(p, st, grid)
     assert any("authoritative" in rec.message for rec in caplog.records)

@@ -48,6 +48,16 @@ def test_invariant_violation_names_field():
     assert "n_inversion" in str(err.value)
 
 
+@pytest.mark.parametrize("raw, blamed", [("0", "[system]"), ("-1e-6", "[system]"),
+                                         ("nan", "thermal_ratio = nan")])
+def test_bad_thermal_ratio_rejected_with_system_line(raw, blamed):
+    text = MINIMAL.replace("n_inversion = 0.0", f"n_inversion = 0.0\nthermal_ratio = {raw}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index(blamed) + 1
+    assert "thermal_ratio" in str(err.value)
+
+
 def test_empty_file_missing_section():
     with pytest.raises(ConfigError) as err:
         parse_config("")

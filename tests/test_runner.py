@@ -157,6 +157,25 @@ def test_sweep_programming_error_propagates(tmp_path, monkeypatch, jobs):
     assert not os.path.exists(tmp_path / "sweep_index.json")
 
 
+@pytest.mark.parametrize("jobs, values, pools", [(3, "0.1, 0.2", [2]), (4, "0.1", [])])
+def test_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch, jobs, values, pools):
+    """At most one worker per sweep point; a one-point sweep runs in-process."""
+    sizes = []
+
+    class Spy(runner.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Spy)
+    text = BISTABILITY.replace("name = bistability", "name = sweep\ntask = bistability")
+    text += f"\n[sweep]\nparameter = system.kappa_a\nvalues = {values}\n"
+    run_scenario(parse_config(text), out_dir=str(tmp_path), jobs=jobs)
+    assert sizes == pools
+    index = json.loads(_read(tmp_path / "sweep_index.json"))
+    assert [p["status"] for p in index["points"]] == ["ok"] * (values.count(",") + 1)
+
+
 def test_failed_run_leaves_no_files(tmp_path):
     # lower branch of a monostable config is fine; force failure with an
     # unstable branch: bias inside the bistable window, branch=lower is

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from optomech_switch import (NoiseModel, SystemParams, UnstableStateError,
-                             brownian_weight, default_omega_grid, detect_peaks,
-                             drift_matrix, solve_transmitted_power, spectrum_matrix,
-                             stability, steady_state_from_ptrans)
+from optomech_switch import (SystemParams, UnstableStateError, brownian_weight,
+                             detect_peaks, drift_matrix, solve_transmitted_power,
+                             spectrum_matrix, stability, steady_state_from_ptrans)
 from optomech_switch.spectrum import _q_transfer, thermal_coth_times_omega
-from conftest import random_params, spectrum_params
+from conftest import SPECTRUM_GRID, random_params, spectrum_params
 
 
-def _correlation_matrix(omega, noise):
+def _correlation_matrix(omega, params):
     """Channel correlation matrix D(w), shape (nw, 5, 5), complex.
 
     Optical blocks are [[1, i], [-i, 1]] per cavity; the Brownian channel
     carries the full (non-symmetrized) weight at the given frequency.
     """
     d = np.zeros((omega.size, 5, 5), dtype=complex)
-    d[:, 0, 0] = brownian_weight(omega, noise)
+    d[:, 0, 0] = brownian_weight(omega, params)
     for base in (1, 3):
         d[:, base, base] = 1.0
         d[:, base + 1, base + 1] = 1.0
@@ -26,7 +25,7 @@ def _correlation_matrix(omega, noise):
     return d
 
 
-def correlation_oracle(params, steady, noise, omega_grid):
+def correlation_oracle(params, steady, omega_grid):
     """Full-correlation S_q(w) = 1/2 [T(w) D(w) T(-w) + T(-w) D(-w) T(w)], complex.
 
     T comes from a full per-frequency solve against the input matrix F
@@ -37,20 +36,19 @@ def correlation_oracle(params, steady, noise, omega_grid):
     omega_grid = np.asarray(omega_grid, dtype=float)
     f = np.zeros((6, 5))
     f[1, 0] = 1.0
-    f[2, 1] = f[3, 2] = np.sqrt(noise.kappa_b)
-    f[4, 3] = f[5, 4] = np.sqrt(noise.kappa_a)
+    f[2, 1] = f[3, 2] = np.sqrt(params.kappa_b)
+    f[4, 3] = f[5, 4] = np.sqrt(params.kappa_a)
     a = -1j * omega_grid[:, None, None] * np.eye(6) - drift_matrix(params, steady)
     t = np.linalg.solve(a, np.broadcast_to(f, (omega_grid.size, 6, 5)))[:, 0, :]
     tc = np.conj(t)
-    s1 = np.einsum("wj,wjk,wk->w", t, _correlation_matrix(omega_grid, noise), tc)
-    s2 = np.einsum("wj,wjk,wk->w", tc, _correlation_matrix(-omega_grid, noise), t)
+    s1 = np.einsum("wj,wjk,wk->w", t, _correlation_matrix(omega_grid, params), tc)
+    s2 = np.einsum("wj,wjk,wk->w", tc, _correlation_matrix(-omega_grid, params), t)
     return 0.5 * (s1 + s2)
 
 
 def assert_matches_oracle(params, steady, series):
     """spectrum_matrix equals the oracle's real part; its imaginary residue is < 1e-12."""
-    full = correlation_oracle(params, steady, NoiseModel.from_params(params),
-                              series.omega_grid)
+    full = correlation_oracle(params, steady, series.omega_grid)
     assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full.real))
     np.testing.assert_allclose(series.s_q, full.real, rtol=1e-12, atol=0.0)
 
@@ -75,11 +73,10 @@ def test_decoupled_thermal_lorentzian():
     """chi = J = 0: the q-spectrum is the bare thermal oscillator line."""
     p = _decoupled()
     st = _stable_state(p, 0.3)
-    noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 2.5, 3000)
-    series = spectrum_matrix(p, st, noise, grid)
+    series = spectrum_matrix(p, st, grid)
     w = grid
-    expected = (p.gamma_m / p.omega_m) * thermal_coth_times_omega(w, noise) \
+    expected = (p.gamma_m / p.omega_m) * thermal_coth_times_omega(w, p) \
         * p.omega_m**2 / ((p.omega_m**2 - w**2) ** 2 + p.gamma_m**2 * w**2)
     assert np.allclose(series.s_q, expected, rtol=1e-10, atol=1e-12)
     assert len(series.peaks) == 1
@@ -94,22 +91,20 @@ def test_equipartition_high_temperature():
     """integral S_q dw / (2 pi) -> kB T / (hbar omega_m) fixes the prefactor."""
     p = _decoupled()
     st = _stable_state(p, 0.3)
-    noise = NoiseModel.from_params(p)
     grid = np.linspace(0.0, 60.0, 400000)
-    series = spectrum_matrix(p, st, noise, grid)
+    series = spectrum_matrix(p, st, grid)
     var_q = 2.0 * trapezoid(series.s_q, grid) / (2.0 * np.pi)
     assert var_q == pytest.approx(1.0 / p.thermal_ratio, rel=2e-2)
 
 
 def test_positive_and_real_on_random_stable_configs(rng):
-    grid = default_omega_grid()
     done = 0
     while done < 25:
         p = random_params(rng)
         st = _stable_state(p, rng.uniform(0.05, 1.0))
         if st is None:
             continue
-        series = spectrum_matrix(p, st, NoiseModel.from_params(p), grid)
+        series = spectrum_matrix(p, st, SPECTRUM_GRID)
         assert np.all(series.s_q >= 0.0)
         assert np.all(np.isfinite(series.s_q))
         assert_matches_oracle(p, st, series)
@@ -120,12 +115,12 @@ def test_chi_zero_spectrum_independent_of_optical_parameters(rng):
     grid = np.linspace(0.0, 2.5, 800)
     p = _decoupled()
     st = _stable_state(p, 0.3)
-    base = spectrum_matrix(p, st, NoiseModel.from_params(p), grid)
+    base = spectrum_matrix(p, st, grid)
     for _ in range(5):
         q = p.with_(j_coupling=rng.uniform(0, 1.5), g_qd=rng.uniform(0, 1.5),
                     lambda_pump=rng.uniform(0, 1.0))
         st_q = _stable_state(q, 0.3)
-        other = spectrum_matrix(q, st_q, NoiseModel.from_params(q), grid)
+        other = spectrum_matrix(q, st_q, grid)
         assert np.allclose(other.s_q, base.s_q, rtol=1e-10)
 
 
@@ -137,11 +132,9 @@ def test_affine_in_brownian_weight():
     ratios = (1e-6, 1e-3, 1e-1)
     series, weights = [], []
     for r in ratios:
-        noise = NoiseModel(thermal_ratio=r, gamma_m=p.gamma_m, omega_m=p.omega_m,
-                           kappa_a=p.kappa_a, kappa_b=p.kappa_b)
-        series.append(spectrum_matrix(p, st, noise, grid).s_q)
-        weights.append(p.gamma_m / p.omega_m
-                       * thermal_coth_times_omega(grid, noise))
+        q = p.with_(thermal_ratio=r)
+        series.append(spectrum_matrix(q, st, grid).s_q)
+        weights.append(q.gamma_m / q.omega_m * thermal_coth_times_omega(grid, q))
     s0, s1, s2 = series
     w0, w1, w2 = weights
     slope = (s1 - s0) / (w1 - w0)
@@ -151,16 +144,15 @@ def test_affine_in_brownian_weight():
 
 
 def test_brownian_weight_zero_frequency_limit():
-    noise = NoiseModel(thermal_ratio=1e-3, gamma_m=0.5, omega_m=1.0,
-                       kappa_a=0.1, kappa_b=0.1)
+    p = SystemParams(thermal_ratio=1e-3, gamma_m=0.5, omega_m=1.0)
     w = np.array([0.0, 1e-9, 1e-6])
-    got = brownian_weight(w, noise)
-    limit = noise.gamma_m * (2.0 / noise.thermal_ratio + w)
+    got = brownian_weight(w, p)
+    limit = p.gamma_m * (2.0 / p.thermal_ratio + w)
     assert np.allclose(got, limit, rtol=1e-8)
     # odd + even split: weight(w) - weight(-w) = 2 gamma_m w / omega_m
     w = np.linspace(-3, 3, 101)
-    asym = brownian_weight(w, noise) - brownian_weight(-w, noise)
-    assert np.allclose(asym, 2.0 * noise.gamma_m * w, rtol=1e-10, atol=1e-12)
+    asym = brownian_weight(w, p) - brownian_weight(-w, p)
+    assert np.allclose(asym, 2.0 * p.gamma_m * w, rtol=1e-10, atol=1e-12)
 
 
 def test_detect_peaks_single_lorentzian():
@@ -184,7 +176,7 @@ def test_unstable_state_refused():
     roots = solve_transmitted_power(FIG_BISTABLE, np.sqrt(0.35), 0.10)
     st = steady_state_from_ptrans(FIG_BISTABLE, np.sqrt(0.35), 0.10, roots[1][0])
     with pytest.raises(UnstableStateError):
-        spectrum_matrix(FIG_BISTABLE, st, NoiseModel.from_params(FIG_BISTABLE))
+        spectrum_matrix(FIG_BISTABLE, st, SPECTRUM_GRID)
 
 
 def test_three_peak_demo_configuration():
@@ -194,12 +186,12 @@ def test_three_peak_demo_configuration():
                         g_qd=1.0, chi=0.2, lambda_pump=0.02, theta=0.238,
                         n_inversion=0.0, thermal_ratio=1e-6)
     st = _stable_state(demo, 0.1, 0.10)
-    series = spectrum_matrix(demo, st, NoiseModel.from_params(demo))
+    series = spectrum_matrix(demo, st, SPECTRUM_GRID)
     assert len(series.peaks) == 3
     assert_matches_oracle(demo, st, series)
     off = demo.with_(j_coupling=0.0)
     st0 = _stable_state(off, 0.1, 0.10)
-    series0 = spectrum_matrix(off, st0, NoiseModel.from_params(off))
+    series0 = spectrum_matrix(off, st0, SPECTRUM_GRID)
     assert len(series0.peaks) < 3
     assert_matches_oracle(off, st0, series0)
 
@@ -213,7 +205,7 @@ def test_oracle_near_mode_crossing(j_coupling):
     """
     p = spectrum_params(j_coupling=j_coupling)
     st = _stable_state(p, 0.1, 0.10)
-    assert_matches_oracle(p, st, spectrum_matrix(p, st, NoiseModel.from_params(p)))
+    assert_matches_oracle(p, st, spectrum_matrix(p, st, SPECTRUM_GRID))
 
 
 @pytest.mark.parametrize("split", [1e-6, 1e-9, 1e-12])
@@ -231,10 +223,9 @@ def test_transfer_near_exceptional_point(split):
     basis = np.random.default_rng(7).standard_normal((6, 6))
     m = basis @ block @ np.linalg.inv(basis)
     assert stability(m).stable
-    noise = NoiseModel(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0,
-                       kappa_a=0.2, kappa_b=0.3)
+    p = SystemParams(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0, kappa_a=0.2, kappa_b=0.3)
     grid = np.linspace(0.0, 2.5, 2001)
-    got = _q_transfer(m, noise, grid)
+    got = _q_transfer(m, p, grid)
     couplings = np.sqrt([1.0, 0.3, 0.3, 0.2, 0.2])
     expected = np.array([np.linalg.solve((-1j * w * np.eye(6) - m).T, np.eye(6)[0])[1:]
                          for w in grid]) * couplings
