@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .bistability import BistabilityCurve, bistability_curve, turning_points
 from .closed_form import spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
-from .dynamics import (SwitchMetrics, bandwidth, gain, gain_vs_frequency, hysteresis_sweep,
-                       switch_metrics, switch_ratio)
+from .dynamics import (SwitchMetrics, bandwidth, gain_vs_frequency, hysteresis_sweep,
+                       switch_metrics)
 from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
                      IntegrationFailureError, InvalidDriveError, NoConvergenceError,
                      NumericalError, OptomechError, OutputError, SingularResponseError,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 
 from .errors import ConfigError
-from .params import DriveConfig, SystemParams
+from .params import DriveConfig, InvalidValueError, SystemParams
 
 SYSTEM_KEYS = tuple(f.name for f in dataclass_fields(SystemParams))
 DRIVE_KEYS = tuple(f.name for f in dataclass_fields(DriveConfig))
@@ -136,6 +136,12 @@ def _split_sections(text):
     return sections, section_lines
 
 
+def _key_line(sections, section_lines, section, key):
+    """Line of ``key`` in ``section``, or of the section header for a
+    defaulted key."""
+    return sections[section][key][1] if key in sections[section] else section_lines[section]
+
+
 def parse_config(text: str) -> ScenarioConfig:
     sections, section_lines = _split_sections(text)
 
@@ -154,9 +160,9 @@ def parse_config(text: str) -> ScenarioConfig:
         sys_kwargs[key] = _to_number(raw, key, line)
     try:
         params = SystemParams(**sys_kwargs)
-    except ValueError as exc:
+    except InvalidValueError as exc:
         raise ConfigError(f"invalid [system] values: {exc}",
-                          section_lines["system"]) from exc
+                          _key_line(sections, section_lines, "system", exc.field)) from exc
 
     drive_kwargs = {}
     for key, (raw, line) in sections["drive"].items():
@@ -165,9 +171,9 @@ def parse_config(text: str) -> ScenarioConfig:
         drive_kwargs[key] = _to_number(raw, key, line)
     try:
         drive = DriveConfig(**drive_kwargs)
-    except ValueError as exc:
+    except InvalidValueError as exc:
         raise ConfigError(f"invalid [drive] values: {exc}",
-                          section_lines["drive"]) from exc
+                          _key_line(sections, section_lines, "drive", exc.field)) from exc
 
     task = _parse_task(sections["task"], section_lines["task"])
     sweep = None

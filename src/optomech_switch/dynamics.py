@@ -1,24 +1,41 @@
 """Time-domain mean-field dynamics and optical-switch figures of merit.
 
-Integrates the slowly varying mean amplitudes of the two cavities, the
-dot coherence and the mirror under the modulated pump
-eta(t) = eta0 + p_amp*cos(omega_mod*t).  The dot inversion stays pinned
-at its configured value.  The switch ratio (max/min output power over a
-drive cycle), the gain (output to input power-modulation amplitude) and
-the -3 dB bandwidth of the gain versus modulation frequency are read off
-one sampled period of the T-periodic response, found by shooting: Newton
-on the period map y -> phi_T(y), with the monodromy matrix from the
-variational equations.  A Floquet multiplier (monodromy eigenvalue) of
-modulus >= 1 means there is no stable T-periodic response, and the
-metrics raise UndefinedRatioError.  A quasi-static up-then-down ramp of
-the input power gives the hysteresis loop.
+The mean amplitudes of the two cavities, the dot coherence and the mirror
+evolve under the modulated pump eta(t) = eta0 + p_amp*cos(omega_mod*t);
+the dot inversion stays pinned at its configured value.  The switch ratio
+(max/min output power over a drive cycle), the gain (output to input
+power-modulation amplitude) and the -3 dB bandwidth of the gain versus
+modulation frequency are read off the T-periodic response, which is
+solved for directly by harmonic balance, with no time integration:
 
-Runs are deterministic: a fixed adaptive integrator with fixed
-tolerances, no randomness.
+- Reduction.  Cavity B, the dot and the mirror enter linearly, so they
+  are eliminated per harmonic nu = k*omega_mod, as the steady-state cubic
+  eliminates them at nu = 0: b and sigma from one 2x2 solve per harmonic,
+  q from the mirror susceptibility omega_m*g_om/(omega_m^2 - nu^2 +
+  i*gamma_m*nu) applied to |a|^2.  One equation for a(t) remains.
+- Collocation.  That equation is solved at n = 2H + 1 uniform times of a
+  period by Newton on the 2n real unknowns, from the lower-branch steady
+  amplitude held constant.  H starts at HARMONICS_START and doubles until
+  the top quarter of the spectrum of a is below SPECTRAL_TAIL of its
+  largest coefficient; past HARMONICS_CAP, or if Newton does not
+  converge, the orbit raises NoConvergenceError.
+- Stability.  The Floquet multipliers are the eigenvalues of the
+  monodromy matrix, a product of 4th-order Magnus steps of the 8x8
+  Jacobian along the orbit.  A multiplier of modulus >= 1 means there is
+  no stable T-periodic response, and the metrics raise
+  UndefinedRatioError.
+- Extrema.  The output power |a|^2 is a trigonometric polynomial; its
+  extrema come from Newton on its derivative.  The drive power's are
+  closed form.
+
+A quasi-static up-then-down ramp of the input power gives the hysteresis
+loop; it is integrated in time.  Runs are deterministic: fixed tolerances
+and harmonic counts, no randomness.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,17 +51,55 @@ from .steady_state import SteadyState, steady_state
 BLOWUP_NORM = 1e8
 # integrator rtol (atol is 1e-2 of it)
 TOL = 1e-8
-SAMPLES_PER_PERIOD = 96
-# Newton on the period map: step cap, and the converged update size
-# relative to |y| in units of the integrator tolerance
-NEWTON_MAX_STEPS = 10
-NEWTON_STEP_TOL = 100.0
+# harmonic balance: the first harmonic count, and the count beyond which
+# the orbit counts as unresolved
+HARMONICS_START = 8
+HARMONICS_CAP = 256
+# the spectrum of a is resolved when its top quarter is below this share
+# of its largest coefficient
+SPECTRAL_TAIL = 1e-12
+# Newton on the collocation equations: step cap, and the converged update
+# relative to max |a|
+COLLOCATION_STEPS = 30
+COLLOCATION_TOL = 1e-12
+# Magnus substeps: the step times the largest rate of the Jacobian
+MAGNUS_STEP = 0.1
+# substeps per stack of Magnus exponentials (a power of two): bounds the
+# memory of a long period
+MAGNUS_CHUNK = 128
+# 4th-order Magnus: the two Gauss points of a substep, as fractions of it
+GAUSS_POINTS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
 class SwitchMetrics:
     switch_ratio: float
     gain: float
+
+
+@dataclass(frozen=True)
+class PeriodicOrbit:
+    """The T-periodic response as Fourier coefficients in numpy's fft order,
+    x(t) = sum_k x_k exp(i*k*omega_mod*t): a, b and sigma (equation-of-motion
+    sign) to harmonic H; the output power |a|^2, q and p to 2H."""
+
+    omega_mod: float
+    a: np.ndarray
+    b: np.ndarray
+    sigma: np.ndarray
+    power: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+
+    def state(self, t: float) -> np.ndarray:
+        """8-vector of the integrator state at time t."""
+        def at(coef):
+            return complex(np.sum(coef * np.exp(1j * _harmonics(coef.size // 2)
+                                                * self.omega_mod * t)))
+
+        a, b, sig = at(self.a), at(self.b), at(self.sigma)
+        return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
+                         at(self.q).real, at(self.p).real])
 
 
 def state_vector(steady: SteadyState) -> np.ndarray:
@@ -55,12 +110,8 @@ def state_vector(steady: SteadyState) -> np.ndarray:
                      sig.real, sig.imag, steady.q_s, steady.p_s])
 
 
-def _modulated(drive: DriveConfig):
-    return lambda t: drive.eta0 + drive.p_amp * math.cos(drive.omega_mod * t)
-
-
 def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
-    """Mean-field rhs(t, y) and the rhs of its variational equations."""
+    """Mean-field rhs(t, y)."""
     ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
     da, db, dd = params.delta_a, params.delta_b, params.delta_d
     j, g, n = params.j_coupling, params.g_qd, params.n_inversion
@@ -82,32 +133,11 @@ def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
         dp = -wm * q + g_om * (ar * ar + ai * ai + c_rocking) - gm * p
         return (dar, dai, dbr, dbi, dsr, dsi, dq, dp)
 
-    linear = np.array([[-ka, da, 0, j, 0, 0, 0, 0],
-                       [-da, -ka, -j, 0, 0, 0, 0, 0],
-                       [0, j, -kb, db, 0, g, 0, 0],
-                       [-j, 0, -db, -kb, -g, 0, 0, 0],
-                       [0, 0, 0, -g * n, -kd, dd, 0, 0],
-                       [0, 0, g * n, 0, -dd, -kd, 0, 0],
-                       [0, 0, 0, 0, 0, 0, 0, wm],
-                       [0, 0, 0, 0, 0, 0, -wm, -gm]], dtype=float)
-
-    def variational(t, z):
-        # the state, then its 8x8 fundamental matrix phi: d(phi)/dt = jac(y) @ phi,
-        # with the constant part plus the linearized q*a and |a|^2 terms
-        y, phi = z[:8], z[8:].reshape(8, 8)
-        ar, ai, q = y[0], y[1], y[6]
-        dphi = linear @ phi
-        dphi[0] -= g_om * (q * phi[1] + ai * phi[6])
-        dphi[1] += g_om * (q * phi[0] + ar * phi[6])
-        dphi[7] += 2.0 * g_om * (ar * phi[0] + ai * phi[1])
-        return np.concatenate((rhs(t, y), dphi.ravel()))
-
-    return rhs, variational
+    return rhs
 
 
 def _blowup_event(t, y):
-    # the state only: a variational solve appends its fundamental matrix
-    return BLOWUP_NORM - float(np.dot(y[:8], y[:8]))
+    return BLOWUP_NORM - float(np.dot(y, y))
 
 
 _blowup_event.terminal = True
@@ -134,98 +164,224 @@ def _integrate(rhs, t_span, y0, tol, t_eval) -> np.ndarray:
     return sol.y
 
 
-def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
-    """(max, min) of a sampled smooth series, parabola-refined at interior extrema."""
-
-    def refine(idx):
-        if idx == 0 or idx == series.size - 1:
-            return series[idx]
-        y0, y1, y2 = series[idx - 1], series[idx], series[idx + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom == 0.0:
-            return y1
-        delta = 0.5 * (y0 - y2) / denom
-        if abs(delta) > 1.0:
-            return y1
-        return y1 - 0.25 * (y0 - y2) * delta
-
-    return float(refine(int(np.argmax(series)))), float(refine(int(np.argmin(series))))
+def _harmonics(h: int) -> np.ndarray:
+    """Harmonic number k of each slot of a length-(2h + 1) fft."""
+    return np.r_[0:h + 1, -h:0]
 
 
-def switch_ratio(output_power: np.ndarray) -> float:
-    """max/min of the sampled output power."""
-    hi, lo = _refined_extrema(output_power)
-    if lo <= 1e-30:
-        raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
-    return hi / lo
+def _on_grid(coef: np.ndarray, m: int, shift: float = 0.0) -> np.ndarray:
+    """Values of the trigonometric polynomial with coefficients ``coef``
+    (fft order) at the m >= coef.size phases 2*pi*(j + shift)/m, by one
+    inverse fft."""
+    k = _harmonics(coef.size // 2)
+    padded = np.zeros(m, dtype=complex)
+    padded[k] = coef * np.exp(2j * math.pi * k * shift / m)
+    return m * np.fft.ifft(padded)
 
 
-def gain(output_power: np.ndarray, drive_power: np.ndarray) -> float:
-    """Output power modulation amplitude over input power modulation
-    amplitude, from samples at the same times."""
-    out_hi, out_lo = _refined_extrema(output_power)
-    in_hi, in_lo = _refined_extrema(drive_power)
-    in_amp = 0.5 * (in_hi - in_lo)
-    if in_amp <= 0.0:
-        raise UndefinedGainError("input power modulation amplitude vanished")
-    return 0.5 * (out_hi - out_lo) / in_amp
+def _eliminated(params: SystemParams, nu: np.ndarray):
+    """Per frequency nu: the responses of b and of sigma to a, and to the
+    dot pump (their constant parts, used at nu = 0), from the 2x2 block
+    [[kappa_b + i(delta_b + nu), i g], [-i g N, kappa_d + i(delta_d + nu)]]
+    by Cramer's rule, and the mirror susceptibility of q to |a|^2."""
+    cav = params.kappa_b + 1j * (params.delta_b + nu)
+    dot = params.kappa_d + 1j * (params.delta_d + nu)
+    up, down = 1j * params.g_qd, -1j * params.g_qd * params.n_inversion
+    det = cav * dot - up * down
+    drive_a = -1j * params.j_coupling
+    pump = -1j * params.lambda_pump * params.n_inversion * cmath.exp(-1j * params.theta)
+    wm = params.omega_m
+    chi = wm * wm * params.chi / (wm * wm - nu * nu + 1j * params.gamma_m * nu)
+    return (dot * drive_a / det, -down * drive_a / det,
+            -up * pump / det, cav * pump / det, chi)
 
 
-def _periodic_orbit(params: SystemParams, drive: DriveConfig) -> np.ndarray:
-    """Start state of the attracting T-periodic orbit: from the lower branch,
-    one warm-up period, then Newton on y -> phi_T(y) - y with the monodromy
-    dphi_T/dy, whose eigenvalues are the Floquet multipliers."""
+def _circulant(symbol: np.ndarray) -> np.ndarray:
+    """Matrix acting at the collocation points as ``symbol`` acts per harmonic."""
+    n = symbol.size
+    column = np.fft.ifft(symbol)
+    return column[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
+def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.ndarray:
+    """Newton on R(a) = D a + (kappa_a + i*delta_a) a + i*J*b[a] - eta
+    - i*g_om*q[|a|^2]*a = 0 at the len(a) uniform times of a period."""
+    n = a.size
+    g_om = params.omega_m * params.chi
+    nu = drive.omega_mod * _harmonics(n // 2)
+    b_of_a, _, b_pumped, _, chi = _eliminated(params, nu)
+    symbol = 1j * nu + params.kappa_a + 1j * params.delta_a + 1j * params.j_coupling * b_of_a
+    lin, mirror = _circulant(symbol), _circulant(chi).real
+    source = (drive.eta0 + drive.p_amp * np.cos(2.0 * math.pi * np.arange(n) / n)
+              - 1j * params.j_coupling * b_pumped[0])
+    for _ in range(COLLOCATION_STEPS):
+        q = np.fft.ifft(chi * np.fft.fft(a.real ** 2 + a.imag ** 2)).real
+        residual = np.fft.ifft(symbol * np.fft.fft(a)) - 1j * g_om * q * a - source
+        # d(residual) = (lin - i*g_om*diag(q)) da - 2i*g_om*a*mirror(Re(conj(a) da))
+        holo = lin - np.diag(1j * g_om * q)
+        power = (-2j * g_om) * a[:, None] * mirror
+        jac = np.block([[holo.real + power.real * a.real, power.real * a.imag - holo.imag],
+                        [holo.imag + power.imag * a.real, holo.real + power.imag * a.imag]])
+        try:
+            step = np.linalg.solve(jac, np.concatenate((residual.real, residual.imag)))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"periodic orbit: {exc}") from exc
+        a = a - (step[:n] + 1j * step[n:])
+        if not np.all(np.isfinite(a)):
+            break
+        if np.max(np.abs(step)) <= COLLOCATION_TOL * np.max(np.abs(a)):
+            return a
+    raise NoConvergenceError(
+        f"periodic orbit: no convergence in {COLLOCATION_STEPS} Newton steps at H = {n // 2}")
+
+
+def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
+    """The T-periodic response by harmonic balance (see the module notes),
+    after its stability check."""
     if drive.omega_mod <= 0.0 or drive.p_amp <= 0.0:
         raise UndefinedGainError("switch metrics require p_amp > 0 and omega_mod > 0")
-    span = (0.0, 2.0 * math.pi / drive.omega_mod)
-    rhs, variational = _rhs_factory(params, _modulated(drive), 0.0)
-    y = _integrate(rhs, span, state_vector(steady_state(params, drive.eta0, 0.0, "lower")),
-                   TOL, span)[:, -1]
-    eye = np.eye(8)
-    try:
-        for _ in range(NEWTON_MAX_STEPS):
-            z = _integrate(variational, span, np.concatenate((y, eye.ravel())),
-                           TOL, span)[:, -1]
-            monodromy = z[8:].reshape(8, 8)
-            step = np.linalg.solve(monodromy - eye, z[:8] - y)
-            y = y - step
-            if np.linalg.norm(step) <= NEWTON_STEP_TOL * TOL * max(1.0, np.linalg.norm(y)):
-                break
-        else:
-            raise NoConvergenceError(f"periodic orbit: no convergence in {NEWTON_MAX_STEPS} steps")
-        mu = float(np.max(np.abs(np.linalg.eigvals(monodromy))))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"periodic orbit: {exc}") from exc
+    h = HARMONICS_START
+    a = np.full(2 * h + 1, steady_state(params, drive.eta0, 0.0, "lower").a_s)
+    while True:
+        a = _collocation(params, drive, a)
+        coef = np.fft.fft(a) / a.size
+        top = np.abs(coef[np.abs(_harmonics(h)) > h - h // 4])
+        if np.max(top) <= SPECTRAL_TAIL * np.max(np.abs(coef)):
+            break
+        if 2 * h > HARMONICS_CAP:
+            raise NoConvergenceError(
+                f"periodic orbit: spectrum not resolved within {HARMONICS_CAP} harmonics")
+        h *= 2
+        a = _on_grid(coef, 2 * h + 1)
+    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = _eliminated(
+        params, drive.omega_mod * _harmonics(h))
+    b, sigma = b_of_a * coef, sigma_of_a * coef
+    b[0] += b_pumped[0]
+    sigma[0] += sigma_pumped[0]
+    # |a|^2 to harmonic 2H, exactly, from 4H + 1 samples
+    power = np.fft.fft(np.abs(_on_grid(coef, 4 * h + 1)) ** 2) / (4 * h + 1)
+    nu = drive.omega_mod * _harmonics(2 * h)
+    q = _eliminated(params, nu)[-1] * power
+    orbit = PeriodicOrbit(omega_mod=drive.omega_mod, a=coef, b=b, sigma=sigma, power=power,
+                          q=q, p=1j * nu * q / params.omega_m)
+    mu = float(np.max(np.abs(floquet_multipliers(params, orbit))))
     if mu >= 1.0:
         raise UndefinedRatioError(f"no stable T-periodic response, max |mu| = {mu:.4g}")
-    return y
+    return orbit
 
 
-def _periodic_response(params: SystemParams,
-                       drive: DriveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Output and drive power over one period of the T-periodic orbit, at
-    SAMPLES_PER_PERIOD + 1 uniform times, both ends included."""
-    y0 = _periodic_orbit(params, drive)
-    period = 2.0 * math.pi / drive.omega_mod
-    t = np.linspace(0.0, period, SAMPLES_PER_PERIOD + 1)
-    y = _integrate(_rhs_factory(params, _modulated(drive), 0.0)[0], (0.0, period), y0, TOL, t)
-    return (np.abs(y[0] + 1j * y[1]) ** 2,
-            (drive.eta0 + drive.p_amp * np.cos(drive.omega_mod * t)) ** 2)
+def _jacobians(params: SystemParams, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Stack of 8x8 Jacobians of the mean-field rhs at states with these a and q."""
+    ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
+    da, db, dd = params.delta_a, params.delta_b, params.delta_d
+    j, g, gn = params.j_coupling, params.g_qd, params.g_qd * params.n_inversion
+    wm, gm = params.omega_m, params.gamma_m
+    g_om = params.omega_m * params.chi
+    jac = np.zeros((a.size, 8, 8))
+    jac[:] = [[-ka, da, 0, j, 0, 0, 0, 0],
+              [-da, -ka, -j, 0, 0, 0, 0, 0],
+              [0, j, -kb, db, 0, g, 0, 0],
+              [-j, 0, -db, -kb, -g, 0, 0, 0],
+              [0, 0, 0, -gn, -kd, dd, 0, 0],
+              [0, 0, gn, 0, -dd, -kd, 0, 0],
+              [0, 0, 0, 0, 0, 0, 0, wm],
+              [0, 0, 0, 0, 0, 0, -wm, -gm]]
+    jac[:, 0, 1] -= g_om * q
+    jac[:, 0, 6] = -g_om * a.imag
+    jac[:, 1, 0] += g_om * q
+    jac[:, 1, 6] = g_om * a.real
+    jac[:, 7, 0] = 2.0 * g_om * a.real
+    jac[:, 7, 1] = 2.0 * g_om * a.imag
+    return jac
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack: Taylor series of degree 16 (remainder
+    below 1e-19) after scaling the stack to 1-norm <= 1/2, then squaring
+    back."""
+    norm = float(np.max(np.sum(np.abs(x), axis=-2)))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    x = x / 2.0 ** squarings
+    eye = np.eye(x.shape[-1])
+    e = eye + x / 16.0
+    for j in range(15, 0, -1):
+        e = eye + (x @ e) / j
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+def floquet_multipliers(params: SystemParams, orbit: PeriodicOrbit) -> np.ndarray:
+    """The 8 Floquet multipliers of the orbit.
+
+    The monodromy matrix is the ordered product of 4th-order Magnus steps
+    exp(h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]), with the Jacobian A at
+    the two Gauss points of each of N substeps, multiplied in order as a
+    tree within stacks of MAGNUS_CHUNK substeps.  N is a power of two, at
+    least 4H + 1 (the degree of q) and large enough that h times the
+    largest rate of the Jacobian is at most MAGNUS_STEP.
+    """
+    period = 2.0 * math.pi / orbit.omega_mod
+    samples = _on_grid(orbit.a, orbit.q.size)
+    rate = float(np.max(np.sum(np.abs(_jacobians(params, samples,
+                                                 _on_grid(orbit.q, orbit.q.size).real)),
+                               axis=-2)))
+    substeps = 1 << math.ceil(math.log2(max(orbit.q.size, period * rate / MAGNUS_STEP)))
+    h = period / substeps
+    nodes = [(_on_grid(orbit.a, substeps, c), _on_grid(orbit.q, substeps, c).real)
+             for c in GAUSS_POINTS]
+    monodromy = np.eye(8)
+    for start in range(0, substeps, MAGNUS_CHUNK):
+        a1, a2 = (_jacobians(params, a[start:start + MAGNUS_CHUNK], q[start:start + MAGNUS_CHUNK])
+                  for a, q in nodes)
+        steps = _expm(0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
+        while len(steps) > 1:
+            steps = steps[1::2] @ steps[0::2]
+        monodromy = steps[0] @ monodromy
+    return np.linalg.eigvals(monodromy)
+
+
+def _power_extrema(orbit: PeriodicOrbit) -> tuple[float, float]:
+    """(max, min) of the output power |a|^2 over a period: eight Newton
+    steps on the derivative of its trigonometric polynomial, from the
+    largest and the smallest of 16 samples per period of its top harmonic
+    (a sample beats a step that lands on a lesser extremum)."""
+    coef = orbit.power
+    k = _harmonics(coef.size // 2)
+    m = 16 * max(k.max(), 4)
+    samples = _on_grid(coef, m).real
+    phase = 2.0 * math.pi * np.array([np.argmax(samples), np.argmin(samples)]) / m
+    for _ in range(8):
+        terms = coef * np.exp(1j * np.outer(phase, k))
+        slope, curve = (terms @ (1j * k)).real, (terms @ (-k * k)).real
+        phase = phase - slope / np.where(curve != 0.0, curve, 1.0)
+    hi, lo = (np.exp(1j * np.outer(phase, k)) @ coef).real
+    return float(max(hi, samples.max())), float(min(lo, samples.min()))
+
+
+def _metrics(params: SystemParams, drive: DriveConfig) -> SwitchMetrics:
+    # kept apart from switch_metrics: to a tracer that wraps the public names,
+    # the orbits of a bandwidth scan are not switch_metrics calls
+    hi, lo = _power_extrema(periodic_orbit(params, drive))
+    if lo <= 1e-30:
+        raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
+    # drive power (eta0 + p_amp*cos)^2: extrema at cos = +-1, or 0 where eta crosses zero
+    eta0, p_amp = abs(drive.eta0), drive.p_amp
+    in_swing = (eta0 + p_amp) ** 2 - max(eta0 - p_amp, 0.0) ** 2
+    return SwitchMetrics(switch_ratio=hi / lo, gain=(hi - lo) / in_swing)
 
 
 def switch_metrics(params: SystemParams, drive: DriveConfig) -> SwitchMetrics:
     """Switch ratio and gain of the periodic response (no bandwidth scan)."""
-    output_power, drive_power = _periodic_response(params, drive)
-    return SwitchMetrics(switch_ratio=switch_ratio(output_power),
-                         gain=gain(output_power, drive_power))
+    return _metrics(params, drive)
 
 
 def gain_vs_frequency(params: SystemParams, eta0: float, p_amp: float,
                       omega_grid) -> np.ndarray:
     """Gain of the periodic response at each modulation frequency of the grid."""
-    return np.array([gain(*_periodic_response(
-        params, DriveConfig(eta0=eta0, p_amp=p_amp, omega_mod=float(om))))
-        for om in np.asarray(omega_grid, dtype=float)])
+    return np.array([_metrics(params, DriveConfig(eta0=eta0, p_amp=p_amp,
+                                                  omega_mod=float(om))).gain
+                     for om in np.asarray(omega_grid, dtype=float)])
 
 
 def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid) -> float:
@@ -289,7 +445,7 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
             return math.sqrt(p0 + (p1 - p0) * frac)
 
         t_eval = (powers - p0) / (p1 - p0) * duration
-        y = _integrate(_rhs_factory(params, eta_func, c_rocking)[0], (0.0, duration), y0,
+        y = _integrate(_rhs_factory(params, eta_func, c_rocking), (0.0, duration), y0,
                        TOL, t_eval)
         out = y[0] ** 2 + y[1] ** 2
         return np.column_stack([powers, out]), y[:, -1]
@@ -297,7 +453,7 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
     start = steady_state(params, math.sqrt(ramp[0]), c_rocking, "lower")
     up, y_top = leg(ramp, state_vector(start))
     eta_top = math.sqrt(ramp[-1])
-    y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking)[0],
+    y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking),
                            (0.0, settle_time), y_top, TOL,
                            np.array([0.0, settle_time]))[:, -1]
     down, _ = leg(ramp[::-1], y_settled)

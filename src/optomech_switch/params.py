@@ -17,6 +17,14 @@ import math
 from dataclasses import dataclass, replace
 
 
+class InvalidValueError(ValueError):
+    """A field value the model does not admit; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical rates and detunings, in units of the mechanical frequency."""
@@ -42,16 +50,18 @@ class SystemParams:
                      "thermal_ratio"):
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+                raise InvalidValueError(name, f"{name} must be strictly positive, got {value}")
         for name in ("chi", "g_qd", "j_coupling", "lambda_pump"):
             value = getattr(self, name)
             if value < 0.0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be >= 0 (signs live in the phases), got {value}")
+                raise InvalidValueError(
+                    name, f"{name} must be >= 0 (signs live in the phases), got {value}")
         if not -1.0 <= self.n_inversion <= 1.0:
-            raise ValueError(f"n_inversion must lie in [-1, 1], got {self.n_inversion}")
+            raise InvalidValueError("n_inversion",
+                                    f"n_inversion must lie in [-1, 1], got {self.n_inversion}")
         for name in ("delta_a", "delta_b", "delta_d", "theta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidValueError(name, f"{name} must be finite")
 
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -71,11 +81,11 @@ class DriveConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.eta0):
-            raise ValueError("eta0 must be finite")
+            raise InvalidValueError("eta0", "eta0 must be finite")
         if self.p_amp < 0.0 or not math.isfinite(self.p_amp):
-            raise ValueError(f"p_amp must be >= 0, got {self.p_amp}")
+            raise InvalidValueError("p_amp", f"p_amp must be >= 0, got {self.p_amp}")
         if not math.isfinite(self.omega_mod) or self.omega_mod < 0.0:
-            raise ValueError(f"omega_mod must be >= 0, got {self.omega_mod}")
+            raise InvalidValueError("omega_mod", f"omega_mod must be >= 0, got {self.omega_mod}")
 
     def with_(self, **changes) -> "DriveConfig":
         return replace(self, **changes)

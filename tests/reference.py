@@ -2,7 +2,10 @@
 
 - ``integrate_meanfield`` samples the mean-field equations over any time
   span and start state, with the integrator of ``dynamics``; the switch
-  metrics are checked against it over long runs and over one period.
+  metrics are checked against ``switch_ratio`` and ``gain`` of its densely
+  sampled periodic response, over long runs and over one period.
+- ``monodromy`` integrates the variational equations over one period, the
+  Floquet oracle for the harmonic-balance stability check.
 - ``steady_state_direct`` finds a fixed point by damped Newton on the
   cavity-A amplitude, with no use of the transmitted-power cubic, and
   ``meanfield_residual`` evaluates the unreduced equations of motion.
@@ -17,12 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from optomech_switch import DriveConfig, SteadyState, SystemParams
-from optomech_switch.dynamics import (SAMPLES_PER_PERIOD, TOL, _integrate, _modulated,
-                                      _rhs_factory, state_vector)
-from optomech_switch.errors import NoConvergenceError
+from optomech_switch.dynamics import TOL, _integrate, _rhs_factory, state_vector
+from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
 from optomech_switch.steady_state import _assemble_state, _drive_terms, helper_constants
+
+
+# trace samples per drive period of a modulated drive
+SAMPLES_PER_PERIOD = 96
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,19 @@ def drive_value(t, drive: DriveConfig):
     return drive.eta0 + drive.p_amp * np.cos(drive.omega_mod * np.asarray(t))
 
 
+def _modulated(drive: DriveConfig):
+    return lambda t: drive.eta0 + drive.p_amp * math.cos(drive.omega_mod * t)
+
+
 def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
-                        init=None, tol: float = TOL,
-                        c_rocking: float = 0.0) -> TimeTrace:
+                        init=None, tol: float = TOL, c_rocking: float = 0.0,
+                        samples_per_period: int = SAMPLES_PER_PERIOD) -> TimeTrace:
     """Integrate the mean-field equations over ``t_span``.
 
     ``init`` may be a SteadyState, an 8-vector, or None (vacuum start).
     ``c_rocking`` adds the averaged radiation-pressure shift of a fast
     modulation to the mirror force; leave it at 0 when the modulation is
-    integrated explicitly.  Samples are uniform: SAMPLES_PER_PERIOD per
+    integrated explicitly.  Samples are uniform: ``samples_per_period`` per
     drive period with a modulated drive, else 2000 over the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -70,12 +81,12 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
     if drive.p_amp > 0.0 and drive.omega_mod > 0.0:
         # +1 keeps the sample step commensurate with the drive period
         period = 2.0 * math.pi / drive.omega_mod
-        n_samples = max(2, int(round((t1 - t0) / period * SAMPLES_PER_PERIOD)) + 1)
+        n_samples = max(2, int(round((t1 - t0) / period * samples_per_period)) + 1)
     else:
         n_samples = 2000
     t_eval = np.linspace(t0, t1, n_samples)
 
-    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking)[0], (t0, t1), y0,
+    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking), (t0, t1), y0,
                    tol, t_eval)
     a = y[0] + 1j * y[1]
     b = y[2] + 1j * y[3]
@@ -83,6 +94,87 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
     eta = drive_value(t_eval, drive)
     return TimeTrace(t=t_eval, a=a, b=b, sigma=sigma, q=y[6], p=y[7],
                      output_power=np.abs(a) ** 2, drive_power=eta**2)
+
+
+def _refined_extrema(series: np.ndarray) -> tuple[float, float]:
+    """(max, min) of a sampled smooth series, parabola-refined at interior extrema."""
+
+    def refine(idx):
+        if idx == 0 or idx == series.size - 1:
+            return series[idx]
+        y0, y1, y2 = series[idx - 1], series[idx], series[idx + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom == 0.0:
+            return y1
+        delta = 0.5 * (y0 - y2) / denom
+        if abs(delta) > 1.0:
+            return y1
+        return y1 - 0.25 * (y0 - y2) * delta
+
+    return float(refine(int(np.argmax(series)))), float(refine(int(np.argmin(series))))
+
+
+def switch_ratio(output_power: np.ndarray) -> float:
+    """max/min of the sampled output power."""
+    hi, lo = _refined_extrema(output_power)
+    if lo <= 1e-30:
+        raise UndefinedRatioError(f"minimum output power {lo:.3e} is not positive")
+    return hi / lo
+
+
+def gain(output_power: np.ndarray, drive_power: np.ndarray) -> float:
+    """Output power modulation amplitude over input power modulation
+    amplitude, from samples at the same times."""
+    out_hi, out_lo = _refined_extrema(output_power)
+    in_hi, in_lo = _refined_extrema(drive_power)
+    in_amp = 0.5 * (in_hi - in_lo)
+    if in_amp <= 0.0:
+        raise UndefinedGainError("input power modulation amplitude vanished")
+    return 0.5 * (out_hi - out_lo) / in_amp
+
+
+def variational_rhs(params: SystemParams, eta_func, c_rocking: float):
+    """rhs of the mean-field state and its 8x8 fundamental matrix phi,
+    d(phi)/dt = jac(y) @ phi: the constant part plus the linearized q*a
+    and |a|^2 terms."""
+    ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
+    da, db, dd = params.delta_a, params.delta_b, params.delta_d
+    j, g, n = params.j_coupling, params.g_qd, params.n_inversion
+    wm, gm = params.omega_m, params.gamma_m
+    g_om = params.omega_m * params.chi
+    rhs = _rhs_factory(params, eta_func, c_rocking)
+    linear = np.array([[-ka, da, 0, j, 0, 0, 0, 0],
+                       [-da, -ka, -j, 0, 0, 0, 0, 0],
+                       [0, j, -kb, db, 0, g, 0, 0],
+                       [-j, 0, -db, -kb, -g, 0, 0, 0],
+                       [0, 0, 0, -g * n, -kd, dd, 0, 0],
+                       [0, 0, g * n, 0, -dd, -kd, 0, 0],
+                       [0, 0, 0, 0, 0, 0, 0, wm],
+                       [0, 0, 0, 0, 0, 0, -wm, -gm]], dtype=float)
+
+    def variational(t, z):
+        y, phi = z[:8], z[8:].reshape(8, 8)
+        ar, ai, q = y[0], y[1], y[6]
+        dphi = linear @ phi
+        dphi[0] -= g_om * (q * phi[1] + ai * phi[6])
+        dphi[1] += g_om * (q * phi[0] + ar * phi[6])
+        dphi[7] += 2.0 * g_om * (ar * phi[0] + ai * phi[1])
+        return np.concatenate((rhs(t, y), dphi.ravel()))
+
+    return variational
+
+
+def monodromy(params: SystemParams, drive: DriveConfig, y0: np.ndarray,
+              tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+    """(state after one drive period from y0, monodromy matrix), from the
+    variational equations; the eigenvalues of the matrix are the Floquet
+    multipliers when y0 lies on the T-periodic orbit."""
+    period = 2.0 * math.pi / drive.omega_mod
+    z0 = np.concatenate((y0, np.eye(8).ravel()))
+    sol = solve_ivp(variational_rhs(params, _modulated(drive), 0.0), (0.0, period), z0,
+                    method="DOP853", rtol=tol, atol=tol * 1e-2)
+    z = sol.y[:, -1]
+    return z[:8], z[8:].reshape(8, 8)
 
 
 def meanfield_residual(params: SystemParams, eta0: float, c_rocking: float,

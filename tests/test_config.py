@@ -48,7 +48,8 @@ def test_invariant_violation_names_field():
     assert "n_inversion" in str(err.value)
 
 
-@pytest.mark.parametrize("raw, blamed", [("0", "[system]"), ("-1e-6", "[system]"),
+@pytest.mark.parametrize("raw, blamed", [("0", "thermal_ratio = 0"),
+                                         ("-1e-6", "thermal_ratio = -1e-6"),
                                          ("nan", "thermal_ratio = nan")])
 def test_bad_thermal_ratio_rejected_with_system_line(raw, blamed):
     text = MINIMAL.replace("n_inversion = 0.0", f"n_inversion = 0.0\nthermal_ratio = {raw}")
@@ -56,6 +57,14 @@ def test_bad_thermal_ratio_rejected_with_system_line(raw, blamed):
         parse_config(text)
     assert err.value.line == text.splitlines().index(blamed) + 1
     assert "thermal_ratio" in str(err.value)
+
+
+def test_bad_drive_value_rejected_with_its_line():
+    text = MINIMAL.replace("eta0 = 0.3", "eta0 = 0.3\np_amp = -1")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("p_amp = -1") + 1
+    assert "p_amp" in str(err.value)
 
 
 def test_empty_file_missing_section():

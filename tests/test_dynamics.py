@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from optomech_switch import (DegenerateGridError, DriveConfig, SystemParams,
-                             UndefinedGainError, UndefinedRatioError, bandwidth, gain,
-                             hysteresis_sweep, solve_transmitted_power, switch_metrics,
-                             switch_ratio)
-from optomech_switch.dynamics import TOL, _periodic_orbit, _rhs_factory, state_vector, threshold_measure
+from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailureError,
+                             NoConvergenceError, SystemParams, UndefinedGainError,
+                             UndefinedRatioError, bandwidth, hysteresis_sweep,
+                             solve_transmitted_power, switch_metrics)
+from optomech_switch import dynamics
+from optomech_switch.dynamics import (TOL, _jacobians, _rhs_factory, floquet_multipliers,
+                                      periodic_orbit, state_vector, threshold_measure)
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
-from reference import drive_value, integrate_meanfield, jump_input_power, steady_state_direct
+from reference import (drive_value, gain, integrate_meanfield, jump_input_power, monodromy,
+                       steady_state_direct, switch_ratio, variational_rhs)
 
 
 def _state_at(trace, i):
@@ -88,34 +91,76 @@ def test_periodic_orbit_returns_after_one_period():
     p = FIG_BISTABLE
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
     period = 2.0 * math.pi / drive.omega_mod
-    y0 = _periodic_orbit(p, drive)
+    y0 = periodic_orbit(p, drive).state(0.0)
     y1 = _state_at(integrate_meanfield(p, drive, (0.0, period), init=y0), -1)
     assert np.linalg.norm(y1 - y0) < 10.0 * TOL * np.linalg.norm(y0)
 
 
 def test_switch_metrics_matches_long_integration():
-    """Brute force: 50 periods from the lower branch, then measure 10 more."""
+    """Brute force: 50 periods from the lower branch, then measure 10 more,
+    densely sampled at a tight tolerance."""
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
     period = 2.0 * math.pi / drive.omega_mod
     init = steady_state(FIG_SWITCH, drive.eta0, 0.0, "lower")
     settled = integrate_meanfield(FIG_SWITCH, drive, (0.0, 50 * period), init=init)
     tail = integrate_meanfield(FIG_SWITCH, drive, (0.0, 10 * period),
-                               init=_state_at(settled, -1))
+                               init=_state_at(settled, -1), tol=1e-10,
+                               samples_per_period=2000)
     m = switch_metrics(FIG_SWITCH, drive)
     assert m.switch_ratio == pytest.approx(switch_ratio(tail.output_power), rel=1e-6)
     assert m.gain == pytest.approx(gain(tail.output_power, tail.drive_power), rel=1e-6)
 
 
-def test_switch_metrics_are_one_sampled_period_of_the_orbit():
-    """Bit for bit the oracle's trace over one period from the converged
-    orbit start: the same rhs, span, samples and tolerance."""
-    drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
+@pytest.mark.parametrize("params, drive", [
+    (FIG_SWITCH, DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=2.25)),
+    (FIG_BISTABLE, DriveConfig(eta0=0.1, p_amp=1.0, omega_mod=1.0))])
+def test_switch_metrics_match_the_densely_sampled_orbit(params, drive):
+    """One period from the orbit's start state, 20000 samples at rtol 1e-11:
+    a ratio of 861, and one of 9520 with its minimum near zero."""
     period = 2.0 * math.pi / drive.omega_mod
-    trace = integrate_meanfield(FIG_SWITCH, drive, (0.0, period),
-                                init=_periodic_orbit(FIG_SWITCH, drive))
-    m = switch_metrics(FIG_SWITCH, drive)
-    assert m.switch_ratio == switch_ratio(trace.output_power)
-    assert m.gain == gain(trace.output_power, trace.drive_power)
+    trace = integrate_meanfield(params, drive, (0.0, period),
+                                init=periodic_orbit(params, drive).state(0.0),
+                                tol=1e-11, samples_per_period=20000)
+    m = switch_metrics(params, drive)
+    assert m.switch_ratio == pytest.approx(switch_ratio(trace.output_power), rel=1e-8)
+    assert m.gain == pytest.approx(gain(trace.output_power, trace.drive_power), rel=1e-8)
+
+
+def test_orbit_is_the_attractor_of_the_lower_branch():
+    """Bias inside the bistable window (input 6.76, knees 4.8 and 10.4), both
+    branches stable: the orbit is the one a long integration from the lower
+    branch settles on, not the one near the upper branch."""
+    p, drive = CLEAN_BISTABLE, DriveConfig(eta0=2.6, p_amp=0.5, omega_mod=1.0)
+    period = 2.0 * math.pi / drive.omega_mod
+    settled = {branch: _state_at(integrate_meanfield(
+        p, drive, (0.0, 20 * period), init=steady_state(p, drive.eta0, 0.0, branch)), -1)
+        for branch in ("lower", "upper")}
+    y0 = periodic_orbit(p, drive).state(0.0)
+    assert np.linalg.norm(settled["lower"] - y0) < 1e-7 * np.linalg.norm(y0)
+    assert np.linalg.norm(settled["upper"] - y0) > 0.5 * np.linalg.norm(y0)
+
+
+@pytest.mark.parametrize("params, drive", [
+    (FIG_SWITCH, DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=0.5)),
+    (FIG_SWITCH, DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=2.25)),
+    (FIG_BISTABLE.with_(gamma_m=0.01), DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)),
+    (CLEAN_BISTABLE, DriveConfig(eta0=2.6, p_amp=0.5, omega_mod=1.0))])
+def test_floquet_multipliers_match_the_variational_solve(params, drive):
+    orbit = periodic_orbit(params, drive)
+    y0 = orbit.state(0.0)
+    y1, phi = monodromy(params, drive, y0)
+    assert np.linalg.norm(y1 - y0) < 1e-9 * np.linalg.norm(y0)
+    assert np.allclose(np.sort(np.abs(floquet_multipliers(params, orbit))),
+                       np.sort(np.abs(np.linalg.eigvals(phi))), rtol=0.0, atol=1e-8)
+
+
+def test_unresolved_spectrum_raises(monkeypatch):
+    """This orbit needs 16 harmonics: with the cap at 8 it is unresolved."""
+    drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
+    periodic_orbit(FIG_BISTABLE.with_(gamma_m=0.1), drive)
+    monkeypatch.setattr(dynamics, "HARMONICS_CAP", 8)
+    with pytest.raises(NoConvergenceError, match="not resolved within 8 harmonics"):
+        switch_metrics(FIG_BISTABLE.with_(gamma_m=0.1), drive)
 
 
 def test_unstable_orbit_raises():
@@ -135,15 +180,17 @@ def test_switch_metrics_need_a_modulated_drive():
 def test_variational_rhs_is_the_jacobian(rng):
     for _ in range(5):
         p = random_params(rng)
-        rhs, variational = _rhs_factory(p, lambda t: 0.7, 0.2)
+        rhs = _rhs_factory(p, lambda t: 0.7, 0.2)
         y = rng.normal(size=8)
-        z = variational(0.0, np.concatenate((y, np.eye(8).ravel())))
+        z = variational_rhs(p, lambda t: 0.7, 0.2)(0.0, np.concatenate((y, np.eye(8).ravel())))
         h = 1e-6
         numeric = np.column_stack([
             (np.array(rhs(0.0, y + h * e)) - np.array(rhs(0.0, y - h * e))) / (2.0 * h)
             for e in np.eye(8)])
         assert np.array_equal(z[:8], np.array(rhs(0.0, y)))
         assert np.allclose(z[8:].reshape(8, 8), numeric, rtol=1e-7, atol=1e-8)
+        jac = _jacobians(p, np.array([y[0] + 1j * y[1]]), np.array([y[6]]))[0]
+        assert np.allclose(jac, numeric, rtol=1e-7, atol=1e-8)
 
 
 def test_switch_ratio_constant_output_is_one():
@@ -269,6 +316,14 @@ def test_hysteresis_loop_brackets_knees():
     area = abs(trapezoid(up[:, 1], up[:, 0])
                + trapezoid(down[:, 1], down[:, 0]))
     assert area > 1.0
+
+
+def test_ramp_blow_up_raises():
+    """A pumped dot with g^2*n > kappa_b*kappa_d amplifies without bound."""
+    p = FIG_BISTABLE.with_(n_inversion=1.0, g_qd=2.0)
+    with pytest.raises(IntegrationFailureError, match="state norm blew up") as err:
+        hysteresis_sweep(p, [0.01, 0.02])
+    assert err.value.last_valid_time == pytest.approx(12.41, abs=0.01)
 
 
 def test_state_vector_round_trip():
