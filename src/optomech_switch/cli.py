@@ -1,7 +1,6 @@
 """Command-line front end.
 
     optomech-switch <task> --config <file> --out <dir> [--format csv,json]
-                    [--jobs N]
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 Failures print a machine-readable JSON error record to stderr.
@@ -25,8 +24,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they get the JSON error record."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optomech-switch",
         description="Bistability, switching metrics and displacement spectra "
                     "for the coupled-cavity optomechanical model.")
@@ -37,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (falls back to the config's [output] dir)")
     parser.add_argument("--format", default=None,
                         help="comma list out of {csv,json}; default from config")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep points")
     return parser
 
 
@@ -48,36 +52,20 @@ def _error_record(exc: Exception, exit_code: int) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
-    formats = None
-    if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = [f for f in formats if f not in FORMATS]
-        if bad or not formats:
-            print(_error_record(ConfigError(f"invalid --format {args.format!r}"),
-                                EXIT_CONFIG), file=sys.stderr)
-            return EXIT_CONFIG
-    if args.jobs < 1:
-        print(_error_record(ConfigError("--jobs must be >= 1"), EXIT_CONFIG),
-              file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
+        args = build_parser().parse_args(argv)
+        formats = None
+        if args.format is not None:
+            formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
+            if not formats or any(f not in FORMATS for f in formats):
+                raise ConfigError(f"invalid --format {args.format!r}")
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(_error_record(exc, EXIT_IO), file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        config = parse_config(text)
+            config = parse_config(fh.read())
         if config.task.name != args.task:
             raise ConfigError(
                 f"CLI task {args.task!r} does not match config task "
                 f"{config.task.name!r}")
-        manifest = run_scenario(config, out_dir=args.out, formats=formats,
-                                jobs=args.jobs)
+        manifest = run_scenario(config, out_dir=args.out, formats=formats)
     except ConfigError as exc:
         print(_error_record(exc, EXIT_CONFIG), file=sys.stderr)
         return EXIT_CONFIG

@@ -58,12 +58,6 @@ class TaskSpec:
     name: str
     options: tuple  # sorted ((key, value), ...)
 
-    def option(self, key):
-        for k, v in self.options:
-            if k == key:
-                return v
-        raise KeyError(key)
-
 
 @dataclass(frozen=True)
 class SweepSpec:

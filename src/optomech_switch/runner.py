@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -172,55 +172,30 @@ TASK_RUNNERS = {
 }
 
 
-def _run_sweep_point(args):
-    config, value = args
-    inner_name = config.task.option("task")
-    inner = TaskSpec(name=inner_name,
-                     options=tuple((k, v) for k, v in config.task.options
-                                   if k != "task"))
-    swept = apply_sweep_value(config, value)
-    point = ScenarioConfig(params=swept.params, drive=swept.drive, task=inner,
-                           sweep=None, output=config.output)
-    return TASK_RUNNERS[inner_name](point)
-
-
-def run_sweep(config: ScenarioConfig, jobs: int = 1):
+def run_sweep(config: ScenarioConfig):
     """One result bundle per sweep value; a point's package error is recorded
     without aborting the sweep, any other exception propagates."""
-    values = config.sweep.values
-    tasks = [(config, v) for v in values]
-
-    def outcome(call):
-        try:
-            return "ok", call()
-        except OptomechError as exc:
-            return "error", exc
-
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_sweep_point, t) for t in tasks]
-            results = [outcome(future.result) for future in futures]
-    else:
-        results = [outcome(lambda t=t: _run_sweep_point(t)) for t in tasks]
-
+    opt = dict(config.task.options)
+    inner = TaskSpec(name=opt.pop("task"), options=tuple(opt.items()))
     bundle = {"csv": {}, "json": {}, "always": {}}
     index = []
-    for i, (value, (status, payload)) in enumerate(zip(values, results)):
-        tag = f"{i:03d}"
-        entry = {"index": i, "value": value, "status": status}
-        if status == "ok":
-            for kind in ("csv", "json", "always"):
-                for name, content in payload[kind].items():
-                    stem, dot, ext = name.rpartition(".")
-                    bundle[kind][f"{stem}_{tag}{dot}{ext}"] = content
+    for i, value in enumerate(config.sweep.values):
+        entry = {"index": i, "value": value, "status": "ok"}
+        try:
+            point = replace(apply_sweep_value(config, value), task=inner, sweep=None)
+            result = TASK_RUNNERS[inner.name](point)
+        except OptomechError as exc:
+            entry["status"] = "error"
+            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
         else:
-            entry["error"] = {"type": type(payload).__name__,
-                              "message": str(payload)}
+            for kind, contents in result.items():
+                for name, content in contents.items():
+                    stem, dot, ext = name.rpartition(".")
+                    bundle[kind][f"{stem}_{i:03d}{dot}{ext}"] = content
         index.append(entry)
-    if all(status == "error" for status, _ in results):
-        first = next(p for s, p in results if s == "error")
-        raise NumericalError(f"every sweep point failed; first error: {first}")
+    if all(entry["status"] == "error" for entry in index):
+        raise NumericalError("every sweep point failed; first error: "
+                             + index[0]["error"]["message"])
     bundle["always"]["sweep_index.json"] = {
         "parameter": config.sweep.parameter, "points": index}
     return bundle
@@ -246,15 +221,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     """Execute the config and write result files plus manifest.json.
 
     Returns the manifest dictionary.  All computation happens before any
-    file is touched; files are written atomically.
+    file is touched; files are written atomically.  Sweeps run in this
+    process; ``jobs`` accepts only 1 and stays for callers that still pass
+    ``jobs=1`` (the benchmark harness), until ROADMAP item 5 drops it.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (sweeps run in-process), got {jobs!r}")
     out_dir = out_dir or config.output.directory
     if not out_dir:
         raise OutputError("no output directory given (config [output] dir or --out)")
     formats = tuple(formats) if formats else config.output.formats
 
     if config.task.name == "sweep":
-        bundle = run_sweep(config, jobs=jobs)
+        bundle = run_sweep(config)
     else:
         bundle = TASK_RUNNERS[config.task.name](config)
 

@@ -173,7 +173,7 @@ def test_bad_hysteresis_rate_rejected_with_line(raw):
 
 def test_zero_hysteresis_rate_means_default():
     cfg = parse_config(_task_text(["name = hysteresis", "rate = 0"]))
-    assert cfg.task.option("rate") == 0.0
+    assert dict(cfg.task.options)["rate"] == 0.0
 
 
 @pytest.mark.parametrize("key", ["transient_periods", "measure_periods"])

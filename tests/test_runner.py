@@ -130,21 +130,52 @@ def test_sweep_all_points_failing_raises(tmp_path):
     assert not os.path.exists(tmp_path / "sweep_index.json")
 
 
+SWITCH_SWEEP = (BISTABILITY.replace("name = bistability\n", "name = sweep\ntask = switch-metrics\n")
+                .split("input_min")[0].replace("p_amp = 0.4472135954999579", "p_amp = 0.05")
+                + "\n[sweep]\nparameter = drive.eta0\nvalues = 0.1, 0.9\n")
+
+# [system] defaults but a strong pumped dot: at g_qd = 2 the hysteresis ramp
+# blows up, so that point fails with IntegrationFailureError
+BLOW_UP_SWEEP = """
+[system]
+g_qd = 2.0
+n_inversion = 1.0
+
+[drive]
+p_amp = 0
+
+[task]
+name = sweep
+task = hysteresis
+input_min = 0.01
+input_max = 0.02
+input_points = 2
+
+[sweep]
+parameter = system.g_qd
+values = 2.0, 0.0
+"""
+
+
 def test_sweep_point_without_stable_orbit_recorded(tmp_path):
-    # eta0 = 0.9: the lower branch is Hopf-unstable and the only T-periodic
-    # orbit is unstable, so that point fails with UndefinedRatioError
-    text = BISTABILITY.replace("name = bistability\n", "name = sweep\ntask = switch-metrics\n")
-    text = text.split("input_min")[0].replace("p_amp = 0.4472135954999579", "p_amp = 0.05")
-    text += "\n[sweep]\nparameter = drive.eta0\nvalues = 0.1, 0.9\n"
-    run_scenario(parse_config(text), out_dir=str(tmp_path))
-    index = json.loads(_read(tmp_path / "sweep_index.json"))
-    assert [p["status"] for p in index["points"]] == ["ok", "error"]
-    assert index["points"][1]["error"]["type"] == "UndefinedRatioError"
-    assert (tmp_path / "metrics_000.json").exists()
+    cases = [
+        # eta0 = 0.9: the lower branch is Hopf-unstable and the only
+        # T-periodic orbit is unstable, so that point fails with
+        # UndefinedRatioError
+        (SWITCH_SWEEP, ["ok", "error"], "UndefinedRatioError", "metrics_000.json"),
+        (BLOW_UP_SWEEP, ["error", "ok"], "IntegrationFailureError", "hysteresis_001.json"),
+    ]
+    for case, (text, statuses, error_type, kept) in enumerate(cases):
+        out = tmp_path / str(case)
+        run_scenario(parse_config(text), out_dir=str(out))
+        index = json.loads(_read(out / "sweep_index.json"))
+        assert [p["status"] for p in index["points"]] == statuses
+        failed = statuses.index("error")
+        assert index["points"][failed]["error"]["type"] == error_type
+        assert (out / kept).exists()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_programming_error_propagates(tmp_path, monkeypatch, jobs):
+def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
     def broken(config):
         raise TypeError("bug in a task runner")
 
@@ -153,27 +184,14 @@ def test_sweep_programming_error_propagates(tmp_path, monkeypatch, jobs):
                                "name = sweep\ntask = bistability")
     text += "\n[sweep]\nparameter = system.kappa_a\nvalues = 0.1, 0.2\n"
     with pytest.raises(TypeError, match="bug in a task runner"):
-        run_scenario(parse_config(text), out_dir=str(tmp_path), jobs=jobs)
+        run_scenario(parse_config(text), out_dir=str(tmp_path))
     assert not os.path.exists(tmp_path / "sweep_index.json")
 
 
-@pytest.mark.parametrize("jobs, values, pools", [(3, "0.1, 0.2", [2]), (4, "0.1", [])])
-def test_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch, jobs, values, pools):
-    """At most one worker per sweep point; a one-point sweep runs in-process."""
-    sizes = []
-
-    class Spy(runner.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", Spy)
-    text = BISTABILITY.replace("name = bistability", "name = sweep\ntask = bistability")
-    text += f"\n[sweep]\nparameter = system.kappa_a\nvalues = {values}\n"
-    run_scenario(parse_config(text), out_dir=str(tmp_path), jobs=jobs)
-    assert sizes == pools
-    index = json.loads(_read(tmp_path / "sweep_index.json"))
-    assert [p["status"] for p in index["points"]] == ["ok"] * (values.count(",") + 1)
+def test_run_scenario_rejects_more_than_one_job(tmp_path):
+    with pytest.raises(ValueError, match="jobs"):
+        run_scenario(parse_config(BISTABILITY), out_dir=str(tmp_path), jobs=2)
+    assert not os.listdir(tmp_path)
 
 
 def test_failed_run_leaves_no_files(tmp_path):
@@ -213,6 +231,19 @@ def test_cli_task_mismatch_is_config_error(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["exit_code"] == 2
+
+
+def test_cli_usage_error_is_config_error_record(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(BISTABILITY)
+    code = cli_main(["bistability", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert record["error"]["exit_code"] == 2
+    assert "--jobs" in record["error"]["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
@@ -333,18 +364,6 @@ def test_closed_form_backend_through_runner(tmp_path):
     payload = json.loads(_read(tmp_path / "spectrum.json"))
     assert payload["backend"] == "closed-form"
     assert all(v >= 0.0 for v in payload["s_q"])
-
-
-def test_parallel_sweep_matches_serial(tmp_path):
-    text = SPECTRUM.replace("name = spectrum",
-                            "name = sweep\ntask = spectrum")
-    text += "\n[sweep]\nparameter = system.j_coupling\nvalues = 0.0, 0.5\n"
-    cfg = parse_config(text)
-    d1, d2 = tmp_path / "serial", tmp_path / "parallel"
-    run_scenario(cfg, out_dir=str(d1), jobs=1)
-    run_scenario(cfg, out_dir=str(d2), jobs=2)
-    for name in sorted(os.listdir(d1)):
-        assert _read(d1 / name) == _read(d2 / name)
 
 
 # The per-value writer that runner._csv and runner._json replaced; it is the
