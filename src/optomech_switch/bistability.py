@@ -8,7 +8,8 @@ the input power is a closed-form function of the output power (two-valued
 with a pumped dot), so the turning points are the roots of its
 derivative, a quadratic.  The branch count switches between one and
 three at every knee: without a pumped dot, three strictly between the
-knees and one outside.
+knees and one outside.  The curve is returned as columns: the grid, and
+one entry per root for its grid index, p_trans, stability and margin.
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ from .steady_state import (fold_points, input_power_of_ptrans, steady_state_from
 
 
 @dataclass(frozen=True)
-class BranchPoint:
-    p_trans: float
-    stable: bool
-    max_real_eig: float
-
-
-@dataclass(frozen=True)
 class BistabilityCurve:
-    # per grid point: (input_power, branch points ascending in p_trans)
-    points: tuple[tuple[float, tuple[BranchPoint, ...]], ...]
-    # exact saddle-node input powers (ascending); empty when monostable
+    """The S-curve as columns.  ``input_power`` is the grid.  The other
+    arrays hold one entry per root, ordered by grid point, then p_trans:
+    ``point`` (its grid index), ``p_trans``, ``stable`` and ``max_real_eig``
+    (the largest real part of the drift eigenvalues).  A knee's double root
+    is listed once.  ``knees`` are the exact saddle-node input powers,
+    ascending; empty when monostable."""
+    input_power: np.ndarray
+    point: np.ndarray
+    p_trans: np.ndarray
+    stable: np.ndarray
+    max_real_eig: np.ndarray
     knees: tuple[float, ...]
 
 
@@ -60,10 +62,5 @@ def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> Bis
     point, p_trans, _ = transmitted_power_roots(params, eta0, c_rocking)
     steady = steady_state_from_ptrans(params, eta0[point], c_rocking, p_trans)
     report = stability(drift_matrix(params, steady))
-    branches = [BranchPoint(*b) for b in zip(p_trans.tolist(), report.stable.tolist(),
-                                             report.max_real_part.tolist())]
-    bounds = np.searchsorted(point, np.arange(grid.size + 1)).tolist()
-    points = tuple((ip, tuple(branches[lo:hi]))
-                   for ip, lo, hi in zip(grid.tolist(), bounds[:-1], bounds[1:]))
     knees = tuple(inp for inp, _ in turning_points(params, c_rocking))
-    return BistabilityCurve(points=points, knees=knees)
+    return BistabilityCurve(grid, point, p_trans, report.stable, report.max_real_part, knees)

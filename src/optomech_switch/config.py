@@ -238,7 +238,8 @@ def _validate_task_options(name, o, line_of):
                     "backend must be matrix or closed-form")]
     if name == "switch-metrics":
         points = o["bandwidth_points"]
-        checks += [(points != 1, "bandwidth_points", "bandwidth_points must be 0 or >= 2"),
+        checks += [(points == 0 or points >= 2, "bandwidth_points",
+                    "bandwidth_points must be 0 or >= 2"),
                    (points == 0 or o["bandwidth_max"] > o["bandwidth_min"] > 0.0,
                     "bandwidth_max", "need bandwidth_max > bandwidth_min > 0")]
     for holds, key, message in checks:

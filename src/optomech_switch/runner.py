@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -34,20 +34,22 @@ FLOAT_FMT = "%.12g"
 _CONTAINERS = (dict, list, tuple)
 
 
-def _csv(headers, rows) -> str:
-    """Header line, then one line per row: float cells ``%.12g``, others ``str``.
+def _csv(headers, columns) -> str:
+    """Header line, then one line per row of ``columns`` (one per header):
+    a float column's cells ``%.12g``, any other column's ``str``.
 
-    Consecutive rows with the same shape (which cells are floats) share one
-    line format, and the whole table is formatted by a single ``%``.
+    The line format comes from the columns' dtypes, and the whole table is
+    formatted by a single ``%``.
     """
-    width = len(headers)
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"every CSV row needs {width} cells, one per header")
-    cells = tuple(chain.from_iterable(rows))
-    shapes = zip(*[map(isinstance, cells, repeat(float))] * width)
-    table = "".join((",".join(FLOAT_FMT if is_float else "%s" for is_float in shape) + "\n")
-                    * len(list(run)) for shape, run in groupby(shapes))
-    return ",".join(headers) + "\n" + table % cells
+    columns = [np.asarray(column) for column in columns]
+    if len(columns) != len(headers):
+        raise ValueError(f"need {len(headers)} CSV columns, one per header, got {len(columns)}")
+    rows = len(columns[0]) if columns else 0
+    if any(len(column) != rows for column in columns):
+        raise ValueError("CSV columns differ in length")
+    line = ",".join(FLOAT_FMT if column.dtype.kind == "f" else "%s" for column in columns)
+    cells = tuple(chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    return ",".join(headers) + "\n" + (line + "\n") * rows % cells
 
 
 def _json(payload) -> str:
@@ -93,23 +95,22 @@ def run_bistability(config: ScenarioConfig):
     grid = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
     c = rocking_parameter(config.drive)
     curve = bistability_curve(config.params, grid, c)
-    rows = []
-    for input_power, branches in curve.points:
-        for index, bp in enumerate(branches):
-            rows.append((input_power, index, bp.p_trans,
-                         "stable" if bp.stable else "unstable"))
+    starts = np.searchsorted(curve.point, np.arange(grid.size + 1))
+    columns = (grid[curve.point], np.arange(curve.point.size) - starts[curve.point],
+               curve.p_trans, np.where(curve.stable, "stable", "unstable"))
     headers = ("input_power[omega_m^2]", "branch_index",
                "p_trans[dimensionless]", "stability")
+    branches = [{"p_trans": p, "stable": s}
+                for p, s in zip(curve.p_trans.tolist(), curve.stable.tolist())]
+    bounds = starts.tolist()
     payload = {
         "task": "bistability",
         "rocking_c": c,
         "knees": list(curve.knees),
-        "points": [
-            {"input_power": ip,
-             "branches": [{"p_trans": b.p_trans, "stable": b.stable} for b in brs]}
-            for ip, brs in curve.points],
+        "points": [{"input_power": ip, "branches": branches[lo:hi]}
+                   for ip, lo, hi in zip(grid.tolist(), bounds[:-1], bounds[1:])],
     }
-    return {"csv": {"bistability.csv": (headers, rows)},
+    return {"csv": {"bistability.csv": (headers, columns)},
             "json": {"bistability.json": payload},
             "always": {"knees.json": {"rocking_c": c, "knees": list(curve.knees)}}}
 
@@ -123,13 +124,12 @@ def run_spectrum(config: ScenarioConfig):
     series = backend(config.params, steady, grid)
     headers = ("omega[omega_m]", "s_q[dimensionless]")
     omega, s_q = series.omega_grid.tolist(), series.s_q.tolist()
-    rows = list(zip(omega, s_q))
     peaks = [{"position": p.position, "height": p.height, "prominence": p.prominence}
              for p in series.peaks]
     payload = {"task": "spectrum", "backend": opt["backend"], "branch": opt["branch"],
                "p_trans": steady.p_trans, "rocking_c": c, "peaks": peaks,
                "omega": omega, "s_q": s_q}
-    return {"csv": {"spectrum.csv": (headers, rows)},
+    return {"csv": {"spectrum.csv": (headers, (series.omega_grid, series.s_q))},
             "json": {"spectrum.json": payload},
             "always": {"peaks.json": {"count": len(peaks), "peaks": peaks}}}
 
@@ -143,11 +143,10 @@ def run_switch_metrics(config: ScenarioConfig):
         bw = bandwidth(config.params, config.drive.eta0, config.drive.p_amp, grid)
     headers = ("switch_ratio[dimensionless]", "gain[dimensionless]",
                "bandwidth[omega_m]")
-    rows = [(metrics.switch_ratio, metrics.gain,
-             bw if bw is not None else float("nan"))]
+    columns = ([metrics.switch_ratio], [metrics.gain], [bw if bw is not None else np.nan])
     payload = {"task": "switch-metrics", "switch_ratio": metrics.switch_ratio,
                "gain": metrics.gain, "bandwidth": bw}
-    return {"csv": {"metrics.csv": (headers, rows)},
+    return {"csv": {"metrics.csv": (headers, columns)},
             "json": {"metrics.json": payload}, "always": {}}
 
 
@@ -156,11 +155,11 @@ def run_hysteresis(config: ScenarioConfig):
     ramp = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
     c = rocking_parameter(config.drive)
     up, down = hysteresis_sweep(config.params, ramp, c, rate=opt["rate"] or None)
-    up, down = up.tolist(), down.tolist()
+    legs = np.concatenate([up, down])
     headers = ("direction", "input_power[omega_m^2]", "output_power[dimensionless]")
-    rows = [("up", i, o) for i, o in up] + [("down", i, o) for i, o in down]
-    payload = {"task": "hysteresis", "rocking_c": c, "up": up, "down": down}
-    return {"csv": {"hysteresis.csv": (headers, rows)},
+    columns = (np.repeat(["up", "down"], [len(up), len(down)]), legs[:, 0], legs[:, 1])
+    payload = {"task": "hysteresis", "rocking_c": c, "up": up.tolist(), "down": down.tolist()}
+    return {"csv": {"hysteresis.csv": (headers, columns)},
             "json": {"hysteresis.json": payload}, "always": {}}
 
 
@@ -239,8 +238,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
 
     files = {}
     if "csv" in formats:
-        for name, (headers, rows) in bundle["csv"].items():
-            files[name] = _csv(headers, rows).encode()
+        for name, (headers, columns) in bundle["csv"].items():
+            files[name] = _csv(headers, columns).encode()
     if "json" in formats:
         for name, payload in bundle["json"].items():
             files[name] = _json(payload).encode()

@@ -108,15 +108,16 @@ def test_criterion_3_branch_stability():
         grid = grid[np.all(np.abs(grid[:, None] - np.array(knees)[None, :])
                            > 0.01 * np.array(knees)[None, :], axis=1)]
         curve = bistability_curve(params, grid, c_rock)
-        for _, branches in curve.points:
-            if len(branches) == 3:
+        for i in range(grid.size):
+            stable = curve.stable[curve.point == i].tolist()
+            if len(stable) == 3:
                 total_mid += 1
-                unstable_mid += (not branches[1].stable)
+                unstable_mid += (not stable[1])
                 total_outer += 2
-                stable_outer += branches[0].stable + branches[2].stable
+                stable_outer += stable[0] + stable[2]
             else:
-                total_outer += len(branches)
-                stable_outer += sum(b.stable for b in branches)
+                total_outer += len(stable)
+                stable_outer += sum(stable)
     mid_ok = unstable_mid == total_mid and total_mid > 30
     outer_ok = stable_outer >= 0.99 * total_outer
     ok = _verdict("3", mid_ok and outer_ok,

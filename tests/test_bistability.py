@@ -11,7 +11,16 @@ from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
 
 
 def _root_counts(curve):
-    return np.array([len(branches) for _, branches in curve.points])
+    return np.bincount(curve.point, minlength=curve.input_power.size)
+
+
+def _roots_by_point(curve):
+    """Per grid point: its input power and its roots' p_trans, stable and
+    max_real_eig lists, read from the curve's columns."""
+    for i, ip in enumerate(curve.input_power.tolist()):
+        at = curve.point == i
+        yield (ip, curve.p_trans[at].tolist(), curve.stable[at].tolist(),
+               curve.max_real_eig[at].tolist())
 
 
 def _reference_roots(params, eta0, c):
@@ -73,12 +82,11 @@ def test_batched_curve_equals_per_point_route():
         knees = np.array([inp for inp, _ in turning_points(params, c)] or [np.inf])
         grid = grid[np.min(np.abs(grid[:, None] / knees - 1.0), axis=1) > 1e-6]
         curve = bistability_curve(params, grid, c)
-        for ip, branches in curve.points:
+        for ip, p_trans, stable, max_real_eig in _roots_by_point(curve):
             ref = _reference_branches(params, ip, c)
-            assert [b.p_trans for b in branches] == [r[0] for r in ref]
-            assert [b.stable for b in branches] == [r[1] for r in ref]
-            assert [b.max_real_eig for b in branches] == pytest.approx(
-                [r[2] for r in ref], rel=1e-12, abs=1e-13)
+            assert p_trans == [r[0] for r in ref]
+            assert stable == [r[1] for r in ref]
+            assert max_real_eig == pytest.approx([r[2] for r in ref], rel=1e-12, abs=1e-13)
     assert pumped > 0
 
 
@@ -144,19 +152,19 @@ def test_input_power_inverts_the_cubic(rng):
 def test_middle_branch_unstable_outer_stable_clean_set():
     lo, hi = sorted(inp for inp, _ in turning_points(CLEAN_BISTABLE, 0.0))
     curve = bistability_curve(CLEAN_BISTABLE, np.linspace(0.5 * lo, 1.3 * hi, 40), 0.0)
-    for ip, branches in curve.points:
-        if len(branches) == 3:
-            assert not branches[1].stable
-            assert branches[0].stable and branches[2].stable
-        elif len(branches) == 1:
-            assert branches[0].stable
+    for _, _, stable, _ in _roots_by_point(curve):
+        if len(stable) == 3:
+            assert not stable[1]
+            assert stable[0] and stable[2]
+        elif len(stable) == 1:
+            assert stable[0]
 
 
 def test_middle_branch_unstable_published_set():
     """Instability of the middle branch holds on the published set too."""
     curve = bistability_curve(FIG_BISTABLE, np.linspace(0.15, 0.7, 25), 0.10)
-    mids = [b[1] for _, b in curve.points if len(b) == 3]
-    assert mids and all(not m.stable for m in mids)
+    mids = [stable[1] for _, _, stable, _ in _roots_by_point(curve) if len(stable) == 3]
+    assert mids and all(not m for m in mids)
 
 
 def _check_side(roots, fold, upper, inside):
@@ -185,9 +193,9 @@ def test_root_count_follows_the_side_of_each_knee(params, c):
         offsets = (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)
         inputs = [knee * (1.0 + e) for e in offsets]
         curve = bistability_curve(params, inputs, c)
-        for e, ip, (_, branches) in zip(offsets, inputs, curve.points):
+        for e, ip, (_, p_trans, _, _) in zip(offsets, inputs, _roots_by_point(curve)):
             roots = solve_transmitted_power(params, math.sqrt(ip), c)
-            assert [p for p, _ in roots] == [b.p_trans for b in branches]
+            assert [p for p, _ in roots] == p_trans
             assert ((fold, 2) in roots) == (e == 0.0)
             _check_side(roots, fold, upper, inside=(e < 0.0) == upper)
         for step in (-1, 1):
@@ -207,8 +215,8 @@ def test_fold_that_no_drive_reaches_is_no_knee():
     assert len(turning_points(p, 0.44)) == 1
     curve = bistability_curve(p, np.geomspace(0.1, 300.0, 60), 0.44)
     assert _root_counts(curve)[0] == 3
-    for ip, branches in curve.points:
-        assert [b.p_trans for b in branches] == [r[0] for r in _reference_branches(p, ip, 0.44)]
+    for ip, p_trans, _, _ in _roots_by_point(curve):
+        assert p_trans == [r[0] for r in _reference_branches(p, ip, 0.44)]
 
 
 def test_branch_count_changes_exactly_at_the_knees():

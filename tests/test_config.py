@@ -171,6 +171,17 @@ def test_bad_hysteresis_rate_rejected_with_line(raw):
     assert "rate" in str(err.value)
 
 
+def test_negative_bandwidth_points_rejected_with_line():
+    """A negative point count must not skip the requested scan silently
+    (bandwidth = nan in the outputs)."""
+    text = _task_text(["name = switch-metrics", "bandwidth_points = -3",
+                       "bandwidth_min = 0.5", "bandwidth_max = 2.0"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("bandwidth_points = -3") + 1
+    assert "bandwidth_points" in str(err.value)
+
+
 def test_zero_hysteresis_rate_means_default():
     cfg = parse_config(_task_text(["name = hysteresis", "rate = 0"]))
     assert dict(cfg.task.options)["rate"] == 0.0

@@ -439,33 +439,36 @@ def test_json_writer_matches_oracle_on_edge_payloads(payload):
     assert runner._json(payload) == _oracle_json(payload)
 
 
-def _random_table(rng):
-    """Rows of one cell-type template; some rows change a cell's type."""
-    makers = [_random_float, lambda r: np.float64(_random_float(r)),
-              lambda r: int(r.integers(-10**6, 10**6)), lambda r: 10**20,
-              lambda r: np.float32(1.5), lambda r: np.int64(3),
-              lambda r: ("stable", "unstable", "up", "a%sb")[r.integers(4)],
-              lambda r: bool(r.integers(2)), lambda r: None]
+CSV_WORDS = np.array(["stable", "unstable", "up", "down", "a%sb", "", "a, b", "ü€"])
+
+
+def _random_columns(rng):
+    """Typed columns of one length, a tenth of them empty: float64 (with nan,
+    +-inf, -0.0 and subnormals), int or str, as arrays or lists."""
+    makers = [lambda r, n: np.array([_random_float(r) for _ in range(n)]),
+              lambda r, n: [_random_float(r) for _ in range(n)],
+              lambda r, n: r.integers(-2**63, 2**63 - 1, size=n, endpoint=True),
+              lambda r, n: r.integers(-10**6, 10**6, size=n).tolist(),
+              lambda r, n: CSV_WORDS[r.integers(len(CSV_WORDS), size=n)],
+              lambda r, n: CSV_WORDS[r.integers(len(CSV_WORDS), size=n)].tolist()]
     width = int(rng.integers(1, 6))
-    template = rng.integers(len(makers), size=width)
-    rows = []
-    for _ in range(int(rng.integers(0, 40))):
-        kinds = template.copy()
-        if rng.random() < 0.2:
-            kinds[rng.integers(width)] = rng.integers(len(makers))
-        rows.append(tuple(makers[k](rng) for k in kinds))
-    return tuple(f"col{j}" for j in range(width)), rows
+    rows = 0 if rng.random() < 0.1 else int(rng.integers(1, 40))
+    columns = [makers[k](rng, rows) for k in rng.integers(len(makers), size=width)]
+    return tuple(f"col{j}" for j in range(width)), columns
 
 
 def test_csv_writer_matches_oracle_on_random_tables(rng):
     for _ in range(500):
-        headers, rows = _random_table(rng)
-        assert runner._csv(headers, rows) == _oracle_csv(headers, rows), rows
+        headers, columns = _random_columns(rng)
+        expected = _oracle_csv(headers, zip(*columns))
+        assert runner._csv(headers, columns) == expected, columns
 
 
-def test_csv_writer_rejects_rows_that_do_not_fit_the_header():
-    with pytest.raises(ValueError, match="2 cells"):
-        runner._csv(("a", "b"), [(1.0, 2.0), (1.0, 2.0, 3.0)])
+def test_csv_writer_rejects_columns_that_do_not_fit_the_header():
+    with pytest.raises(ValueError, match="2 CSV columns"):
+        runner._csv(("a", "b"), ([1.0], [2.0], [3.0]))
+    with pytest.raises(ValueError, match="differ in length"):
+        runner._csv(("a", "b"), ([1.0, 2.0], [3.0]))
 
 
 SWEEP_WITH_FAILED_POINT = (BISTABILITY.replace("name = bistability",
@@ -493,7 +496,8 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
                             capture(runner.TASK_RUNNERS[cfg.task.name]))
     manifest = run_scenario(cfg, out_dir=str(tmp_path))
     (bundle,) = bundles
-    expected = {name: _oracle_csv(*table) for name, table in bundle["csv"].items()}
+    expected = {name: _oracle_csv(headers, zip(*columns))
+                for name, (headers, columns) in bundle["csv"].items()}
     for kind in ("json", "always"):
         expected.update({name: _oracle_json(p) for name, p in bundle[kind].items()})
     expected["manifest.json"] = _oracle_json(manifest)
