@@ -29,8 +29,15 @@ solved for directly by harmonic balance, with no time integration:
   closed form.
 
 A quasi-static up-then-down ramp of the input power gives the hysteresis
-loop; it is integrated in time.  Runs are deterministic: fixed tolerances
-and harmonic counts, no randomness.
+loop; it is integrated in time (RK45, Radau if RK45 gives up).  The
+blow-up event is armed only for a pumped dot, n_inversion > 0: with
+n <= 0 the state is bounded.  E = |a|^2 + |b|^2 + |sigma|^2/|n| is only
+exchanged, not changed, by the J and g couplings (at n = 0 sigma
+decouples), the q*a term only rotates a, and the mirror is a damped
+oscillator driven by the bounded |a|^2.  With n > 0 and g^2 n > kappa_b
+kappa_d the cavity-B/dot block amplifies, and the state can blow up.
+Runs are deterministic: fixed tolerances and harmonic counts, no
+randomness.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergence
 from .params import DriveConfig, SystemParams
 from .steady_state import SteadyState, steady_state
 
-# |state|^2 beyond this aborts the integration as a blow-up.
+# |state|^2 beyond this aborts the integration as a blow-up; checked only
+# for n_inversion > 0, since with n <= 0 the state is bounded (module notes)
 BLOWUP_NORM = 1e8
 # integrator rtol (atol is 1e-2 of it)
 TOL = 1e-8
@@ -121,7 +129,8 @@ def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
     lam_cos = params.lambda_pump * n * math.cos(params.theta)
 
     def rhs(t, y):
-        ar, ai, br, bi, sr, si, q, p = y
+        # on Python floats a call costs under half what it does on numpy scalars
+        ar, ai, br, bi, sr, si, q, p = y.tolist()
         eta = eta_func(t)
         dar = -ka * ar + da * ai + j * bi + eta - g_om * q * ai
         dai = -ka * ai - da * ar - j * br + g_om * q * ar
@@ -144,14 +153,16 @@ _blowup_event.terminal = True
 _blowup_event.direction = -1
 
 
-def _integrate(rhs, t_span, y0, tol, t_eval) -> np.ndarray:
-    kwargs = dict(t_span=t_span, y0=y0, t_eval=t_eval, rtol=tol,
-                  atol=tol * 1e-2, events=_blowup_event, dense_output=False)
+def _integrate(rhs, t_span, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
+    """Integrate from y0 and return the states at t_eval; ``blowup`` arms
+    the BLOWUP_NORM event."""
+    kwargs = dict(t_span=t_span, y0=y0, t_eval=t_eval, rtol=tol, atol=tol * 1e-2,
+                  events=_blowup_event if blowup else None, dense_output=False)
     sol = solve_ivp(rhs, method="RK45", **kwargs)
     if not sol.success and sol.status != 1:
         # step-size trouble with the explicit pair: retry implicitly
         sol = solve_ivp(rhs, method="Radau", **kwargs)
-    if sol.t_events[0].size:
+    if blowup and sol.t_events[0].size:
         raise IntegrationFailureError("state norm blew up",
                                       last_valid_time=float(sol.t_events[0][0]))
     if not sol.success:
@@ -436,6 +447,8 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
                              1.0 / params.gamma_m)
     span = ramp[-1] - ramp[0]
     duration = span / rate
+    # only a pumped dot can blow up (module notes)
+    armed = params.n_inversion > 0.0
 
     def leg(powers, y0):
         p0, p1 = powers[0], powers[-1]
@@ -446,7 +459,7 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
 
         t_eval = (powers - p0) / (p1 - p0) * duration
         y = _integrate(_rhs_factory(params, eta_func, c_rocking), (0.0, duration), y0,
-                       TOL, t_eval)
+                       TOL, t_eval, blowup=armed)
         out = y[0] ** 2 + y[1] ** 2
         return np.column_stack([powers, out]), y[:, -1]
 
@@ -455,6 +468,6 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
     eta_top = math.sqrt(ramp[-1])
     y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking),
                            (0.0, settle_time), y_top, TOL,
-                           np.array([0.0, settle_time]))[:, -1]
+                           np.array([0.0, settle_time]), blowup=armed)[:, -1]
     down, _ = leg(ramp[::-1], y_settled)
     return up, down

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.signal import find_peaks
 
 from .errors import SingularResponseError, UnstableStateError
 from .linearize import drift_matrix, stability
@@ -144,6 +143,9 @@ def spectrum_matrix(params: SystemParams, steady: SteadyState,
 
 def detect_peaks(omega_grid: np.ndarray, s_q: np.ndarray) -> tuple[Peak, ...]:
     """Local maxima with prominence >= 1% of the global maximum."""
+    # imported here: scipy.signal alone is about half the package import time
+    from scipy.signal import find_peaks
+
     s_q = np.asarray(s_q, dtype=float)
     if s_q.size == 0:
         return ()

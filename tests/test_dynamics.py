@@ -326,6 +326,36 @@ def test_ramp_blow_up_raises():
     assert err.value.last_valid_time == pytest.approx(12.41, abs=0.01)
 
 
+@pytest.mark.parametrize("n_inversion", [0.0, -1.0])
+def test_unarmed_ramp_matches_the_armed_one(monkeypatch, n_inversion):
+    """With n <= 0 the ramp runs without the blow-up event; arming it
+    changes no bit of either leg."""
+    p = CLEAN_BISTABLE.with_(n_inversion=n_inversion)
+    ramp = np.linspace(1.5, 14.0, 60)
+    integrate, armed = dynamics._integrate, []
+
+    def spy(*args, blowup):
+        armed.append(blowup)
+        return integrate(*args, blowup=blowup)
+
+    monkeypatch.setattr(dynamics, "_integrate", spy)
+    up, down = hysteresis_sweep(p, ramp, 0.0, rate=0.5)
+    assert armed == [False] * 3
+    monkeypatch.setattr(dynamics, "_integrate",
+                        lambda *args, blowup: integrate(*args, blowup=True))
+    up_armed, down_armed = hysteresis_sweep(p, ramp, 0.0, rate=0.5)
+    assert np.array_equal(up, up_armed) and np.array_equal(down, down_armed)
+
+
+def test_strong_drive_without_pump_is_no_blow_up():
+    """An unpumped state past BLOWUP_NORM is a strong drive, not a blow-up."""
+    p = SystemParams(chi=0.0, kappa_a=2.0, kappa_b=1.0, delta_a=0.3, delta_b=0.5,
+                     j_coupling=0.4, lambda_pump=0.0, gamma_m=1.0)
+    up, down = hysteresis_sweep(p, [1e7, 2e9], 0.0, rate=1e9)
+    assert np.all(np.isfinite(up)) and np.all(np.isfinite(down))
+    assert up[-1, 1] > dynamics.BLOWUP_NORM
+
+
 def test_state_vector_round_trip():
     st = steady_state_direct(FIG_BISTABLE, 0.3, 0.0)
     y = state_vector(st)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -231,3 +236,13 @@ def test_transfer_near_exceptional_point(split):
                          for w in grid]) * couplings
     scale = np.max(np.abs(expected), axis=1, keepdims=True)
     assert np.max(np.abs(got - expected) / scale) < 1e-11
+
+
+def test_package_import_leaves_scipy_signal_out():
+    """scipy.signal is a large import that only detect_peaks needs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, optomech_switch; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
