@@ -60,7 +60,7 @@ class DegenerateGridError(NumericalError):
 
 
 class IntegrationFailureError(NumericalError):
-    """Time integration aborted (state blow-up or step-size collapse)."""
+    """Time integration aborted (state blow-up, integrator failure or non-finite state)."""
 
     def __init__(self, message, last_valid_time):
         self.last_valid_time = last_valid_time

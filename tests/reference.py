@@ -9,6 +9,9 @@
 - ``steady_state_direct`` finds a fixed point by damped Newton on the
   cavity-A amplitude, with no use of the transmitted-power cubic, and
   ``meanfield_residual`` evaluates the unreduced equations of motion.
+- ``hysteresis_reference`` integrates the legs and the settle of a
+  hysteresis sweep with DOP853 at rtol 1e-13, the accuracy oracle of the
+  ramp integrator.
 - ``jump_input_power`` reads the switching input off a swept hysteresis
   curve, for comparison with the exact knees.
 """
@@ -25,11 +28,14 @@ from scipy.integrate import solve_ivp
 from optomech_switch import DriveConfig, SteadyState, SystemParams
 from optomech_switch.dynamics import TOL, _integrate, _rhs_factory, state_vector
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
-from optomech_switch.steady_state import _assemble_state, _drive_terms, helper_constants
+from optomech_switch.steady_state import (_assemble_state, _drive_terms, helper_constants,
+                                          steady_state)
 
 
 # trace samples per drive period of a modulated drive
 SAMPLES_PER_PERIOD = 96
+# rtol of the ramp oracle (atol is 1e-2 of it)
+RAMP_REFERENCE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -280,6 +286,41 @@ def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
         raise NoConvergenceError(
             f"converged amplitude fails mean-field residual check ({np.max(np.abs(full)):.3e})")
     return state
+
+
+def hysteresis_reference(params: SystemParams, input_ramp, c_rocking: float = 0.0,
+                         rate: float | None = None):
+    """The (up, down) curves of ``hysteresis_sweep``: the same ramp legs
+    and settle at the top input, integrated with DOP853 at
+    RAMP_REFERENCE_TOL."""
+    ramp = np.asarray(input_ramp, dtype=float)
+    if rate is None:
+        rate = params.gamma_m / 20.0
+    duration = (ramp[-1] - ramp[0]) / rate
+    settle_time = 20.0 * max(1.0 / params.kappa_a, params.gamma_m / params.omega_m**2,
+                             1.0 / params.gamma_m)
+
+    def run(eta_func, t_eval, y0):
+        sol = solve_ivp(_rhs_factory(params, eta_func, c_rocking), (t_eval[0], t_eval[-1]),
+                        y0, method="DOP853", t_eval=t_eval, rtol=RAMP_REFERENCE_TOL,
+                        atol=RAMP_REFERENCE_TOL * 1e-2)
+        assert sol.success, sol.message
+        return sol.y
+
+    def leg(powers, y0):
+        # input power linear in time, from p0 to p1
+        p0, p1 = powers[0], powers[-1]
+        t_eval = (powers - p0) / (p1 - p0) * duration
+        y = run(lambda t: math.sqrt(p0 + (p1 - p0) * min(max(t / duration, 0.0), 1.0)),
+                t_eval, y0)
+        return np.column_stack([powers, y[0] ** 2 + y[1] ** 2]), y[:, -1]
+
+    start = steady_state(params, math.sqrt(ramp[0]), c_rocking, "lower")
+    up, y_top = leg(ramp, state_vector(start))
+    eta_top = math.sqrt(ramp[-1])
+    y_settled = run(lambda t: eta_top, np.array([0.0, settle_time]), y_top)[:, -1]
+    down, _ = leg(ramp[::-1], y_settled)
+    return up, down
 
 
 def jump_input_power(curve: np.ndarray) -> tuple[float, float]:

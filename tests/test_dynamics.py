@@ -14,8 +14,9 @@ from optomech_switch.dynamics import (TOL, _jacobians, _rhs_factory, floquet_mul
                                       periodic_orbit, state_vector, threshold_measure)
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
-from reference import (drive_value, gain, integrate_meanfield, jump_input_power, monodromy,
-                       steady_state_direct, switch_ratio, variational_rhs)
+from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
+                       jump_input_power, monodromy, steady_state_direct, switch_ratio,
+                       variational_rhs)
 
 
 def _state_at(trace, i):
@@ -316,6 +317,33 @@ def test_hysteresis_loop_brackets_knees():
     area = abs(trapezoid(up[:, 1], up[:, 0])
                + trapezoid(down[:, 1], down[:, 0]))
     assert area > 1.0
+
+
+def test_hysteresis_matches_the_dop853_ramp():
+    """Both legs through the jumps, against DOP853 at rtol 1e-13."""
+    ramp = np.linspace(1.5, 14.0, 60)
+    swept = hysteresis_sweep(CLEAN_BISTABLE, ramp, 0.0, rate=0.5)
+    for leg, ref in zip(swept, hysteresis_reference(CLEAN_BISTABLE, ramp, 0.0, rate=0.5)):
+        assert np.array_equal(leg[:, 0], ref[:, 0])
+        assert np.max(np.abs(leg[:, 1] / ref[:, 1] - 1.0)) < 1e-7
+
+
+def test_ramp_out_of_steps_raises(monkeypatch):
+    """At odeint's default of 500 steps per output interval the ramp legs
+    pass, but the 60-time-unit settle at the top input runs out at t = 13.55."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 500)
+    with pytest.raises(IntegrationFailureError, match="integrator failed: Excess work") as err:
+        hysteresis_sweep(CLEAN_BISTABLE, np.linspace(1.5, 14.0, 60), 0.0, rate=0.5)
+    assert err.value.last_valid_time == pytest.approx(13.55, abs=0.01)
+
+
+def test_non_finite_rhs_raises():
+    """A NaN drive from t = 2 on: the run fails at the last finite sample."""
+    rhs = _rhs_factory(CLEAN_BISTABLE, lambda t: 1.0 if t < 2.0 else math.nan, 0.0)
+    with pytest.raises(IntegrationFailureError, match="non-finite state") as err:
+        dynamics._integrate(rhs, (0.0, 5.0), np.zeros(8), TOL, np.linspace(0.0, 5.0, 11),
+                            blowup=False)
+    assert 1.0 <= err.value.last_valid_time <= 2.0
 
 
 def test_ramp_blow_up_raises():
