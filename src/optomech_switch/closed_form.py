@@ -187,8 +187,8 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState,
                          omega_grid: np.ndarray) -> SpectrumSeries:
     """Closed-form S_q(w).  Experimental; the matrix route is authoritative.
 
-    Relative deviations from the matrix route above 1% are logged
-    (per-frequency records at DEBUG, a summary at WARNING).
+    Relative deviations from the matrix route above 1% are logged as one
+    summary at WARNING.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     reference = spectrum_matrix(params, steady, omega_grid)  # refuses unstable states
@@ -204,9 +204,6 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState,
     deviation = _relative_deviation(s_q, reference.s_q)
     bad = deviation > AUDIT_TOL
     if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            log.debug("closed-form deviation %.3e at omega=%.6g",
-                      deviation[i], omega_grid[i])
         log.warning(
             "closed-form spectrum deviates >%.0f%% from the matrix route at "
             "%d/%d frequencies (max %.3g); matrix route is authoritative",

@@ -110,16 +110,6 @@ class PeriodicOrbit:
     q: np.ndarray
     p: np.ndarray
 
-    def state(self, t: float) -> np.ndarray:
-        """8-vector of the integrator state at time t."""
-        def at(coef):
-            return complex(np.sum(coef * np.exp(1j * _harmonics(coef.size // 2)
-                                                * self.omega_mod * t)))
-
-        a, b, sig = at(self.a), at(self.b), at(self.sigma)
-        return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
-                         at(self.q).real, at(self.p).real])
-
 
 def state_vector(steady: SteadyState) -> np.ndarray:
     """Initial condition vector for the integrator from a fixed point."""

@@ -5,6 +5,11 @@ files (each through a temp file + atomic rename), so a failing run never
 leaves partial outputs.  A manifest.json records the config hash, tool
 versions and per-file checksums; reruns of the same config are
 byte-identical, so the checksums are stable.
+
+Spectrum payloads carry their series as 1-D numpy arrays.  The JSON
+writer encodes each distinct array once per ``run_scenario`` call and
+reuses the text, so a sweep's shared spectrum grid is formatted once, not
+once per point.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .spectrum import spectrum_matrix
 from .steady_state import rocking_parameter, steady_state
 
 FLOAT_FMT = "%.12g"
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _csv(headers, columns) -> str:
@@ -52,12 +57,15 @@ def _csv(headers, columns) -> str:
     return ",".join(headers) + "\n" + (line + "\n") * rows % cells
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+def _json(payload, memo: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    with a 1-D numpy array written as the list of its items.
 
-    Nested dicts need str keys (the payloads' only kind).
+    Nested dicts need str keys (the payloads' only kind).  ``memo`` maps an
+    array's bits at a depth to its text: ``run_scenario`` passes one dict to
+    all its calls, so each 1-D array is encoded once per ``run_scenario`` call.
     """
-    return _json_at(payload, "") + "\n"
+    return _json_at(payload, "", memo) + "\n"
 
 
 @functools.cache
@@ -67,26 +75,36 @@ def _flat_encoder(item_separator: str):
     return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": ")).encode
 
 
-def _json_at(value, pad: str) -> str:
+def _json_at(value, pad: str, memo: dict) -> str:
     """Indented JSON of ``value`` whose closing bracket sits at ``pad``.
 
-    A dict or list holding no containers is encoded by one call of the C
-    encoder, with this depth's newline and indent as its item separator.
-    json.dumps with ``indent`` would format every item in Python.
+    A dict or list holding no containers, and a 1-D array, is encoded by one
+    call of the C encoder, with this depth's newline and indent as its item
+    separator.  json.dumps with ``indent`` would format every item in Python.
+    An array's text is kept in ``memo`` under its exact bits (so 0.0 and -0.0,
+    or two NaN payloads, stay apart) and reused for an equal array.
     """
-    if not isinstance(value, _CONTAINERS) or not value:
+    if not isinstance(value, _CONTAINERS):
         return json.dumps(value)
     inner = pad + "  "
     sep = ",\n" + inner
+    if isinstance(value, np.ndarray):
+        key = (pad, value.dtype.str, value.tobytes())
+        if key not in memo:
+            body = _flat_encoder(sep)(value.tolist())[1:-1]
+            memo[key] = "[\n" + inner + body + "\n" + pad + "]" if value.size else "[]"
+        return memo[key]
+    if not value:
+        return json.dumps(value)
     is_dict = isinstance(value, dict)
     items = value.values() if is_dict else value
     if not any(map(isinstance, items, repeat(_CONTAINERS))):
         body = _flat_encoder(sep)(value)[1:-1]
     elif is_dict:
-        body = sep.join(f"{encode_basestring_ascii(key)}: {_json_at(value[key], inner)}"
+        body = sep.join(f"{encode_basestring_ascii(key)}: {_json_at(value[key], inner, memo)}"
                         for key in sorted(value))
     else:
-        body = sep.join(_json_at(item, inner) for item in value)
+        body = sep.join(_json_at(item, inner, memo) for item in value)
     return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
 
 
@@ -123,12 +141,11 @@ def run_spectrum(config: ScenarioConfig):
     backend = spectrum_matrix if opt["backend"] == "matrix" else spectrum_closed_form
     series = backend(config.params, steady, grid)
     headers = ("omega[omega_m]", "s_q[dimensionless]")
-    omega, s_q = series.omega_grid.tolist(), series.s_q.tolist()
     peaks = [{"position": p.position, "height": p.height, "prominence": p.prominence}
              for p in series.peaks]
     payload = {"task": "spectrum", "backend": opt["backend"], "branch": opt["branch"],
                "p_trans": steady.p_trans, "rocking_c": c, "peaks": peaks,
-               "omega": omega, "s_q": s_q}
+               "omega": series.omega_grid, "s_q": series.s_q}
     return {"csv": {"spectrum.csv": (headers, (series.omega_grid, series.s_q))},
             "json": {"spectrum.json": payload},
             "always": {"peaks.json": {"count": len(peaks), "peaks": peaks}}}
@@ -237,14 +254,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
         bundle = TASK_RUNNERS[config.task.name](config)
 
     files = {}
+    memo = {}
     if "csv" in formats:
         for name, (headers, columns) in bundle["csv"].items():
             files[name] = _csv(headers, columns).encode()
     if "json" in formats:
         for name, payload in bundle["json"].items():
-            files[name] = _json(payload).encode()
+            files[name] = _json(payload, memo).encode()
     for name, payload in bundle["always"].items():
-        files[name] = _json(payload).encode()
+        files[name] = _json(payload, memo).encode()
 
     config_text = serialize_config(config)
     manifest = {
@@ -267,5 +285,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     for name, data in sorted(files.items()):
         _atomic_write(os.path.join(out_dir, name), data)
     _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  _json(manifest).encode())
+                  _json(manifest, memo).encode())
     return manifest

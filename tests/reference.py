@@ -4,6 +4,8 @@
   span and start state, with the integrator of ``dynamics``; the switch
   metrics are checked against ``switch_ratio`` and ``gain`` of its densely
   sampled periodic response, over long runs and over one period.
+- ``orbit_state`` sums a harmonic-balance orbit's Fourier series at one
+  time, the start state of those one-period integrations.
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
 - ``steady_state_direct`` finds a fixed point by damped Newton on the
@@ -137,6 +139,18 @@ def gain(output_power: np.ndarray, drive_power: np.ndarray) -> float:
     if in_amp <= 0.0:
         raise UndefinedGainError("input power modulation amplitude vanished")
     return 0.5 * (out_hi - out_lo) / in_amp
+
+
+def orbit_state(orbit, t: float) -> np.ndarray:
+    """8-vector of the integrator state of ``orbit`` (a
+    ``dynamics.PeriodicOrbit``) at time t."""
+    def at(coef):
+        k = np.fft.fftfreq(coef.size, 1.0 / coef.size)  # harmonic of each fft slot
+        return complex(np.sum(coef * np.exp(1j * k * orbit.omega_mod * t)))
+
+    a, b, sig = at(orbit.a), at(orbit.b), at(orbit.sigma)
+    return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
+                     at(orbit.q).real, at(orbit.p).real])
 
 
 def variational_rhs(params: SystemParams, eta_func, c_rocking: float):

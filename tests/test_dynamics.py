@@ -15,8 +15,8 @@ from optomech_switch.dynamics import (TOL, _jacobians, _rhs_factory, floquet_mul
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
 from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
-                       jump_input_power, monodromy, steady_state_direct, switch_ratio,
-                       variational_rhs)
+                       jump_input_power, monodromy, orbit_state, steady_state_direct,
+                       switch_ratio, variational_rhs)
 
 
 def _state_at(trace, i):
@@ -92,7 +92,7 @@ def test_periodic_orbit_returns_after_one_period():
     p = FIG_BISTABLE
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
     period = 2.0 * math.pi / drive.omega_mod
-    y0 = periodic_orbit(p, drive).state(0.0)
+    y0 = orbit_state(periodic_orbit(p, drive), 0.0)
     y1 = _state_at(integrate_meanfield(p, drive, (0.0, period), init=y0), -1)
     assert np.linalg.norm(y1 - y0) < 10.0 * TOL * np.linalg.norm(y0)
 
@@ -120,7 +120,7 @@ def test_switch_metrics_match_the_densely_sampled_orbit(params, drive):
     a ratio of 861, and one of 9520 with its minimum near zero."""
     period = 2.0 * math.pi / drive.omega_mod
     trace = integrate_meanfield(params, drive, (0.0, period),
-                                init=periodic_orbit(params, drive).state(0.0),
+                                init=orbit_state(periodic_orbit(params, drive), 0.0),
                                 tol=1e-11, samples_per_period=20000)
     m = switch_metrics(params, drive)
     assert m.switch_ratio == pytest.approx(switch_ratio(trace.output_power), rel=1e-8)
@@ -136,7 +136,7 @@ def test_orbit_is_the_attractor_of_the_lower_branch():
     settled = {branch: _state_at(integrate_meanfield(
         p, drive, (0.0, 20 * period), init=steady_state(p, drive.eta0, 0.0, branch)), -1)
         for branch in ("lower", "upper")}
-    y0 = periodic_orbit(p, drive).state(0.0)
+    y0 = orbit_state(periodic_orbit(p, drive), 0.0)
     assert np.linalg.norm(settled["lower"] - y0) < 1e-7 * np.linalg.norm(y0)
     assert np.linalg.norm(settled["upper"] - y0) > 0.5 * np.linalg.norm(y0)
 
@@ -148,7 +148,7 @@ def test_orbit_is_the_attractor_of_the_lower_branch():
     (CLEAN_BISTABLE, DriveConfig(eta0=2.6, p_amp=0.5, omega_mod=1.0))])
 def test_floquet_multipliers_match_the_variational_solve(params, drive):
     orbit = periodic_orbit(params, drive)
-    y0 = orbit.state(0.0)
+    y0 = orbit_state(orbit, 0.0)
     y1, phi = monodromy(params, drive, y0)
     assert np.linalg.norm(y1 - y0) < 1e-9 * np.linalg.norm(y0)
     assert np.allclose(np.sort(np.abs(floquet_multipliers(params, orbit))),

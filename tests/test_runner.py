@@ -382,7 +382,9 @@ def _oracle_csv(headers, rows) -> str:
 
 
 def _oracle_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The standard library's indented JSON; a numpy array is the list of its items."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda value: value.tolist()) + "\n"
 
 
 SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
@@ -407,13 +409,15 @@ def _random_scalar(rng):
 
 
 def _random_payload(rng, depth=0):
-    """A JSON payload: nested dicts (str keys), lists, tuples and scalars."""
+    """A JSON payload: nested dicts (str keys), lists, tuples, 1-D float arrays
+    and scalars."""
     kind = int(rng.integers(7)) if depth < 4 else 0
     n = int(rng.integers(0, 6))
     if kind == 0:
         return _random_scalar(rng)
-    if kind == 1:  # a float-only list, like a spectrum series
-        return [_random_float(rng) for _ in range(n)]
+    if kind == 1:  # a float-only list or array, like a spectrum series
+        floats = [_random_float(rng) for _ in range(n)]
+        return floats if rng.random() < 0.5 else np.array(floats)
     if kind == 2:  # rows, like the [[i, o], ...] hysteresis legs
         width = int(rng.integers(1, 4))
         return [[_random_scalar(rng) for _ in range(width)] for _ in range(n)]
@@ -425,18 +429,27 @@ def _random_payload(rng, depth=0):
 
 
 def test_json_writer_matches_oracle_on_random_payloads(rng):
+    memo = {}  # shared, so an array's text is reused across payloads
     for _ in range(2000):
         payload = _random_payload(rng)
-        assert runner._json(payload) == _oracle_json(payload), payload
+        assert runner._json(payload, memo) == _oracle_json(payload), payload
+        assert runner._json(payload, {}) == _oracle_json(payload), payload
+
+
+SHARED = np.array([0.5, -0.0, 1e16])
 
 
 @pytest.mark.parametrize("payload", [
     [], {}, (), [[]], [[], [1.0]], [[1.0], []], [[1.0, [2.0]], [3.0]], [(1.0, 2.0), [3.0]],
     [[1.0, 2.0], [3.0, 4.0]], {"up": [[0.5, 1.5]], "down": [], "rocking_c": -0.0},
     [{"p_trans": np.float64(0.25), "stable": True}, {}], {"x": {"y": {"z": [1e16]}}},
-    ["]", "[", "],\n    ["], [["a", "]"], ["[", 1]]])
+    ["]", "[", "],\n    ["], [["a", "]"], ["[", 1]],
+    np.array([]), {"omega": np.array([]), "s_q": []}, [np.array([]), [np.array([])]],
+    np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e-300]),
+    {"a": np.array([0.0]), "b": np.array([-0.0]), "c": [np.array([0.0]), np.array([-0.0])]},
+    {"deep": {"x": [SHARED, 1]}, "top": SHARED, "z": [[SHARED]]}])
 def test_json_writer_matches_oracle_on_edge_payloads(payload):
-    assert runner._json(payload) == _oracle_json(payload)
+    assert runner._json(payload, {}) == _oracle_json(payload)
 
 
 CSV_WORDS = np.array(["stable", "unstable", "up", "down", "a%sb", "", "a, b", "ü€"])
@@ -504,3 +517,33 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
     assert sorted(os.listdir(tmp_path)) == sorted(expected)
     for name, content in expected.items():
         assert _read(tmp_path / name) == content.encode(), name
+
+
+def test_each_array_is_encoded_once_per_run(tmp_path, monkeypatch):
+    """A 3-point spectrum sweep shares one omega grid: 1 grid + 3 S_q encodes
+    of N floats, where encoding per point would make 6.  The memo lives for
+    one ``run_scenario`` call: a second call encodes the grid again, once."""
+    n = 997
+    cfg = parse_config(SPECTRUM.replace("name = spectrum\nomega_points = 600",
+                                        f"name = sweep\ntask = spectrum\nomega_points = {n}")
+                       + "\n[sweep]\nparameter = system.j_coupling\nvalues = 0.4, 0.5, 0.6\n")
+    encoded = []
+    flat_encoder = runner._flat_encoder
+
+    def counting_encoder(separator):
+        encode = flat_encoder(separator)
+
+        def run(value):
+            encoded.append(value)
+            return encode(value)
+        return run
+
+    monkeypatch.setattr(runner, "_flat_encoder", counting_encoder)
+    run_scenario(cfg, out_dir=str(tmp_path / "first"))
+    assert sum(len(value) == n for value in encoded) == 4
+    grid = json.loads(_read(tmp_path / "first" / "spectrum_000.json"))["omega"]
+    assert len(grid) == n
+    for out in ("second", "third"):
+        encoded.clear()
+        run_scenario(cfg, out_dir=str(tmp_path / out))
+        assert sum(value == grid for value in encoded) == 1
