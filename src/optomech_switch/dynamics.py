@@ -34,8 +34,10 @@ leg.  Its step loop runs in Fortran and switches to BDF by itself where
 the problem turns stiff; solve_ivp runs its step loop in Python, which
 cost more than the rhs.  odeint has no events and only warns when it
 fails, so a failure message, a non-finite state or a blow-up raises
-IntegrationFailureError.  The blow-up check is armed only for a pumped
-dot, n_inversion > 0: with n <= 0 the state is bounded.
+IntegrationFailureError.  odeint is imported on the first ramp, not with
+the package: scipy.integrate took 0.6-0.7 s to import (2-vCPU Xeon), and
+only the hysteresis task integrates.  The blow-up check is armed only for
+a pumped dot, n_inversion > 0: with n <= 0 the state is bounded.
 E = |a|^2 + |b|^2 + |sigma|^2/|n| is only exchanged, not changed, by the
 J and g couplings (at n = 0 sigma decouples), the q*a term only rotates
 a, and the mirror is a damped oscillator driven by the bounded |a|^2.
@@ -53,7 +55,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergenceError,
                      UndefinedGainError, UndefinedRatioError)
@@ -153,6 +154,8 @@ class _BlowUp(Exception):
 def _integrate(rhs, t_span, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
     """Integrate from y0 over t_span and return the states at t_eval, which
     starts at t_span[0]; ``blowup`` aborts once |y|^2 > BLOWUP_NORM."""
+    from scipy.integrate import ODEintWarning, odeint
+
     func = rhs
     if blowup:
         def func(t, y):
