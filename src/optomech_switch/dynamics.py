@@ -29,20 +29,21 @@ solved for directly by harmonic balance, with no time integration:
   closed form.
 
 A quasi-static up-then-down ramp of the input power gives the hysteresis
-loop; it is integrated in time by LSODA (scipy's odeint), one call per
-leg.  Its step loop runs in Fortran and switches to BDF by itself where
-the problem turns stiff; solve_ivp runs its step loop in Python, which
-cost more than the rhs.  odeint has no events and only warns when it
-fails, so a failure message, a non-finite state or a blow-up raises
-IntegrationFailureError.  odeint is imported on the first ramp, not with
-the package: scipy.integrate took 0.6-0.7 s to import (2-vCPU Xeon), and
-only the hysteresis task integrates.  The blow-up check is armed only for
-a pumped dot, n_inversion > 0: with n <= 0 the state is bounded.
-E = |a|^2 + |b|^2 + |sigma|^2/|n| is only exchanged, not changed, by the
-J and g couplings (at n = 0 sigma decouples), the q*a term only rotates
-a, and the mirror is a damped oscillator driven by the bounded |a|^2.
-With n > 0 and g^2 n > kappa_b kappa_d the cavity-B/dot block amplifies,
-and the state can blow up.
+loop: the input power rises, holds at the top, then falls, and the up
+leg, the hold and the down leg are one LSODA run (scipy's odeint) on one
+clock that starts with the up leg.  Its step loop runs in Fortran and
+switches to BDF by itself where the problem turns stiff.  odeint has no
+events and only warns when it fails, so a failure message, a non-finite
+state or a blow-up raises IntegrationFailureError, whose last valid time
+counts from the start of the up leg.  odeint is imported on the first
+ramp, not with the package: scipy.integrate took 0.6-0.7 s to import
+(2-vCPU Xeon), and only the hysteresis task integrates.  The blow-up
+check is armed only for a pumped dot, n_inversion > 0: with n <= 0 the
+state is bounded.  E = |a|^2 + |b|^2 + |sigma|^2/|n| is only exchanged,
+not changed, by the J and g couplings (at n = 0 sigma decouples), the
+q*a term only rotates a, and the mirror is a damped oscillator driven by
+the bounded |a|^2.  With n > 0 and g^2 n > kappa_b kappa_d the
+cavity-B/dot block amplifies, and the state can blow up.
 Runs are deterministic: fixed tolerances and harmonic counts, no
 randomness.
 """
@@ -69,7 +70,8 @@ BLOWUP_NORM = 1e8
 # rtol 1e-13 at this rtol, and within 3.7e-7 at 1e-9
 TOL = 1e-10
 # LSODA step cap per output interval; odeint's default of 500 is too few
-# for the 60-time-unit settle leg of the clean bistable set
+# for the hold at the top input, one 60-time-unit interval for the clean
+# bistable set
 MAX_STEPS = 100000
 # harmonic balance: the first harmonic count, and the count beyond which
 # the orbit counts as unresolved
@@ -151,9 +153,9 @@ class _BlowUp(Exception):
     """Raised through odeint by the armed rhs; args[0] is the time of the call."""
 
 
-def _integrate(rhs, t_span, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
-    """Integrate from y0 over t_span and return the states at t_eval, which
-    starts at t_span[0]; ``blowup`` aborts once |y|^2 > BLOWUP_NORM."""
+def _integrate(rhs, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
+    """Integrate from y0 at t_eval[0] to t_eval[-1] and return the states at
+    t_eval; ``blowup`` aborts once |y|^2 > BLOWUP_NORM."""
     from scipy.integrate import ODEintWarning, odeint
 
     func = rhs
@@ -167,7 +169,7 @@ def _integrate(rhs, t_span, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
         with warnings.catch_warnings():
             # a failed run warns as well; it raises below
             warnings.simplefilter("ignore", ODEintWarning)
-            y, info = odeint(func, y0, t_eval, rtol=tol, atol=tol * 1e-2, tcrit=[t_span[1]],
+            y, info = odeint(func, y0, t_eval, rtol=tol, atol=tol * 1e-2, tcrit=[t_eval[-1]],
                              mxstep=MAX_STEPS, full_output=True, tfirst=True)
     except _BlowUp as err:
         raise IntegrationFailureError("state norm blew up",
@@ -454,29 +456,24 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
     settle_time = 20.0 * max(1.0 / params.kappa_a,
                              params.gamma_m / params.omega_m**2,
                              1.0 / params.gamma_m)
-    span = ramp[-1] - ramp[0]
-    duration = span / rate
+    lo, hi = float(ramp[0]), float(ramp[-1])
+    t_up = (ramp - lo) / rate
+    top = float(t_up[-1])
+    # the down leg starts after the hold and passes each input at the
+    # mirror image of its up-leg time
+    fall = top + settle_time
+    t_eval = np.concatenate((t_up, (fall + top) - t_up[::-1]))
+
+    def eta_func(t):
+        # rise at rate, hold at the top, fall at rate; rounding can take the
+        # falling radicand below the ramp's lower end, so it is clamped there
+        p = lo + rate * t if t < top else hi if t < fall else hi - rate * (t - fall)
+        return math.sqrt(p if p > lo else lo)
+
+    start = steady_state(params, math.sqrt(lo), c_rocking, "lower")
     # only a pumped dot can blow up (module notes)
-    armed = params.n_inversion > 0.0
-
-    def leg(powers, y0):
-        p0, p1 = powers[0], powers[-1]
-
-        def eta_func(t):
-            frac = min(max(t / duration, 0.0), 1.0)
-            return math.sqrt(p0 + (p1 - p0) * frac)
-
-        t_eval = (powers - p0) / (p1 - p0) * duration
-        y = _integrate(_rhs_factory(params, eta_func, c_rocking), (0.0, duration), y0,
-                       TOL, t_eval, blowup=armed)
-        out = y[0] ** 2 + y[1] ** 2
-        return np.column_stack([powers, out]), y[:, -1]
-
-    start = steady_state(params, math.sqrt(ramp[0]), c_rocking, "lower")
-    up, y_top = leg(ramp, state_vector(start))
-    eta_top = math.sqrt(ramp[-1])
-    y_settled = _integrate(_rhs_factory(params, lambda t: eta_top, c_rocking),
-                           (0.0, settle_time), y_top, TOL,
-                           np.array([0.0, settle_time]), blowup=armed)[:, -1]
-    down, _ = leg(ramp[::-1], y_settled)
-    return up, down
+    y = _integrate(_rhs_factory(params, eta_func, c_rocking), state_vector(start), TOL,
+                   t_eval, blowup=params.n_inversion > 0.0)
+    out = y[0] ** 2 + y[1] ** 2
+    return (np.column_stack([ramp, out[:ramp.size]]),
+            np.column_stack([ramp[::-1], out[ramp.size:]]))

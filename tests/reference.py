@@ -94,8 +94,7 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
         n_samples = 2000
     t_eval = np.linspace(t0, t1, n_samples)
 
-    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking), (t0, t1), y0,
-                   tol, t_eval)
+    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking), y0, tol, t_eval)
     a = y[0] + 1j * y[1]
     b = y[2] + 1j * y[3]
     sigma = y[4] + 1j * y[5]
