@@ -32,10 +32,12 @@ A quasi-static up-then-down ramp of the input power gives the hysteresis
 loop: the input power rises, holds at the top, then falls, and the up
 leg, the hold and the down leg are one LSODA run (scipy's odeint) on one
 clock that starts with the up leg.  Its step loop runs in Fortran and
-switches to BDF by itself where the problem turns stiff.  odeint has no
-events and only warns when it fails, so a failure message, a non-finite
-state or a blow-up raises IntegrationFailureError, whose last valid time
-counts from the start of the up leg.  odeint is imported on the first
+switches to BDF by itself where the problem turns stiff.  The exact
+Jacobian feeds the Newton iterations of those stiff steps, so LSODA
+differences no Jacobians.  odeint has no events and only warns when it
+fails, so a failure message, a non-finite state or a blow-up raises
+IntegrationFailureError, whose last valid time counts from the start of
+the up leg.  odeint is imported on the first
 ramp, not with the package: scipy.integrate took 0.6-0.7 s to import
 (2-vCPU Xeon), and only the hysteresis task integrates.  The blow-up
 check is armed only for a pumped dot, n_inversion > 0: with n <= 0 the
@@ -66,8 +68,8 @@ from .steady_state import SteadyState, steady_state
 # for n_inversion > 0, since with n <= 0 the state is bounded (module notes)
 BLOWUP_NORM = 1e8
 # integrator rtol (atol is 1e-2 of it).  Over the bundled and benchmark
-# ramps, LSODA's output power stays within 5.7e-8 relative of DOP853 at
-# rtol 1e-13 at this rtol, and within 3.7e-7 at 1e-9
+# ramps, LSODA's output power stays within 5.9e-8 relative of DOP853 at
+# rtol 1e-13 at this rtol, and within 4.1e-7 at 1e-9
 TOL = 1e-10
 # LSODA step cap per output interval; odeint's default of 500 is too few
 # for the hold at the top input, one 60-time-unit interval for the clean
@@ -149,13 +151,36 @@ def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
     return rhs
 
 
+def _jacobian_factory(params: SystemParams):
+    """Jacobian(t, y) of the mean-field rhs, rows df_i/dy_j.  The rhs is
+    affine in the drive and in the rocking term, so only the q*a and |a|^2
+    entries follow the state; they are rewritten in one matrix, which every
+    call returns (odeint copies it)."""
+    da, g_om = params.delta_a, params.omega_m * params.chi
+    jac = _jacobians(params, np.zeros(1), np.zeros(1))[0]
+
+    def jacobian(t, y):
+        ar, ai, _, _, _, _, q, _ = y.tolist()
+        # the arithmetic of _jacobians, so the entries equal its bit for bit
+        jac[0, 1] = da - g_om * q
+        jac[1, 0] = -da + g_om * q
+        jac[0, 6] = -g_om * ai
+        jac[1, 6] = g_om * ar
+        jac[7, 0] = 2.0 * g_om * ar
+        jac[7, 1] = 2.0 * g_om * ai
+        return jac
+
+    return jacobian
+
+
 class _BlowUp(Exception):
     """Raised through odeint by the armed rhs; args[0] is the time of the call."""
 
 
-def _integrate(rhs, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
+def _integrate(rhs, jac, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
     """Integrate from y0 at t_eval[0] to t_eval[-1] and return the states at
-    t_eval; ``blowup`` aborts once |y|^2 > BLOWUP_NORM."""
+    t_eval; ``jac`` is the Jacobian of ``rhs`` for LSODA's stiff steps, and
+    ``blowup`` aborts once |y|^2 > BLOWUP_NORM."""
     from scipy.integrate import ODEintWarning, odeint
 
     func = rhs
@@ -169,8 +194,9 @@ def _integrate(rhs, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
         with warnings.catch_warnings():
             # a failed run warns as well; it raises below
             warnings.simplefilter("ignore", ODEintWarning)
-            y, info = odeint(func, y0, t_eval, rtol=tol, atol=tol * 1e-2, tcrit=[t_eval[-1]],
-                             mxstep=MAX_STEPS, full_output=True, tfirst=True)
+            y, info = odeint(func, y0, t_eval, Dfun=jac, rtol=tol, atol=tol * 1e-2,
+                             tcrit=[t_eval[-1]], mxstep=MAX_STEPS, full_output=True,
+                             tfirst=True)
     except _BlowUp as err:
         raise IntegrationFailureError("state norm blew up",
                                       last_valid_time=float(err.args[0])) from None
@@ -472,8 +498,8 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
 
     start = steady_state(params, math.sqrt(lo), c_rocking, "lower")
     # only a pumped dot can blow up (module notes)
-    y = _integrate(_rhs_factory(params, eta_func, c_rocking), state_vector(start), TOL,
-                   t_eval, blowup=params.n_inversion > 0.0)
+    y = _integrate(_rhs_factory(params, eta_func, c_rocking), _jacobian_factory(params),
+                   state_vector(start), TOL, t_eval, blowup=params.n_inversion > 0.0)
     out = y[0] ** 2 + y[1] ** 2
     return (np.column_stack([ramp, out[:ramp.size]]),
             np.column_stack([ramp[::-1], out[ramp.size:]]))

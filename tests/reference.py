@@ -28,7 +28,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from optomech_switch import DriveConfig, SteadyState, SystemParams
-from optomech_switch.dynamics import TOL, _integrate, _rhs_factory, state_vector
+from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_factory,
+                                      state_vector)
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
 from optomech_switch.steady_state import (_assemble_state, _drive_terms, helper_constants,
                                           steady_state)
@@ -94,7 +95,8 @@ def integrate_meanfield(params: SystemParams, drive: DriveConfig, t_span,
         n_samples = 2000
     t_eval = np.linspace(t0, t1, n_samples)
 
-    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking), y0, tol, t_eval)
+    y = _integrate(_rhs_factory(params, _modulated(drive), c_rocking),
+                   _jacobian_factory(params), y0, tol, t_eval)
     a = y[0] + 1j * y[1]
     b = y[2] + 1j * y[3]
     sigma = y[4] + 1j * y[5]

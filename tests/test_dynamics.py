@@ -10,8 +10,9 @@ from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailur
                              UndefinedRatioError, bandwidth, hysteresis_sweep,
                              solve_transmitted_power, switch_metrics)
 from optomech_switch import dynamics
-from optomech_switch.dynamics import (TOL, _jacobians, _rhs_factory, floquet_multipliers,
-                                      periodic_orbit, state_vector, threshold_measure)
+from optomech_switch.dynamics import (TOL, _jacobian_factory, _jacobians, _rhs_factory,
+                                      floquet_multipliers, periodic_orbit, state_vector,
+                                      threshold_measure)
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
 from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
@@ -179,19 +180,27 @@ def test_switch_metrics_need_a_modulated_drive():
 
 
 def test_variational_rhs_is_the_jacobian(rng):
+    """The variational rhs, the Floquet path's stacks and the ramp's
+    Jacobian against central differences; the ramp's Jacobian is called at
+    two states in turn, so that an entry left from the first call fails."""
     for _ in range(5):
         p = random_params(rng)
+        assert p.n_inversion != 0.0 and p.chi != 0.0
         rhs = _rhs_factory(p, lambda t: 0.7, 0.2)
-        y = rng.normal(size=8)
-        z = variational_rhs(p, lambda t: 0.7, 0.2)(0.0, np.concatenate((y, np.eye(8).ravel())))
-        h = 1e-6
-        numeric = np.column_stack([
-            (np.array(rhs(0.0, y + h * e)) - np.array(rhs(0.0, y - h * e))) / (2.0 * h)
-            for e in np.eye(8)])
-        assert np.array_equal(z[:8], np.array(rhs(0.0, y)))
-        assert np.allclose(z[8:].reshape(8, 8), numeric, rtol=1e-7, atol=1e-8)
-        jac = _jacobians(p, np.array([y[0] + 1j * y[1]]), np.array([y[6]]))[0]
-        assert np.allclose(jac, numeric, rtol=1e-7, atol=1e-8)
+        jacobian = _jacobian_factory(p)
+        for y in rng.normal(size=(2, 8)):
+            z = variational_rhs(p, lambda t: 0.7, 0.2)(0.0, np.concatenate((y, np.eye(8).ravel())))
+            h = 1e-6
+            numeric = np.column_stack([
+                (np.array(rhs(0.0, y + h * e)) - np.array(rhs(0.0, y - h * e))) / (2.0 * h)
+                for e in np.eye(8)])
+            assert np.array_equal(z[:8], np.array(rhs(0.0, y)))
+            assert np.allclose(z[8:].reshape(8, 8), numeric, rtol=1e-7, atol=1e-8)
+            jac = _jacobians(p, np.array([y[0] + 1j * y[1]]), np.array([y[6]]))[0]
+            assert np.allclose(jac, numeric, rtol=1e-7, atol=1e-8)
+            ramp_jac = jacobian(0.0, y).copy()
+            assert np.array_equal(ramp_jac, jac)
+            assert np.allclose(ramp_jac, numeric, rtol=1e-7, atol=1e-8)
 
 
 def test_switch_ratio_constant_output_is_one():
@@ -328,6 +337,17 @@ def test_hysteresis_matches_the_dop853_ramp():
         assert np.max(np.abs(leg[:, 1] / ref[:, 1] - 1.0)) < 1e-7
 
 
+def test_pumped_dot_ramp_matches_the_dop853_ramp():
+    """A pumped dot, so the g*n entries of the Jacobian enter the ramp; the
+    state stays bounded, as g^2 n = 0.5 < kappa_b kappa_d = 1.8."""
+    p = CLEAN_BISTABLE.with_(n_inversion=0.5)
+    ramp = np.linspace(1.5, 14.0, 60)
+    swept = hysteresis_sweep(p, ramp, 0.0, rate=0.5)
+    for leg, ref in zip(swept, hysteresis_reference(p, ramp, 0.0, rate=0.5)):
+        assert np.array_equal(leg[:, 0], ref[:, 0])
+        assert np.max(np.abs(leg[:, 1] / ref[:, 1] - 1.0)) < 1e-7
+
+
 def test_ramp_out_of_steps_raises(monkeypatch):
     """At odeint's default of 500 steps per output interval the ramp legs
     pass, but the hold at the top input, one 60-time-unit output interval
@@ -342,7 +362,8 @@ def test_non_finite_rhs_raises():
     """A NaN drive from t = 2 on: the run fails at the last finite sample."""
     rhs = _rhs_factory(CLEAN_BISTABLE, lambda t: 1.0 if t < 2.0 else math.nan, 0.0)
     with pytest.raises(IntegrationFailureError, match="non-finite state") as err:
-        dynamics._integrate(rhs, np.zeros(8), TOL, np.linspace(0.0, 5.0, 11), blowup=False)
+        dynamics._integrate(rhs, _jacobian_factory(CLEAN_BISTABLE), np.zeros(8), TOL,
+                            np.linspace(0.0, 5.0, 11), blowup=False)
     assert 1.0 <= err.value.last_valid_time <= 2.0
 
 
