@@ -12,16 +12,14 @@ import argparse
 import json
 import sys
 
-from .config import FORMATS, TASK_SCHEMAS, parse_config
+from .config import FORMATS, parse_config
 from .errors import ConfigError, OptomechError, OutputError
-from .runner import run_scenario
+from .runner import TASK_RUNNERS, run_scenario
 
-TASK_CHOICES = (*TASK_SCHEMAS, "sweep")
+TASK_CHOICES = tuple(TASK_RUNNERS)
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_IO = 4
+# an error's exit code is that of its first row, so a subclass precedes its base
+EXIT_CODES = ((ConfigError, 2), (OutputError, 4), (OptomechError, 3), (OSError, 4))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,22 +64,14 @@ def main(argv=None) -> int:
                 f"CLI task {args.task!r} does not match config task "
                 f"{config.task.name!r}")
         manifest = run_scenario(config, out_dir=args.out, formats=formats)
-    except ConfigError as exc:
-        print(_error_record(exc, EXIT_CONFIG), file=sys.stderr)
-        return EXIT_CONFIG
-    except OutputError as exc:
-        print(_error_record(exc, EXIT_IO), file=sys.stderr)
-        return EXIT_IO
-    except OptomechError as exc:
-        print(_error_record(exc, EXIT_NUMERICAL), file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(_error_record(exc, EXIT_IO), file=sys.stderr)
-        return EXIT_IO
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
+        code = next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        print(_error_record(exc, code), file=sys.stderr)
+        return code
 
     print(json.dumps({"status": "ok", "task": manifest["task"],
                       "files": sorted(manifest["files"])}))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

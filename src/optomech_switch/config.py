@@ -20,8 +20,10 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from .errors import ConfigError
 from .params import DriveConfig, InvalidValueError, SystemParams
 
-SYSTEM_KEYS = tuple(f.name for f in dataclass_fields(SystemParams))
-DRIVE_KEYS = tuple(f.name for f in dataclass_fields(DriveConfig))
+# model section -> (ScenarioConfig field, dataclass); its keys are the fields
+MODELS = {"system": ("params", SystemParams), "drive": ("drive", DriveConfig)}
+MODEL_KEYS = {name: tuple(f.name for f in dataclass_fields(cls))
+              for name, (_, cls) in MODELS.items()}
 
 # task name -> {option: (type, default)}
 TASK_SCHEMAS = {
@@ -80,13 +82,6 @@ class ScenarioConfig:
     output: OutputSpec = OutputSpec()
 
 
-def _parse_scalar(raw, line):
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError("empty value", line)
-    return raw
-
-
 def _to_number(raw, key, line, typ=float):
     """Finite float, or an int for ``typ=int``, from a raw value."""
     try:
@@ -122,53 +117,27 @@ def _split_sections(text):
             raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
         if current is None:
             raise ConfigError("key outside of any section", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, _, value = map(str.strip, line.partition("="))
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (_parse_scalar(value, lineno), lineno)
+        if not value:
+            raise ConfigError("empty value", lineno)
+        sections[current][key] = (value, lineno)
     return sections, section_lines
-
-
-def _key_line(sections, section_lines, section, key):
-    """Line of ``key`` in ``section``, or of the section header for a
-    defaulted key."""
-    return sections[section][key][1] if key in sections[section] else section_lines[section]
 
 
 def parse_config(text: str) -> ScenarioConfig:
     sections, section_lines = _split_sections(text)
 
-    for required in ("system", "drive", "task"):
+    for required in (*MODELS, "task"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    known = {"system", "drive", "task", "sweep", "output"}
     for name in sections:
-        if name not in known:
+        if name not in (*MODELS, "task", "sweep", "output"):
             raise ConfigError(f"unknown section [{name}]", section_lines[name])
 
-    sys_kwargs = {}
-    for key, (raw, line) in sections["system"].items():
-        if key not in SYSTEM_KEYS:
-            raise ConfigError(f"unknown [system] key {key!r}", line)
-        sys_kwargs[key] = _to_number(raw, key, line)
-    try:
-        params = SystemParams(**sys_kwargs)
-    except InvalidValueError as exc:
-        raise ConfigError(f"invalid [system] values: {exc}",
-                          _key_line(sections, section_lines, "system", exc.field)) from exc
-
-    drive_kwargs = {}
-    for key, (raw, line) in sections["drive"].items():
-        if key not in DRIVE_KEYS:
-            raise ConfigError(f"unknown [drive] key {key!r}", line)
-        drive_kwargs[key] = _to_number(raw, key, line)
-    try:
-        drive = DriveConfig(**drive_kwargs)
-    except InvalidValueError as exc:
-        raise ConfigError(f"invalid [drive] values: {exc}",
-                          _key_line(sections, section_lines, "drive", exc.field)) from exc
-
+    models = {attr: _parse_model(name, sections[name], section_lines[name])
+              for name, (attr, _) in MODELS.items()}
     task = _parse_task(sections["task"], section_lines["task"])
     sweep = None
     if task.name == "sweep":
@@ -181,8 +150,22 @@ def parse_config(text: str) -> ScenarioConfig:
                           section_lines["sweep"])
 
     output = _parse_output(sections.get("output", {}), section_lines.get("output"))
-    return ScenarioConfig(params=params, drive=drive, task=task, sweep=sweep,
-                          output=output)
+    return ScenarioConfig(**models, task=task, sweep=sweep, output=output)
+
+
+def _parse_model(name, entries, section_line):
+    """The dataclass of model section ``name``.  A value it does not admit is
+    blamed on its key's line, or on the section header for a defaulted key."""
+    kwargs = {}
+    for key, (raw, line) in entries.items():
+        if key not in MODEL_KEYS[name]:
+            raise ConfigError(f"unknown [{name}] key {key!r}", line)
+        kwargs[key] = _to_number(raw, key, line)
+    try:
+        return MODELS[name][1](**kwargs)
+    except InvalidValueError as exc:
+        raise ConfigError(f"invalid [{name}] values: {exc}",
+                          entries.get(exc.field, (None, section_line))[1]) from exc
 
 
 def _parse_task(entries, section_line) -> TaskSpec:
@@ -253,11 +236,7 @@ def _parse_sweep(entries, section_line) -> SweepSpec:
         raise ConfigError("[sweep] needs a 'parameter' key", section_line)
     param_raw, param_line = entries.pop("parameter")
     prefix, _, field = param_raw.partition(".")
-    if prefix == "system" and field in SYSTEM_KEYS:
-        pass
-    elif prefix == "drive" and field in DRIVE_KEYS:
-        pass
-    else:
+    if field not in MODEL_KEYS.get(prefix, ()):
         raise ConfigError(f"unknown sweep parameter {param_raw!r} "
                           "(use system.<field> or drive.<field>)", param_line)
     if "values" not in entries:
@@ -292,26 +271,20 @@ def _parse_output(entries, section_line) -> OutputSpec:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    lines = ["[system]"]
-    for key in SYSTEM_KEYS:
-        lines.append(f"{key} = {getattr(config.params, key)!r}")
-    lines.append("")
-    lines.append("[drive]")
-    for key in DRIVE_KEYS:
-        lines.append(f"{key} = {getattr(config.drive, key)!r}")
-    lines.append("")
-    lines.append("[task]")
-    lines.append(f"name = {config.task.name}")
+    lines = []
+    for name, (attr, _) in MODELS.items():
+        model = getattr(config, attr)
+        lines.append(f"[{name}]")
+        lines += (f"{key} = {getattr(model, key)!r}" for key in MODEL_KEYS[name])
+        lines.append("")
+    lines += ["[task]", f"name = {config.task.name}"]
     for key, value in config.task.options:
         lines.append(f"{key} = {value!r}" if not isinstance(value, str)
                      else f"{key} = {value}")
     if config.sweep is not None:
-        lines.append("")
-        lines.append("[sweep]")
-        lines.append(f"parameter = {config.sweep.parameter}")
-        lines.append("values = " + ",".join(repr(v) for v in config.sweep.values))
-    lines.append("")
-    lines.append("[output]")
+        lines += ["", "[sweep]", f"parameter = {config.sweep.parameter}",
+                  "values = " + ",".join(repr(v) for v in config.sweep.values)]
+    lines += ["", "[output]"]
     if config.output.directory:
         lines.append(f"dir = {config.output.directory}")
     lines.append("formats = " + ",".join(config.output.formats))
@@ -325,9 +298,8 @@ def apply_sweep_value(config: ScenarioConfig, value: float) -> ScenarioConfig:
     """
     assert config.sweep is not None
     prefix, _, field = config.sweep.parameter.partition(".")
+    attr = MODELS[prefix][0]
     try:
-        if prefix == "system":
-            return replace(config, params=config.params.with_(**{field: value}))
-        return replace(config, drive=config.drive.with_(**{field: value}))
+        return replace(config, **{attr: getattr(config, attr).with_(**{field: value})})
     except ValueError as exc:
         raise ConfigError(f"{config.sweep.parameter} = {value!r}: {exc}") from exc

@@ -470,15 +470,20 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
     held at the top input for 20 times the slowest of the cavity-A,
     mechanical and damping times, so post-jump ringing does not
     contaminate the downward leg.  Returns (up, down), each an (n, 2)
-    array of (input_power, output_power).
+    array of (input_power, output_power).  The ramp must be finite and
+    ``rate`` finite and > 0; either is checked before integrating.
     """
     ramp = np.asarray(input_ramp, dtype=float)
     if ramp.size < 2 or np.any(np.diff(ramp) <= 0.0):
         raise DegenerateGridError("input ramp must be ascending with >= 2 points")
     if np.any(ramp < 0.0):
         raise ValueError("input powers must be >= 0")
+    if not np.all(np.isfinite(ramp)):
+        raise ValueError("input ramp must be finite")
     if rate is None:
         rate = params.gamma_m / 20.0
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"ramp rate must be finite and > 0, got {rate!r}")
     settle_time = 20.0 * max(1.0 / params.kappa_a,
                              params.gamma_m / params.omega_m**2,
                              1.0 / params.gamma_m)

@@ -180,14 +180,6 @@ def run_hysteresis(config: ScenarioConfig):
             "json": {"hysteresis.json": payload}, "always": {}}
 
 
-TASK_RUNNERS = {
-    "bistability": run_bistability,
-    "spectrum": run_spectrum,
-    "switch-metrics": run_switch_metrics,
-    "hysteresis": run_hysteresis,
-}
-
-
 def run_sweep(config: ScenarioConfig):
     """One result bundle per sweep value; a point's package error is recorded
     without aborting the sweep, any other exception propagates."""
@@ -215,6 +207,15 @@ def run_sweep(config: ScenarioConfig):
     bundle["always"]["sweep_index.json"] = {
         "parameter": config.sweep.parameter, "points": index}
     return bundle
+
+
+TASK_RUNNERS = {
+    "bistability": run_bistability,
+    "spectrum": run_spectrum,
+    "switch-metrics": run_switch_metrics,
+    "hysteresis": run_hysteresis,
+    "sweep": run_sweep,
+}
 
 
 def _atomic_write(path: str, data: bytes):
@@ -248,10 +249,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
         raise OutputError("no output directory given (config [output] dir or --out)")
     formats = tuple(formats) if formats else config.output.formats
 
-    if config.task.name == "sweep":
-        bundle = run_sweep(config)
-    else:
-        bundle = TASK_RUNNERS[config.task.name](config)
+    bundle = TASK_RUNNERS[config.task.name](config)
 
     files = {}
     memo = {}

@@ -1,9 +1,11 @@
 import glob
 import os
+from dataclasses import asdict, fields
 
 import pytest
 
-from optomech_switch import ConfigError, parse_config, serialize_config
+from optomech_switch import ConfigError, DriveConfig, SystemParams, parse_config, serialize_config
+from optomech_switch.config import apply_sweep_value
 
 MINIMAL = """
 [system]
@@ -119,6 +121,36 @@ def test_sweep_parameter_validated():
     assert "sweep parameter" in str(err.value)
 
 
+def _sweep_text(parameter):
+    return ("[system]\n[drive]\n[task]\nname = sweep\ntask = spectrum\n"
+            f"[sweep]\nparameter = {parameter}\nvalues = 0.75\n")
+
+
+@pytest.mark.parametrize("parameter",
+                         [f"system.{f.name}" for f in fields(SystemParams)]
+                         + [f"drive.{f.name}" for f in fields(DriveConfig)])
+def test_every_model_key_can_be_swept(parameter):
+    """0.75 is admitted by every field and is no field's default."""
+    def model_fields(cfg):
+        return {**{f"system.{k}": v for k, v in asdict(cfg.params).items()},
+                **{f"drive.{k}": v for k, v in asdict(cfg.drive).items()}}
+
+    cfg = parse_config(_sweep_text(parameter))
+    point = apply_sweep_value(cfg, 0.75)
+    assert model_fields(cfg)[parameter] != 0.75
+    assert model_fields(point) == {**model_fields(cfg), parameter: 0.75}
+    assert (point.task, point.sweep, point.output) == (cfg.task, cfg.sweep, cfg.output)
+
+
+@pytest.mark.parametrize("parameter", ["params.kappa_a", "system.omega_mod", "drive.chi",
+                                       "kappa_a", "system.", ".eta0"])
+def test_bad_sweep_prefix_rejected_on_parameter_line(parameter):
+    text = _sweep_text(parameter)
+    with pytest.raises(ConfigError, match="unknown sweep parameter") as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index(f"parameter = {parameter}") + 1
+
+
 def test_empty_sweep_values_rejected():
     text = ("[system]\n[drive]\n[task]\nname = sweep\ntask = spectrum\n"
             "[sweep]\nparameter = system.chi\nvalues = ,\n")
@@ -216,3 +248,68 @@ def test_round_trip_all_bundled_scenarios():
         with open(path, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+PINNED = """\
+[system]
+chi = 0.5
+[drive]
+eta0 = 0.25
+p_amp = 0.1
+[task]
+name = sweep
+task = spectrum
+branch = lower
+omega_points = 50
+[sweep]
+parameter = drive.eta0
+values = 0.1, 2, 1e-3
+"""
+
+PINNED_SERIALIZED = """\
+[system]
+kappa_a = 0.1
+kappa_b = 0.1
+kappa_d = 1.8
+gamma_m = 0.01
+delta_a = 1.0
+delta_b = 1.0
+delta_d = 0.0
+j_coupling = 0.5
+g_qd = 1.0
+chi = 0.5
+lambda_pump = 0.02
+theta = 0.238
+n_inversion = 0.0
+thermal_ratio = 1e-06
+omega_m = 1.0
+
+[drive]
+eta0 = 0.25
+p_amp = 0.1
+omega_mod = 1.0
+
+[task]
+name = sweep
+task = spectrum
+backend = matrix
+branch = lower
+omega_max = 2.5
+omega_min = 0.0
+omega_points = 50
+
+[sweep]
+parameter = drive.eta0
+values = 0.1,2.0,0.001
+
+[output]
+"""
+
+
+def test_serialized_bytes_are_pinned():
+    """Every manifest's config_sha256 hashes these bytes: every field in
+    declaration order, then the task options sorted, str options bare."""
+    assert serialize_config(parse_config(PINNED)) == PINNED_SERIALIZED + "formats = csv,json\n"
+    with_dir = PINNED + "[output]\ndir = results/run 1\nformats = json\n"
+    assert (serialize_config(parse_config(with_dir))
+            == PINNED_SERIALIZED + "dir = results/run 1\nformats = json\n")

@@ -397,6 +397,20 @@ def test_unarmed_ramp_matches_the_armed_one(monkeypatch, n_inversion):
     assert np.array_equal(up, up_armed) and np.array_equal(down, down_armed)
 
 
+@pytest.mark.parametrize("ramp, rate, match", [
+    ([1.5, math.inf], 0.5, "input ramp must be finite"),
+    ([1.5, math.nan], 0.5, "input ramp must be finite"),
+    ([math.nan, 1.5], 0.5, "input ramp must be finite"),
+    ([1.5, 14.0], 0.0, "rate must be finite and > 0, got 0.0"),
+    ([1.5, 14.0], -0.5, "rate must be finite and > 0, got -0.5"),
+    ([1.5, 14.0], math.nan, "rate must be finite and > 0, got nan"),
+    ([1.5, 14.0], math.inf, "rate must be finite and > 0, got inf"),
+])
+def test_ramp_and_rate_checked_before_integrating(ramp, rate, match):
+    with pytest.raises(ValueError, match=match):
+        hysteresis_sweep(CLEAN_BISTABLE, ramp, 0.0, rate=rate)
+
+
 def test_zero_input_ramp():
     """A ramp from zero input: the falling drive's radicand, which rounds
     below zero at the ramp's end, is clamped to the lower end."""

@@ -252,6 +252,23 @@ def test_cli_missing_config_is_io_error(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("extra, exit_code, error_type", [
+    (["--out", "taken"], 4, "OutputError"),   # --out names an existing file
+    (["--out", "o", "--format", "csv,xml"], 2, "ConfigError"),
+    (["--out", "o", "--config", "nope.cfg"], 4, "FileNotFoundError"),
+])
+def test_cli_error_record_per_exit_code_row(tmp_path, monkeypatch, capsys,
+                                            extra, exit_code, error_type):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.cfg").write_text(BISTABILITY)
+    (tmp_path / "taken").write_text("")
+    code = cli_main(["bistability", "--config", "scenario.cfg", *extra])
+    assert code == exit_code
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["exit_code"]) == (error_type, exit_code)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_bad_config_reports_line(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text("[system]\nkappa_a = -1\n[drive]\n[task]\nname = spectrum\n")
@@ -502,11 +519,8 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
             return bundles[-1]
         return run
 
-    if cfg.task.name == "sweep":
-        monkeypatch.setattr(runner, "run_sweep", capture(runner.run_sweep))
-    else:
-        monkeypatch.setitem(runner.TASK_RUNNERS, cfg.task.name,
-                            capture(runner.TASK_RUNNERS[cfg.task.name]))
+    monkeypatch.setitem(runner.TASK_RUNNERS, cfg.task.name,
+                        capture(runner.TASK_RUNNERS[cfg.task.name]))
     manifest = run_scenario(cfg, out_dir=str(tmp_path))
     (bundle,) = bundles
     expected = {name: _oracle_csv(headers, zip(*columns))
