@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import FORMATS, parse_config
+from .config import parse_config, parse_formats
 from .errors import ConfigError, OptomechError, OutputError
 from .runner import TASK_RUNNERS, run_scenario
 
@@ -52,11 +52,7 @@ def _error_record(exc: Exception, exit_code: int) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        formats = None
-        if args.format is not None:
-            formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-            if not formats or any(f not in FORMATS for f in formats):
-                raise ConfigError(f"invalid --format {args.format!r}")
+        formats = None if args.format is None else parse_formats(args.format)
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
         if config.task.name != args.task:

@@ -252,6 +252,16 @@ def _parse_sweep(entries, section_line) -> SweepSpec:
     return SweepSpec(parameter=param_raw, values=values)
 
 
+def parse_formats(raw: str, line=None) -> tuple:
+    """The comma list `raw`, from `[output] formats` or `--format`, as a
+    non-empty subset of FORMATS."""
+    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+    if not formats or any(f not in FORMATS for f in formats):
+        raise ConfigError(f"formats must be a subset of {{{','.join(FORMATS)}}}, "
+                          f"got {raw!r}", line)
+    return formats
+
+
 def _parse_output(entries, section_line) -> OutputSpec:
     entries = dict(entries)
     directory = ""
@@ -259,11 +269,7 @@ def _parse_output(entries, section_line) -> OutputSpec:
     if "dir" in entries:
         directory, _ = entries.pop("dir")
     if "formats" in entries:
-        raw, line = entries.pop("formats")
-        formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-        bad = [f for f in formats if f not in FORMATS]
-        if bad or not formats:
-            raise ConfigError(f"formats must be a subset of {{csv,json}}, got {raw!r}", line)
+        formats = parse_formats(*entries.pop("formats"))
     if entries:
         key, (_, line) = next(iter(entries.items()))
         raise ConfigError(f"unknown [output] key {key!r}", line)

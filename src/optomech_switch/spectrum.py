@@ -19,8 +19,10 @@ The delta-function bookkeeping is fixed so that for a decoupled mirror at
 high temperature  integral S_q(w) dw / (2 pi) = kB T / (hbar omega_m),
 the equipartition value for the dimensionless displacement quadrature.
 
-T comes from one complex Schur form of M for the whole grid, refined once
-against M, with no BLAS matmul (`_q_transfer`; Laub, IEEE TAC 26, 407, 1981).
+T comes from one complex Schur form of M, refined once against M, with no
+BLAS matmul (`_q_transfer`; Laub, IEEE TAC 26, 407, 1981).  The solve runs
+over slabs of OMEGA_BLOCK consecutive frequencies in reused work rows; T
+does not depend on the slab size, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ from .steady_state import SteadyState
 
 # Peaks must protrude by this fraction of the global maximum.
 PEAK_PROMINENCE_FRACTION = 0.01
+# Frequencies per slab of the transfer solve (`_q_transfer`).  What the slabs
+# save is fresh memory: inside a `linear` benchmark run a whole-grid solve
+# took 1500-2500 minor page faults a call for its new rows, the slab solve
+# about 260, and in a process whose heap already held the pages the slabs
+# were no faster.  Narrower slabs pay in numpy calls.  CPU time of a
+# 20000-point solve inside a `linear` run (2-vCPU Xeon, two runs each), over
+# the whole-grid solve's 11.8-14.5 ms: slabs of 2048 0.69-0.85, 4096
+# 0.64-0.75, 8192 0.66-0.71, one slab of the whole grid 0.77-0.86.  For
+# scale only: a slab's 5 blocks of 6 rows (-i w - R_jj, z, x, residual,
+# scratch) take 30 x 16 B x 4096 = 1.9 MB, next to a 2 MB L2 a core; the
+# whole-grid solve held about 24 rows x 16 B x 20000 = 7.7 MB.
+OMEGA_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -73,14 +87,20 @@ def brownian_weight(omega, params: SystemParams):
     return params.gamma_m / params.omega_m * (omega + thermal_coth_times_omega(omega, params))
 
 
-def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat for x stored as rows x[i] of shape (nw,), as axpys row by row."""
-    out = np.empty((mat.shape[1], x.shape[1]), dtype=complex)
+def _rows_times(x: np.ndarray, mat: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = x @ mat for x stored as rows x[i], as axpys row by row.
+
+    out[k] sums x[i] * mat[i, k] in the order of i; tmp takes the products
+    of one x[i], so each step adds all of out at once.  Each product is a
+    row times a scalar: numpy's complex multiply rounds by the loop it runs
+    in, and only this one gives the bits of a row-by-row axpy.
+    """
     for k in range(mat.shape[1]):
-        out[k] = x[0] * mat[0, k]
-        for i in range(1, len(x)):
-            out[k] += x[i] * mat[i, k]
-    return out
+        np.multiply(x[0], mat[0, k], out=out[k])
+    for i in range(1, len(x)):
+        for k in range(mat.shape[1]):
+            np.multiply(x[i], mat[i, k], out=tmp[k])
+        out += tmp
 
 
 def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> np.ndarray:
@@ -91,36 +111,58 @@ def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> 
     of cavities B and A drive (u1, v1) and (u2, v2) with the square-root
     decay rates.  With M = Q R Q^H (complex Schur; Q unitary, so sound near
     an exceptional point) and z = x Q, z (-i w I - R) = Q[0, :] is solved
-    by forward substitution over the whole grid, and x = z Q^H.  One step
-    refined against M restores per-w LU accuracy; the Schur rounding alone
-    reaches ~1e-12 of S_q near the J ~ 1.5 mode crossings.  Products are
-    axpys over contiguous (nw,) rows: a BLAS matmul on these shapes threads
-    over every core and costs more CPU time than it saves.
+    by forward substitution, and x = z Q^H.  One step refined against M
+    restores per-w LU accuracy; the Schur rounding alone reaches ~1e-12 of
+    S_q near the J ~ 1.5 mode crossings.  Products are axpys over
+    contiguous rows: a BLAS matmul on these shapes threads over every core
+    and costs more CPU time than it saves.
+
+    One Schur form serves the whole grid, and the solve runs over slabs of
+    OMEGA_BLOCK consecutive frequencies in five reused blocks of rows.
+    Every operation is elementwise in w, so T does not depend on the slab
+    size, bit for bit.
     """
     # imported here: only spectrum tasks need scipy.linalg (~0.3 s to import)
     from scipy.linalg import schur
 
     omega_grid = np.asarray(omega_grid, dtype=float)
     r, q = schur(m, output="complex")
-    shifted = -1j * omega_grid - np.diag(r)[:, None]
-    if np.any(shifted == 0.0):
+    diag = np.diag(r)
+    # -i w - R_jj is 0 exactly where Re R_jj = 0 and w = -Im R_jj
+    if any(d.real == 0.0 and np.any(omega_grid == -d.imag) for d in diag):
         raise SingularResponseError("singular response matrix: -i w is an eigenvalue of M")
-
-    def solve(c):
-        z = np.empty(shifted.shape, dtype=complex)
-        for j in range(6):
-            z[j] = c[j]
-            for i in range(j):
-                z[j] += z[i] * r[i, j]
-            z[j] /= shifted[j]
-        return _rows_times(z, q.conj().T)
-
-    x = solve(q[0][:, None])
-    residual = _rows_times(x, m) + 1j * omega_grid * x
-    residual[0] += 1.0
-    x += solve(_rows_times(residual, q))
+    qh = q.conj().T
     kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
-    return (x[1:] * np.array([1.0, kb, kb, ka, ka])[:, None]).T
+    couplings = np.array([1.0, kb, kb, ka, ka])[:, None]
+    transfer = np.empty((5, omega_grid.size), dtype=complex)
+    work = np.empty((5, 6, min(omega_grid.size, OMEGA_BLOCK)), dtype=complex)
+
+    def solve(z, shift, tmp):
+        """z (-i w I - R) = c for c given in z, in place.  z[j] is final once
+        rows 0..j-1 are in it; then z[j] r[j, k] goes into every later row k,
+        so each row sums its terms in the order of a row-by-row axpy."""
+        for j in range(6):
+            z[j] /= shift[j]
+            for k in range(j + 1, 6):
+                np.multiply(z[j], r[j, k], out=tmp[k])
+            z[j + 1:] += tmp[j + 1:]
+        return z
+
+    for start in range(0, omega_grid.size, OMEGA_BLOCK):
+        omega = omega_grid[start:start + OMEGA_BLOCK]
+        shift, z, x, res, tmp = work[:, :, :omega.size]
+        np.subtract(-1j * omega, diag[:, None], out=shift)
+        z[:] = q[0][:, None]
+        _rows_times(solve(z, shift, tmp), qh, x, tmp)
+        _rows_times(x, m, res, tmp)
+        res += np.multiply(1j * omega, x, out=z)
+        res[0] += 1.0
+        _rows_times(res, q, z, tmp)
+        # T needs rows 1-5 of x only
+        _rows_times(solve(z, shift, tmp), qh[:, 1:], res[1:], tmp[1:])
+        x[1:] += res[1:]
+        np.multiply(x[1:], couplings, out=transfer[:, start:start + omega.size])
+    return transfer.T
 
 
 def spectrum_matrix(params: SystemParams, steady: SteadyState,

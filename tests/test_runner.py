@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import pytest
 
 from optomech_switch import parse_config, run_scenario, runner
 from optomech_switch.cli import main as cli_main
-from optomech_switch.errors import NumericalError
+from optomech_switch.errors import ConfigError, NumericalError
 
 BISTABILITY = """
 [system]
@@ -195,16 +196,9 @@ def test_run_scenario_rejects_more_than_one_job(tmp_path):
 
 
 def test_failed_run_leaves_no_files(tmp_path):
-    # lower branch of a monostable config is fine; force failure with an
-    # unstable branch: bias inside the bistable window, branch=lower is
-    # stable, so use the middle... the runner only exposes lower/upper.
-    # Instead break the numerics: negative-omega grid is fine, so use a
-    # drive with p_amp > 0 and omega_mod = 0 (invalid rocking).
-    text = SPECTRUM.replace("omega_mod = 1.0", "omega_mod = 1.0")
-    cfg = parse_config(text)
-    drive = cfg.drive.with_(omega_mod=0.0)
-    cfg = type(cfg)(params=cfg.params, drive=drive, task=cfg.task,
-                    sweep=cfg.sweep, output=cfg.output)
+    # a drive with p_amp > 0 and omega_mod = 0 (invalid rocking) fails the run
+    cfg = parse_config(SPECTRUM)
+    cfg = dataclasses.replace(cfg, drive=cfg.drive.with_(omega_mod=0.0))
     out = tmp_path / "out"
     with pytest.raises(NumericalError):
         run_scenario(cfg, out_dir=str(out))
@@ -267,6 +261,18 @@ def test_cli_error_record_per_exit_code_row(tmp_path, monkeypatch, capsys,
     record = json.loads(capsys.readouterr().err)["error"]
     assert (record["type"], record["exit_code"]) == (error_type, exit_code)
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_and_config_reject_bad_formats_alike(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(BISTABILITY)
+    assert cli_main(["bistability", "--config", str(cfg_path), "--format", "csv,xml",
+                     "--out", str(tmp_path / "o")]) == 2
+    cli_message = json.loads(capsys.readouterr().err)["error"]["message"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(BISTABILITY + "\n[output]\nformats = csv,xml\n")
+    assert cli_message == "formats must be a subset of {csv,json}, got 'csv,xml'"
+    assert str(err.value) == f"line {err.value.line}: {cli_message}"
 
 
 def test_cli_bad_config_reports_line(tmp_path, capsys):

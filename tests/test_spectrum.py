@@ -10,13 +10,14 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.signal import find_peaks
 
-from optomech_switch import (SystemParams, UnstableStateError, brownian_weight, closed_form,
-                             detect_peaks, drift_matrix, parse_config, run_scenario, spectrum,
-                             solve_transmitted_power, spectrum_matrix, stability,
-                             steady_state_from_ptrans)
-from optomech_switch.spectrum import (PEAK_PROMINENCE_FRACTION, _q_transfer,
+from optomech_switch import (SingularResponseError, SystemParams, UnstableStateError,
+                             brownian_weight, closed_form, detect_peaks, drift_matrix,
+                             parse_config, run_scenario, spectrum, solve_transmitted_power,
+                             spectrum_matrix, stability, steady_state_from_ptrans)
+from optomech_switch.spectrum import (OMEGA_BLOCK, PEAK_PROMINENCE_FRACTION, _q_transfer,
                                       thermal_coth_times_omega)
 from conftest import SPECTRUM_GRID, random_params, spectrum_params
+from reference import q_transfer_whole_grid
 
 
 def _correlation_matrix(omega, params):
@@ -218,10 +219,14 @@ def test_oracle_near_mode_crossing(j_coupling):
     assert_matches_oracle(p, st, spectrum_matrix(p, st, SPECTRUM_GRID))
 
 
-@pytest.mark.parametrize("split", [1e-6, 1e-9, 1e-12])
-def test_transfer_near_exceptional_point(split):
+NEAR_EP_SPLITS = (1e-6, 1e-9, 1e-12)
+NEAR_EP_PARAMS = SystemParams(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0, kappa_a=0.2,
+                              kappa_b=0.3)
+
+
+def _near_exceptional_matrix(split):
     """Two complex pairs `split` apart, chained by an identity block (almost a
-    Jordan block), in a random basis: the transfer row equals per-w solves."""
+    Jordan block), in a random basis."""
     def pair(re, im):
         return np.array([[re, im], [-im, re]])
 
@@ -231,9 +236,15 @@ def test_transfer_near_exceptional_point(split):
     block[:2, 2:4] = np.eye(2)
     block[4:, 4:] = pair(-0.3, 0.6)
     basis = np.random.default_rng(7).standard_normal((6, 6))
-    m = basis @ block @ np.linalg.inv(basis)
+    return basis @ block @ np.linalg.inv(basis)
+
+
+@pytest.mark.parametrize("split", NEAR_EP_SPLITS)
+def test_transfer_near_exceptional_point(split):
+    """Near an exceptional point the transfer row equals per-w solves."""
+    m = _near_exceptional_matrix(split)
     assert stability(m).stable
-    p = SystemParams(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0, kappa_a=0.2, kappa_b=0.3)
+    p = NEAR_EP_PARAMS
     grid = np.linspace(0.0, 2.5, 2001)
     got = _q_transfer(m, p, grid)
     couplings = np.sqrt([1.0, 0.3, 0.3, 0.2, 0.2])
@@ -241,6 +252,62 @@ def test_transfer_near_exceptional_point(split):
                          for w in grid]) * couplings
     scale = np.max(np.abs(expected), axis=1, keepdims=True)
     assert np.max(np.abs(got - expected) / scale) < 1e-11
+
+
+def test_singular_response_checked_on_the_whole_grid():
+    """An eigenvalue -i w of M on the grid's last point, in the last slab,
+    is refused before any slab is solved."""
+    m = np.diag([0.0, -1.0, -2.0, -3.0, -4.0, -5.0])
+    grid = np.linspace(-1.0, 0.0, 2 * OMEGA_BLOCK + 1)
+    with pytest.raises(SingularResponseError,
+                       match=r"^singular response matrix: -i w is an eigenvalue of M$"):
+        _q_transfer(m, NEAR_EP_PARAMS, grid)
+
+
+SPECTRUM_SCENARIOS = ("nms_three_peak_demo", "spectrum_closed_form_audit",
+                      "spectrum_vs_cavity_coupling", "spectrum_vs_optomech_coupling")
+
+
+@pytest.fixture(scope="module")
+def bundled_spectrum_calls(tmp_path_factory):
+    """The bundled spectrum scenarios, run once: the (M, params, grid ends)
+    of every distinct transfer solve, and the (grid, S) of every
+    detect_peaks call."""
+    transfers, peaks = {}, []
+
+    def recording_transfer(m, params, omega_grid):
+        transfers[m.tobytes()] = (m.copy(), params, (omega_grid[0], omega_grid[-1]))
+        return _q_transfer(m, params, omega_grid)
+
+    def recording_peaks(grid, s):
+        peaks.append((np.array(grid), np.array(s)))
+        return detect_peaks(grid, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_q_transfer", recording_transfer)
+        mp.setattr(spectrum, "detect_peaks", recording_peaks)
+        mp.setattr(closed_form, "detect_peaks", recording_peaks)
+        for name in SPECTRUM_SCENARIOS:
+            cfg = parse_config((ROOT / "scenarios" / f"{name}.cfg").read_text())
+            run_scenario(cfg, out_dir=str(tmp_path_factory.mktemp(name)))
+    return list(transfers.values()), peaks
+
+
+@pytest.mark.parametrize("size", [1, 17, 2001, OMEGA_BLOCK - 1, OMEGA_BLOCK + 1,
+                                  3 * OMEGA_BLOCK + 17, 20000])
+def test_slab_transfer_equals_whole_grid_solve(bundled_spectrum_calls, size):
+    """The transfer solve in slabs of OMEGA_BLOCK frequencies gives the bits
+    of the same solve over the whole grid at once, signed zeros included,
+    partial slabs included."""
+    recorded = bundled_spectrum_calls[0]
+    assert len(recorded) > len(SPECTRUM_SCENARIOS)
+    cases = recorded + [(_near_exceptional_matrix(s), NEAR_EP_PARAMS, (0.0, 2.5))
+                        for s in NEAR_EP_SPLITS]
+    for m, params, (lo, hi) in cases:
+        grid = np.linspace(lo, hi, size)
+        got = _q_transfer(m, params, grid)
+        assert got.shape == (size, 5)
+        assert got.tobytes() == q_transfer_whole_grid(m, params, grid).tobytes()
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -328,20 +395,8 @@ def test_detect_peaks_matches_scipy_find_peaks(rng):
         assert _bits(detect_peaks(grid, s)) == _scipy_peaks(grid, s), s
 
 
-def test_detect_peaks_on_bundled_spectra_matches_scipy(tmp_path, monkeypatch):
-    seen = []
-
-    def recording(grid, s):
-        seen.append((np.array(grid), np.array(s)))
-        return detect_peaks(grid, s)
-
-    monkeypatch.setattr(spectrum, "detect_peaks", recording)
-    monkeypatch.setattr(closed_form, "detect_peaks", recording)
-    names = ["nms_three_peak_demo", "spectrum_closed_form_audit",
-             "spectrum_vs_cavity_coupling", "spectrum_vs_optomech_coupling"]
-    for name in names:
-        cfg = parse_config((ROOT / "scenarios" / f"{name}.cfg").read_text())
-        run_scenario(cfg, out_dir=str(tmp_path / name))
+def test_detect_peaks_on_bundled_spectra_matches_scipy(bundled_spectrum_calls):
+    seen = bundled_spectrum_calls[1]
     assert len(seen) >= 8  # the closed-form audit adds its matrix reference
     for grid, s in seen:
         assert _bits(detect_peaks(grid, s)) == _scipy_peaks(grid, s)
