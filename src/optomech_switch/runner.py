@@ -6,24 +6,24 @@ leaves partial outputs.  A manifest.json records the config hash, tool
 versions and per-file checksums; reruns of the same config are
 byte-identical, so the checksums are stable.
 
-Spectrum payloads carry their series as 1-D numpy arrays.  The JSON
-writer encodes each distinct array once per ``run_scenario`` call and
-reuses the text, so a sweep's shared spectrum grid is formatted once, not
-once per point.
+Spectrum payloads carry their series as 1-D numpy arrays.  JSON files are
+json.dumps's indented, key-sorted bytes, written by orjson's compiled
+encoder (Ryu's shortest round-trip digits, the same digits as ``repr``)
+and two byte rewrites of its exponent layout; see ``_json``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 
 import numpy as np
+import orjson
 import scipy
 
 from . import __version__
@@ -36,7 +36,6 @@ from .spectrum import spectrum_matrix
 from .steady_state import rocking_parameter, steady_state
 
 FLOAT_FMT = "%.12g"
-_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _csv(headers, columns) -> str:
@@ -57,55 +56,55 @@ def _csv(headers, columns) -> str:
     return ",".join(headers) + "\n" + (line + "\n") * rows % cells
 
 
-def _json(payload, memo: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    with a 1-D numpy array written as the list of its items.
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_EXPONENT = re.compile(rb"e(-?)(\d+)(?=,?\n)")
+_FIFTH_DECIMAL = re.compile(rb"0\.0000([1-9])(\d*)(?=,?\n)")
 
-    Nested dicts need str keys (the payloads' only kind).  ``memo`` maps an
-    array's bits at a depth to its text: ``run_scenario`` passes one dict to
-    all its calls, so each 1-D array is encoded once per ``run_scenario`` call.
+
+def _exponent(match) -> bytes:
+    """orjson's ``e-7`` or ``e16`` as repr's ``e-07`` or ``e+16``."""
+    return b"e" + (match[1] or b"+") + match[2].rjust(2, b"0")
+
+
+def _fifth_decimal(match) -> bytes:
+    """orjson's ``0.0000dddd`` (1e-5 <= |x| < 1e-4) as repr's ``d.ddde-05``,
+    unless the match is the tail of a longer number such as ``10.00001``."""
+    start = match.start()
+    if start and match.string[start - 1] not in b" -":
+        return match[0]
+    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
+
+
+def _json(payload) -> bytes:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte
+    and encoded, with a numpy array written as the list of its items.
+
+    orjson writes the document, and two rewrites turn its float layout into
+    ``repr``'s: ``1e-7`` into ``1e-07``, ``1e16`` into ``1e+16``, and
+    ``0.00001`` into ``1e-05`` (orjson writes positionally down to 1e-5,
+    ``repr`` only down to 1e-4).  Both are anchored on the line end: with an
+    indent every number ends its line, while a string ends in a quote and
+    holds no raw newline, so they never touch a string.  Wherever orjson's
+    bytes cannot be json.dumps's, json.dumps writes the payload itself: when
+    orjson refuses it (an int beyond 64 bits, a strided array, a non-str
+    key), and when its output holds ``null`` (NaN and +-inf, which json.dumps
+    writes as ``NaN`` and ``Infinity``), non-ASCII or DEL (which json.dumps
+    escapes).  Arrays are float64 or int (the payloads' only kinds): orjson
+    would write a float32 item as its shortest float32 digits.
     """
-    return _json_at(payload, "", memo) + "\n"
-
-
-@functools.cache
-def _flat_encoder(item_separator: str):
-    """C-encoder ``encode`` for one nesting depth (cached: building one costs
-    more than encoding a short list)."""
-    return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": ")).encode
-
-
-def _json_at(value, pad: str, memo: dict) -> str:
-    """Indented JSON of ``value`` whose closing bracket sits at ``pad``.
-
-    A dict or list holding no containers, and a 1-D array, is encoded by one
-    call of the C encoder, with this depth's newline and indent as its item
-    separator.  json.dumps with ``indent`` would format every item in Python.
-    An array's text is kept in ``memo`` under its exact bits (so 0.0 and -0.0,
-    or two NaN payloads, stay apart) and reused for an equal array.
-    """
-    if not isinstance(value, _CONTAINERS):
-        return json.dumps(value)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, np.ndarray):
-        key = (pad, value.dtype.str, value.tobytes())
-        if key not in memo:
-            body = _flat_encoder(sep)(value.tolist())[1:-1]
-            memo[key] = "[\n" + inner + body + "\n" + pad + "]" if value.size else "[]"
-        return memo[key]
-    if not value:
-        return json.dumps(value)
-    is_dict = isinstance(value, dict)
-    items = value.values() if is_dict else value
-    if not any(map(isinstance, items, repeat(_CONTAINERS))):
-        body = _flat_encoder(sep)(value)[1:-1]
-    elif is_dict:
-        body = sep.join(f"{encode_basestring_ascii(key)}: {_json_at(value[key], inner, memo)}"
-                        for key in sorted(value))
-    else:
-        body = sep.join(_json_at(item, inner, memo) for item in value)
-    return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
+    try:
+        text = orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n"
+    except orjson.JSONEncodeError:
+        text = None
+    if text is None or b"null" in text or b"\x7f" in text or not text.isascii():
+        return (json.dumps(payload, indent=2, sort_keys=True,
+                           default=lambda value: value.tolist()) + "\n").encode()
+    text = _EXPONENT.sub(_exponent, text)
+    # bytes.find scans ten times as fast as the pattern, whose first byte is
+    # a common digit, and most files hold no such number.
+    if b".0000" in text:
+        text = _FIFTH_DECIMAL.sub(_fifth_decimal, text)
+    return text
 
 
 def run_bistability(config: ScenarioConfig):
@@ -252,15 +251,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     bundle = TASK_RUNNERS[config.task.name](config)
 
     files = {}
-    memo = {}
     if "csv" in formats:
         for name, (headers, columns) in bundle["csv"].items():
             files[name] = _csv(headers, columns).encode()
     if "json" in formats:
         for name, payload in bundle["json"].items():
-            files[name] = _json(payload, memo).encode()
+            files[name] = _json(payload)
     for name, payload in bundle["always"].items():
-        files[name] = _json(payload, memo).encode()
+        files[name] = _json(payload)
 
     config_text = serialize_config(config)
     manifest = {
@@ -283,5 +281,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     for name, data in sorted(files.items()):
         _atomic_write(os.path.join(out_dir, name), data)
     _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  _json(manifest, memo).encode())
+                  _json(manifest))
     return manifest

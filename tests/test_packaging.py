@@ -1,0 +1,34 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "optomech_switch"
+
+
+def _imported_modules():
+    """Top-level names of the absolute imports in the package's modules."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared_dependencies():
+    """Every module the package imports, outside the standard library and
+    the package itself, is named in pyproject.toml's dependencies."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_")
+                for spec in project["dependencies"]}
+    third_party = _imported_modules() - set(sys.stdlib_module_names) - {PACKAGE.name}
+    assert third_party, "found no third-party import"
+    assert third_party <= declared, sorted(third_party - declared)

@@ -4,6 +4,7 @@ import math
 import os
 
 import numpy as np
+import orjson
 import pytest
 
 from optomech_switch import parse_config, run_scenario, runner
@@ -452,11 +453,9 @@ def _random_payload(rng, depth=0):
 
 
 def test_json_writer_matches_oracle_on_random_payloads(rng):
-    memo = {}  # shared, so an array's text is reused across payloads
     for _ in range(2000):
         payload = _random_payload(rng)
-        assert runner._json(payload, memo) == _oracle_json(payload), payload
-        assert runner._json(payload, {}) == _oracle_json(payload), payload
+        assert runner._json(payload) == _oracle_json(payload).encode(), payload
 
 
 SHARED = np.array([0.5, -0.0, 1e16])
@@ -472,7 +471,64 @@ SHARED = np.array([0.5, -0.0, 1e16])
     {"a": np.array([0.0]), "b": np.array([-0.0]), "c": [np.array([0.0]), np.array([-0.0])]},
     {"deep": {"x": [SHARED, 1]}, "top": SHARED, "z": [[SHARED]]}])
 def test_json_writer_matches_oracle_on_edge_payloads(payload):
-    assert runner._json(payload, {}) == _oracle_json(payload)
+    assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+def test_json_writer_matches_oracle_on_random_bit_patterns(rng):
+    """~200k doubles over every exponent band: random bit patterns (every
+    exponent, subnormals, both signs) and the bands where orjson's layout
+    leaves repr's, written as an array, as a list and in a dict."""
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    u = rng.random(10_000)
+    bands = [(u % 1) * 1e-4, (u % 1) * 1e-5, u * 1e16, -u * 1e-5, 1e-5 + u * 9e-5,
+             u * 1e-310, -u, 10.0 ** np.arange(-323, 309),
+             np.nextafter([1e-5, 1e-4, 1e16, 1e-5, 1e-4, 1e16], [0, 0, 0, 1, 1, np.inf])]
+    values = np.concatenate([bits[np.isfinite(bits)], *bands])
+    for chunk in np.array_split(values, 8):
+        for payload in (chunk, chunk.tolist(), {"s_q": chunk, "x": chunk[:5].tolist()}):
+            assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+@pytest.mark.parametrize("value, orjson_text, text", [
+    (1e-7, "1e-7", "1e-07"),
+    (1e16, "1e16", "1e+16"),
+    (-1.2345678901234568e+16, "-1.2345678901234568e16", "-1.2345678901234568e+16"),
+    (1.5e-300, "1.5e-300", "1.5e-300"),
+    (0.00001, "0.00001", "1e-05"),
+    (0.000012, "0.000012", "1.2e-05"),
+    (-0.00001, "-0.00001", "-1e-05"),
+    (9.999999999999999e-05, "0.00009999999999999999", "9.999999999999999e-05"),
+    (10.00001, "10.00001", "10.00001"),
+    (0.0001, "0.0001", "0.0001")])
+def test_json_writer_rewrites_orjson_float_layout_into_repr(value, orjson_text, text):
+    """Each rewrite of orjson's float layout, at the top level, in a list
+    and as a dict value, and each number it must leave alone."""
+    assert orjson.dumps(value) == orjson_text.encode()
+    assert repr(value) == text
+    for payload in (value, [value, value], {"a": value, "b": [-value]}):
+        assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    math.nan, [1.0, math.inf], {"a": -math.inf}, np.array([0.5, math.nan]), [None, 1e-7],
+    {"ü": 1e16}, ["ü€", 0.00001], "\x7f", {"k": ["a\x7fb", 1e-7]},
+    2**63, [2**64, 1e-7], {"a": -2**63 - 1}, {1: 0.00001, 2: 1e16},
+    np.arange(6.0)[::2], {"s_q": np.arange(6.0)[::2] * 1e-5}],
+    ids=["nan", "inf", "-inf", "array-nan", "none", "non-ascii-key", "non-ascii-value",
+         "del", "del-in-list", "2**63", "2**64", "below-int64", "int-keys", "strided",
+         "strided-in-dict"])
+def test_json_writer_falls_back_to_json_dumps(payload):
+    """Payloads whose orjson bytes cannot be json.dumps's (null, non-ASCII,
+    raw DEL) or that orjson refuses (wide ints, non-str keys, strided arrays)."""
+    assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    "1e5,", "0.00001", "1e-7", ["1e5,", "0.00001", " 0.00001", "-0.00001", "x 1e16"],
+    {"1e5,": "0.00001", "0.00001": ["1e16"], "e-7": 1e-7},
+    {"config_sha256": "03e1a9f3e16b8c0e9d7a3e1", "files": {"a.json": "ffe5e3e1"}}])
+def test_json_writer_leaves_number_like_strings_alone(payload):
+    assert runner._json(payload) == _oracle_json(payload).encode()
 
 
 CSV_WORDS = np.array(["stable", "unstable", "up", "down", "a%sb", "", "a, b", "ü€"])
@@ -537,33 +593,3 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
     assert sorted(os.listdir(tmp_path)) == sorted(expected)
     for name, content in expected.items():
         assert _read(tmp_path / name) == content.encode(), name
-
-
-def test_each_array_is_encoded_once_per_run(tmp_path, monkeypatch):
-    """A 3-point spectrum sweep shares one omega grid: 1 grid + 3 S_q encodes
-    of N floats, where encoding per point would make 6.  The memo lives for
-    one ``run_scenario`` call: a second call encodes the grid again, once."""
-    n = 997
-    cfg = parse_config(SPECTRUM.replace("name = spectrum\nomega_points = 600",
-                                        f"name = sweep\ntask = spectrum\nomega_points = {n}")
-                       + "\n[sweep]\nparameter = system.j_coupling\nvalues = 0.4, 0.5, 0.6\n")
-    encoded = []
-    flat_encoder = runner._flat_encoder
-
-    def counting_encoder(separator):
-        encode = flat_encoder(separator)
-
-        def run(value):
-            encoded.append(value)
-            return encode(value)
-        return run
-
-    monkeypatch.setattr(runner, "_flat_encoder", counting_encoder)
-    run_scenario(cfg, out_dir=str(tmp_path / "first"))
-    assert sum(len(value) == n for value in encoded) == 4
-    grid = json.loads(_read(tmp_path / "first" / "spectrum_000.json"))["omega"]
-    assert len(grid) == n
-    for out in ("second", "third"):
-        encoded.clear()
-        run_scenario(cfg, out_dir=str(tmp_path / out))
-        assert sum(value == grid for value in encoded) == 1
