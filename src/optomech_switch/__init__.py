@@ -5,7 +5,7 @@ stability and the mirror displacement noise spectrum."""
 __version__ = "0.1.0"
 
 from .bistability import BistabilityCurve, bistability_curve, turning_points
-from .closed_form import spectrum_closed_form
+from .closed_form import fluctuation_amplitudes, spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
 from .dynamics import (SwitchMetrics, bandwidth, gain_vs_frequency, hysteresis_sweep,
                        switch_metrics)
@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
                      IntegrationFailureError, InvalidDriveError, NoConvergenceError,
                      NumericalError, OptomechError, OutputError, SingularResponseError,
                      UndefinedGainError, UndefinedRatioError, UnstableStateError)
-from .linearize import StabilityReport, drift_matrix, fluctuation_amplitudes, stability
+from .linearize import StabilityReport, drift_matrix, stability
 from .params import DriveConfig, SystemParams
 from .runner import run_scenario
 from .spectrum import Peak, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix

@@ -1,12 +1,12 @@
 """Bistability curve: output power branches vs input power.
 
 The transmitted-power polynomial is solved on an input-power grid and
-every root is classified stable/unstable through the eigenvalues of the
-linearized dynamics, all grid points at once.  Knees (saddle-node turning
-points of the S-curve) are computed exactly by inverting the polynomial:
-the input power is a closed-form function of the output power (two-valued
-with a pumped dot), so the turning points are the roots of its
-derivative, a quadratic.  The branch count switches between one and
+every root is classified stable/unstable through the eigenvalues of its
+drift matrix (`linearize`), all grid points at once.  Knees (saddle-node
+turning points of the S-curve) are computed exactly by inverting the
+polynomial: the input power is a closed-form function of the output power
+(two-valued with a pumped dot), so the turning points are the roots of
+its derivative, a quadratic.  The branch count switches between one and
 three at every knee: without a pumped dot, three strictly between the
 knees and one outside.  The curve is returned as columns: the grid, and
 one entry per root for its grid index, p_trans, stability and margin.

@@ -53,8 +53,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         formats = None if args.format is None else parse_formats(args.format)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = parse_config(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not valid UTF-8: {exc.reason}") from None
         if config.task.name != args.task:
             raise ConfigError(
                 f"CLI task {args.task!r} does not match config task "

@@ -14,17 +14,17 @@ docs/KNOWN_ERRATA.md.
 The printed thermal factor of K1, gamma_m*coth(hbar*w/(2 kB T)), is
 replaced by the dimensionally consistent sqrt of the full Brownian weight,
 which tracks the matrix route far more closely (docs/KNOWN_ERRATA.md
-item 7).
+item 7).  It has no g or N, so it leaves out the dot (item 14).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
 from .errors import SingularResponseError
-from .linearize import fluctuation_amplitudes
 from .params import SystemParams
 from .spectrum import SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import SteadyState
@@ -33,6 +33,13 @@ log = logging.getLogger(__name__)
 
 # Deviations from the matrix route above this relative size get logged.
 AUDIT_TOL = 0.01
+
+
+def fluctuation_amplitudes(steady: SteadyState, params: SystemParams):
+    """The printed model's real optomechanical couplings (a_plus, a_minus_i):
+    sqrt(2)*omega_m*chi times (Re a_s, -Im a_s), a_minus_i being i*a_-."""
+    scale = math.sqrt(2.0) * params.omega_m * params.chi
+    return scale * steady.a_s.real, -scale * steady.a_s.imag
 
 
 def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):

@@ -21,9 +21,9 @@ solved for directly by harmonic balance, with no time integration:
   converge, the orbit raises NoConvergenceError.
 - Stability.  The Floquet multipliers are the eigenvalues of the
   monodromy matrix, a product of 4th-order Magnus steps of the 8x8
-  Jacobian along the orbit.  A multiplier of modulus >= 1 means there is
-  no stable T-periodic response, and the metrics raise
-  UndefinedRatioError.
+  Jacobian (`linearize.jacobians`) along the orbit.  A multiplier of
+  modulus >= 1 means there is no stable T-periodic response, and the
+  metrics raise UndefinedRatioError.
 - Extrema.  The output power |a|^2 is a trigonometric polynomial; its
   extrema come from Newton on its derivative.  The drive power's are
   closed form.
@@ -33,19 +33,19 @@ loop: the input power rises, holds at the top, then falls, and the up
 leg, the hold and the down leg are one LSODA run (scipy's odeint) on one
 clock that starts with the up leg.  Its step loop runs in Fortran and
 switches to BDF by itself where the problem turns stiff.  The exact
-Jacobian feeds the Newton iterations of those stiff steps, so LSODA
-differences no Jacobians.  odeint has no events and only warns when it
-fails, so a failure message, a non-finite state or a blow-up raises
-IntegrationFailureError, whose last valid time counts from the start of
-the up leg.  odeint is imported on the first
-ramp, not with the package: scipy.integrate took 0.6-0.7 s to import
-(2-vCPU Xeon), and only the hysteresis task integrates.  The blow-up
-check is armed only for a pumped dot, n_inversion > 0: with n <= 0 the
-state is bounded.  E = |a|^2 + |b|^2 + |sigma|^2/|n| is only exchanged,
-not changed, by the J and g couplings (at n = 0 sigma decouples), the
-q*a term only rotates a, and the mirror is a damped oscillator driven by
-the bounded |a|^2.  With n > 0 and g^2 n > kappa_b kappa_d the
-cavity-B/dot block amplifies, and the state can blow up.
+Jacobian (`linearize.jacobians`, updated in place) feeds the Newton
+iterations of those stiff steps, so LSODA differences no Jacobians.
+odeint has no events and only warns when it fails, so a failure message,
+a non-finite state or a blow-up raises IntegrationFailureError, whose
+last valid time counts from the start of the up leg.  odeint is imported
+on the first ramp, not with the package: scipy.integrate took 0.6-0.7 s
+to import (2-vCPU Xeon), and only the hysteresis task integrates.  The
+blow-up check is armed only for a pumped dot, n_inversion > 0: with
+n <= 0 the state is bounded.  E = |a|^2 + |b|^2 + |sigma|^2/|n| is only
+exchanged, not changed, by the J and g couplings (at n = 0 sigma
+decouples), the q*a term only rotates a, and the mirror is a damped
+oscillator driven by the bounded |a|^2.  With n > 0 and g^2 n > kappa_b
+kappa_d the cavity-B/dot block amplifies, and the state can blow up.
 Runs are deterministic: fixed tolerances and harmonic counts, no
 randomness.
 """
@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergenceError,
                      UndefinedGainError, UndefinedRatioError)
+from .linearize import jacobians
 from .params import DriveConfig, SystemParams
 from .steady_state import SteadyState, steady_state
 
@@ -157,11 +158,11 @@ def _jacobian_factory(params: SystemParams):
     entries follow the state; they are rewritten in one matrix, which every
     call returns (odeint copies it)."""
     da, g_om = params.delta_a, params.omega_m * params.chi
-    jac = _jacobians(params, np.zeros(1), np.zeros(1))[0]
+    jac = jacobians(params, np.zeros(1), np.zeros(1))[0]
 
     def jacobian(t, y):
         ar, ai, _, _, _, _, q, _ = y.tolist()
-        # the arithmetic of _jacobians, so the entries equal its bit for bit
+        # the arithmetic of jacobians, so the entries equal its bit for bit
         jac[0, 1] = da - g_om * q
         jac[1, 0] = -da + g_om * q
         jac[0, 6] = -g_om * ai
@@ -318,31 +319,6 @@ def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
     return orbit
 
 
-def _jacobians(params: SystemParams, a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Stack of 8x8 Jacobians of the mean-field rhs at states with these a and q."""
-    ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
-    da, db, dd = params.delta_a, params.delta_b, params.delta_d
-    j, g, gn = params.j_coupling, params.g_qd, params.g_qd * params.n_inversion
-    wm, gm = params.omega_m, params.gamma_m
-    g_om = params.omega_m * params.chi
-    jac = np.zeros((a.size, 8, 8))
-    jac[:] = [[-ka, da, 0, j, 0, 0, 0, 0],
-              [-da, -ka, -j, 0, 0, 0, 0, 0],
-              [0, j, -kb, db, 0, g, 0, 0],
-              [-j, 0, -db, -kb, -g, 0, 0, 0],
-              [0, 0, 0, -gn, -kd, dd, 0, 0],
-              [0, 0, gn, 0, -dd, -kd, 0, 0],
-              [0, 0, 0, 0, 0, 0, 0, wm],
-              [0, 0, 0, 0, 0, 0, -wm, -gm]]
-    jac[:, 0, 1] -= g_om * q
-    jac[:, 0, 6] = -g_om * a.imag
-    jac[:, 1, 0] += g_om * q
-    jac[:, 1, 6] = g_om * a.real
-    jac[:, 7, 0] = 2.0 * g_om * a.real
-    jac[:, 7, 1] = 2.0 * g_om * a.imag
-    return jac
-
-
 def _expm(x: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack: Taylor series of degree 16 (remainder
     below 1e-19) after scaling the stack to 1-norm <= 1/2, then squaring
@@ -371,7 +347,7 @@ def floquet_multipliers(params: SystemParams, orbit: PeriodicOrbit) -> np.ndarra
     """
     period = 2.0 * math.pi / orbit.omega_mod
     samples = _on_grid(orbit.a, orbit.q.size)
-    rate = float(np.max(np.sum(np.abs(_jacobians(params, samples,
+    rate = float(np.max(np.sum(np.abs(jacobians(params, samples,
                                                  _on_grid(orbit.q, orbit.q.size).real)),
                                axis=-2)))
     substeps = 1 << math.ceil(math.log2(max(orbit.q.size, period * rate / MAGNUS_STEP)))
@@ -380,7 +356,7 @@ def floquet_multipliers(params: SystemParams, orbit: PeriodicOrbit) -> np.ndarra
              for c in GAUSS_POINTS]
     monodromy = np.eye(8)
     for start in range(0, substeps, MAGNUS_CHUNK):
-        a1, a2 = (_jacobians(params, a[start:start + MAGNUS_CHUNK], q[start:start + MAGNUS_CHUNK])
+        a1, a2 = (jacobians(params, a[start:start + MAGNUS_CHUNK], q[start:start + MAGNUS_CHUNK])
                   for a, q in nodes)
         steps = _expm(0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
         while len(steps) > 1:

@@ -4,8 +4,10 @@ The linear fluctuation system dO/dt = M O + F f(t) is solved in Fourier
 space, O(w) = (-i w I - M)^{-1} F f(w).  Its q row is the response T_k(w)
 of the mirror position to unit noise in channel k (Brownian force, then
 the amplitude/phase vacuum inputs of cavities B and A, each
-delta-correlated with the [[1, i], [-i, 1]] block).  The symmetrized
-position spectrum is the closed sum
+delta-correlated with the [[1, i], [-i, 1]] block).  M is
+`linearize.drift_matrix`; the dot, where it has rows, gets no noise
+(docs/KNOWN_ERRATA.md item 14).  The symmetrized position spectrum is the
+closed sum
 
     S_q(w) = (gamma_m / omega_m) * w coth(hbar*w / (2 kB T)) * |T_0|^2
              + sum_{k>=1} |T_k|^2,
@@ -47,8 +49,9 @@ PEAK_PROMINENCE_FRACTION = 0.01
 # the whole-grid solve's 11.8-14.5 ms: slabs of 2048 0.69-0.85, 4096
 # 0.64-0.75, 8192 0.66-0.71, one slab of the whole grid 0.77-0.86.  For
 # scale only: a slab's 5 blocks of 6 rows (-i w - R_jj, z, x, residual,
-# scratch) take 30 x 16 B x 4096 = 1.9 MB, next to a 2 MB L2 a core; the
-# whole-grid solve held about 24 rows x 16 B x 20000 = 7.7 MB.
+# scratch) take 30 x 16 B x 4096 = 1.9 MB (2.6 MB with the dot's 8 rows),
+# next to a 2 MB L2 a core; the whole-grid solve held about 24 rows x 16 B
+# x 20000 = 7.7 MB.
 OMEGA_BLOCK = 4096
 
 
@@ -109,9 +112,10 @@ def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> 
     Row q of the resolvent, x (-i w I - M) = e_q, times the input
     couplings: the Brownian force drives p, the (u_in, v_in) vacuum inputs
     of cavities B and A drive (u1, v1) and (u2, v2) with the square-root
-    decay rates.  With M = Q R Q^H (complex Schur; Q unitary, so sound near
-    an exceptional point) and z = x Q, z (-i w I - R) = Q[0, :] is solved
-    by forward substitution, and x = z Q^H.  One step refined against M
+    decay rates; the dot's rows, if any, get none.  With M = Q R Q^H
+    (complex Schur; Q unitary, so sound near an exceptional point) and
+    z = x Q, z (-i w I - R) = Q[0, :] is solved by forward substitution,
+    and x = z Q^H.  One step refined against M
     restores per-w LU accuracy; the Schur rounding alone reaches ~1e-12 of
     S_q near the J ~ 1.5 mode crossings.  Products are axpys over
     contiguous rows: a BLAS matmul on these shapes threads over every core
@@ -134,16 +138,17 @@ def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> 
     qh = q.conj().T
     kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
     couplings = np.array([1.0, kb, kb, ka, ka])[:, None]
+    n = m.shape[0]
     transfer = np.empty((5, omega_grid.size), dtype=complex)
-    work = np.empty((5, 6, min(omega_grid.size, OMEGA_BLOCK)), dtype=complex)
+    work = np.empty((5, n, min(omega_grid.size, OMEGA_BLOCK)), dtype=complex)
 
     def solve(z, shift, tmp):
         """z (-i w I - R) = c for c given in z, in place.  z[j] is final once
         rows 0..j-1 are in it; then z[j] r[j, k] goes into every later row k,
         so each row sums its terms in the order of a row-by-row axpy."""
-        for j in range(6):
+        for j in range(n):
             z[j] /= shift[j]
-            for k in range(j + 1, 6):
+            for k in range(j + 1, n):
                 np.multiply(z[j], r[j, k], out=tmp[k])
             z[j + 1:] += tmp[j + 1:]
         return z
@@ -158,10 +163,10 @@ def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> 
         res += np.multiply(1j * omega, x, out=z)
         res[0] += 1.0
         _rows_times(res, q, z, tmp)
-        # T needs rows 1-5 of x only
-        _rows_times(solve(z, shift, tmp), qh[:, 1:], res[1:], tmp[1:])
-        x[1:] += res[1:]
-        np.multiply(x[1:], couplings, out=transfer[:, start:start + omega.size])
+        # T needs rows 1-5 of x only, the rows the noise enters
+        _rows_times(solve(z, shift, tmp), qh[:, 1:6], res[1:6], tmp[1:6])
+        x[1:6] += res[1:6]
+        np.multiply(x[1:6], couplings, out=transfer[:, start:start + omega.size])
     return transfer.T
 
 

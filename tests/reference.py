@@ -19,6 +19,15 @@
 - ``q_transfer_whole_grid`` is the spectrum transfer solve over the whole
   frequency grid at once, the bit-for-bit oracle of the slab-wise
   ``spectrum._q_transfer``.
+- ``printed_drift_matrix`` is the printed model's fluctuation drift matrix,
+  written out entry by entry: the mirror and the two cavities, with the
+  dot held fluctuation-free, exact where g*N = 0.
+  ``model_drift_matrix`` borders it with the dot's rows and columns where
+  g*N != 0, written out from the mean-field equations: the oracle of
+  ``linearize.drift_matrix``.
+- ``mirror_transfer`` is the response T_0 of q to the Brownian force from
+  the mirror susceptibility with the optical spring, cavity B and the dot
+  eliminated per frequency, with no matrix.
 """
 
 from __future__ import annotations
@@ -397,7 +406,7 @@ def q_transfer_whole_grid(m: np.ndarray, params: SystemParams,
 
     def solve(c):
         z = np.empty(shifted.shape, dtype=complex)
-        for j in range(6):
+        for j in range(m.shape[0]):
             z[j] = c[j]
             for i in range(j):
                 z[j] += z[i] * r[i, j]
@@ -409,4 +418,70 @@ def q_transfer_whole_grid(m: np.ndarray, params: SystemParams,
     residual[0] += 1.0
     x += solve(_rows_times(residual, q))
     kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
-    return (x[1:] * np.array([1.0, kb, kb, ka, ka])[:, None]).T
+    return (x[1:6] * np.array([1.0, kb, kb, ka, ka])[:, None]).T
+
+
+def printed_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
+    """6x6 drift matrix of the printed fluctuation model in the state order
+    [q, p, u1, v1, u2, v2] of ``linearize.drift_matrix``, with the printed
+    couplings a_plus = sqrt(2)*omega_m*chi*Re(a_s) and
+    a_minus_i = -sqrt(2)*omega_m*chi*Im(a_s).  It holds the dot
+    fluctuation-free, which is exact only where g*N = 0."""
+    ap = math.sqrt(2.0) * params.omega_m * params.chi * steady.a_s.real
+    iam = -math.sqrt(2.0) * params.omega_m * params.chi * steady.a_s.imag
+    wm, gm = params.omega_m, params.gamma_m
+    ka, kb, j = params.kappa_a, params.kappa_b, params.j_coupling
+    db, d = params.delta_b, steady.eff_detuning
+    return np.array([[0.0, wm, 0.0, 0.0, 0.0, 0.0],
+                     [-wm, -gm, 0.0, 0.0, ap, -iam],
+                     [0.0, 0.0, -kb, db, 0.0, j],
+                     [0.0, 0.0, -db, -kb, -j, 0.0],
+                     [iam, 0.0, 0.0, j, -ka, d],
+                     [ap, 0.0, -j, 0.0, -d, -ka]])
+
+
+def model_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
+    """The drift matrix of the mean-field model, shaped as
+    ``linearize.drift_matrix``'s: the printed one where g*N = 0; else
+    bordered by the dot coherence's quadratures (s_r, s_i), scaled as the
+    cavities' are, from ds/dt = -(kappa_d + i delta_d) s + i g N b and the
+    -i g s of db/dt."""
+    printed = printed_drift_matrix(params, steady)
+    g, gn = params.g_qd, params.g_qd * params.n_inversion
+    if gn == 0.0:
+        return printed
+    kd, dd = params.kappa_d, params.delta_d
+    m = np.zeros((8, 8))
+    m[:6, :6] = printed
+    m[2, 7], m[3, 6] = g, -g
+    m[6, 3], m[7, 2] = -gn, gn
+    m[6:, 6:] = [[-kd, dd], [-dd, -kd]]
+    return m
+
+
+def mirror_transfer(params: SystemParams, steady: SteadyState,
+                    omega: np.ndarray) -> np.ndarray:
+    """T_0(w), the response of q to a unit force on p, at each w.
+
+    With x(t) ~ exp(-i w t), the dot follows cavity B as
+    s = i g N b / (kappa_d + i (delta_d - w)), cavity B follows cavity A as
+    b = -i J a / D_B(w), and a follows q as a = i G a_s q / D_A(w), with
+    D_B(w) = kappa_b + i (delta_b - w) - g^2 N / (kappa_d + i (delta_d - w))
+    and D_A(w) = kappa_a + i (Delta - w) + J^2 / D_B(w), G = omega_m chi.  The
+    conjugate field a* has D_A(-w)* in place of D_A(w), so the radiation
+    force G (a_s* a + a_s a*) is a spring on q, and
+
+        T_0 = omega_m / (omega_m^2 - w^2 - i gamma_m w
+                         - i omega_m G^2 |a_s|^2 (1/D_A(w) - 1/D_A(-w)*)).
+    """
+    w = np.asarray(omega, dtype=float)
+    g2n = params.g_qd ** 2 * params.n_inversion
+
+    def d_a(nu):
+        d_b = (params.kappa_b + 1j * (params.delta_b - nu)
+               - g2n / (params.kappa_d + 1j * (params.delta_d - nu)))
+        return params.kappa_a + 1j * (steady.eff_detuning - nu) + params.j_coupling ** 2 / d_b
+
+    wm, g_om = params.omega_m, params.omega_m * params.chi
+    spring = -1j * wm * g_om ** 2 * abs(steady.a_s) ** 2 * (1.0 / d_a(w) - 1.0 / np.conj(d_a(-w)))
+    return wm / (wm * wm - w * w - 1j * params.gamma_m * w + spring)

@@ -1,13 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optomech_switch import (SystemParams, bistability_curve, cubic_coefficients, drift_matrix,
-                             solve_transmitted_power, stability, steady_state_from_ptrans,
-                             turning_points)
+from optomech_switch import (DriveConfig, IntegrationFailureError, SystemParams,
+                             bistability_curve, cubic_coefficients, drift_matrix, parse_config,
+                             rocking_parameter, solve_transmitted_power, stability,
+                             steady_state_from_ptrans, turning_points)
+from optomech_switch.dynamics import state_vector
 from optomech_switch.steady_state import input_power_of_ptrans, transmitted_power_roots
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
+from reference import integrate_meanfield
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _root_counts(curve):
@@ -250,3 +256,58 @@ def test_grid_validation():
         bistability_curve(FIG_BISTABLE, [0.5, 0.4], 0.0)
     with pytest.raises(ValueError):
         bistability_curve(FIG_BISTABLE, [-0.1, 0.5], 0.0)
+
+
+def test_middle_root_is_a_saddle_with_an_active_dot():
+    """The middle root of every three-root point is unstable: on the S-curve
+    it lies between the two folds, a saddle.  On ``bistability_rocking``'s
+    first system (C = 0.1) with an inverted dot, N = -1 and g = 1, a
+    linearization without the dot labelled 9 of these middle roots stable."""
+    cfg = parse_config((ROOT / "scenarios" / "bistability_rocking.cfg").read_text())
+    opt = dict(cfg.task.options)
+    grid = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
+    c = rocking_parameter(cfg.drive)
+    assert c == pytest.approx(0.1, rel=1e-12)
+    params = cfg.params.with_(n_inversion=-1.0, g_qd=1.0)
+    curve = bistability_curve(params, grid, c)
+    counts = _root_counts(curve)
+    starts = np.searchsorted(curve.point, np.flatnonzero(counts == 3))
+    assert starts.size > 100
+    middle = starts + 1
+    assert not np.any(curve.stable[middle]), np.flatnonzero(curve.stable[middle])
+    assert np.all(curve.max_real_eig[middle] > 0.0)
+
+
+def test_labels_predict_the_dynamics_with_an_active_dot():
+    """On seeded draws with g*N != 0, a root labelled stable stays within
+    10x a 1e-6 kick over t = 300, and a root labelled unstable leaves it by
+    more than 1e-3 (or blows up).  Roots within 0.05 of the stability
+    boundary are left out, so e^(0.05*300) growth makes the unstable ones
+    unmistakable."""
+    rng = np.random.default_rng(7)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 10:
+        p = random_params(rng)
+        eta0 = rng.uniform(0.05, 1.0)
+        curve = bistability_curve(p, np.array([eta0**2, eta0**2 + 1.0]), 0.0)
+        assert p.g_qd * p.n_inversion != 0.0
+        for k in np.flatnonzero(curve.point == 0):
+            stable = bool(curve.stable[k])
+            if abs(curve.max_real_eig[k]) < 0.05 or seen[stable] == 10:
+                continue
+            seen[stable] += 1
+            y = state_vector(steady_state_from_ptrans(p, eta0, 0.0, curve.p_trans[k]))
+            kick = rng.normal(size=8)
+            try:
+                trace = integrate_meanfield(p, DriveConfig(eta0=eta0), (0.0, 300.0),
+                                            init=y + 1e-6 * kick / np.linalg.norm(kick))
+            except IntegrationFailureError:
+                distance = math.inf
+            else:
+                states = np.array([trace.a.real, trace.a.imag, trace.b.real, trace.b.imag,
+                                   trace.sigma.real, trace.sigma.imag, trace.q, trace.p])
+                distance = float(np.max(np.linalg.norm(states - y[:, None], axis=0)))
+            if stable:
+                assert distance < 1e-5, (p, eta0, curve.p_trans[k])
+            else:
+                assert distance > 1e-3, (p, eta0, curve.p_trans[k])

@@ -10,9 +10,10 @@ from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailur
                              UndefinedRatioError, bandwidth, hysteresis_sweep,
                              solve_transmitted_power, switch_metrics)
 from optomech_switch import dynamics
-from optomech_switch.dynamics import (TOL, _jacobian_factory, _jacobians, _rhs_factory,
+from optomech_switch.dynamics import (TOL, _jacobian_factory, _rhs_factory,
                                       floquet_multipliers, periodic_orbit, state_vector,
                                       threshold_measure)
+from optomech_switch.linearize import jacobians
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
 from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
@@ -196,7 +197,7 @@ def test_variational_rhs_is_the_jacobian(rng):
                 for e in np.eye(8)])
             assert np.array_equal(z[:8], np.array(rhs(0.0, y)))
             assert np.allclose(z[8:].reshape(8, 8), numeric, rtol=1e-7, atol=1e-8)
-            jac = _jacobians(p, np.array([y[0] + 1j * y[1]]), np.array([y[6]]))[0]
+            jac = jacobians(p, np.array([y[0] + 1j * y[1]]), np.array([y[6]]))[0]
             assert np.allclose(jac, numeric, rtol=1e-7, atol=1e-8)
             ramp_jac = jacobian(0.0, y).copy()
             assert np.array_equal(ramp_jac, jac)

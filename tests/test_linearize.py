@@ -6,7 +6,10 @@ import pytest
 from optomech_switch import (SystemParams, drift_matrix, fluctuation_amplitudes,
                              solve_transmitted_power, stability,
                              steady_state_from_ptrans)
+from optomech_switch.linearize import jacobians
+from optomech_switch.spectrum import _q_transfer
 from conftest import FIG_BISTABLE, random_params
+from reference import model_drift_matrix, printed_drift_matrix
 
 
 def _steady(params, eta0, c=0.0, which=0):
@@ -41,30 +44,45 @@ def test_amplitudes_vanish_without_coupling():
 
 
 def test_matrix_layout():
+    """At g*N = 0 the drift matrix is the printed one: the same entries, up
+    to the rounding of a_plus, a_minus_i and Delta, which the Jacobian
+    forms in another order."""
     p = FIG_BISTABLE
     st = _steady(p, 0.3, 0.10)
     m = drift_matrix(p, st)
+    expected = printed_drift_matrix(p, st)
     a_plus, a_minus_i = fluctuation_amplitudes(st, p)
+    assert (expected[1, 4], expected[4, 0]) == (a_plus, a_minus_i)
+    assert m.shape == (6, 6)
+    assert np.array_equal(m == 0.0, expected == 0.0)
+    np.testing.assert_allclose(m, expected, rtol=1e-15, atol=0.0)
     d = st.eff_detuning
-    expected = np.array([
-        [0.0, p.omega_m, 0, 0, 0, 0],
-        [-p.omega_m, -p.gamma_m, 0, 0, a_plus, -a_minus_i],
-        [0, 0, -p.kappa_b, p.delta_b, 0, p.j_coupling],
-        [0, 0, -p.delta_b, -p.kappa_b, -p.j_coupling, 0],
-        [a_minus_i, 0, 0, p.j_coupling, -p.kappa_a, d],
-        [a_plus, 0, -p.j_coupling, 0, -d, -p.kappa_a],
-    ])
-    assert np.array_equal(m, expected)
     assert d == pytest.approx(p.delta_a - p.omega_m * p.chi**2 * (st.p_trans + 0.10),
                               rel=1e-12)
+
+
+def test_active_dot_matrix_is_the_model_matrix(rng):
+    """With g*N != 0 the drift matrix is 8x8: the printed one bordered by the
+    dot's rows and columns, as the mean-field equations give them."""
+    for _ in range(15):
+        p = random_params(rng)
+        st = _steady(p, rng.uniform(0.05, 1.0))
+        m = drift_matrix(p, st)
+        assert m.shape == (8, 8) and p.g_qd * p.n_inversion != 0.0
+        expected = model_drift_matrix(p, st)
+        assert np.array_equal(m == 0.0, expected == 0.0)
+        np.testing.assert_allclose(m, expected, rtol=1e-14, atol=0.0)
 
 
 def test_trace_identity(rng):
     for _ in range(15):
         p = random_params(rng)
         st = _steady(p, rng.uniform(0.05, 1.0))
-        assert np.trace(drift_matrix(p, st)) == pytest.approx(
-            -p.gamma_m - 2 * p.kappa_a - 2 * p.kappa_b, rel=1e-12)
+        m = drift_matrix(p, st)
+        dot = 2 * p.kappa_d if p.g_qd * p.n_inversion != 0.0 else 0.0
+        assert m.shape[0] == (8 if dot else 6)
+        assert np.trace(m) == pytest.approx(
+            -p.gamma_m - 2 * p.kappa_a - 2 * p.kappa_b - dot, rel=1e-12)
 
 
 def test_block_diagonal_when_decoupled():
@@ -78,9 +96,10 @@ def test_block_diagonal_when_decoupled():
 def test_uncoupled_damped_system_is_stable():
     p = SystemParams(chi=0.0, j_coupling=0.0, lambda_pump=0.0, g_qd=0.0)
     st = _steady(p, 0.2)
-    report = stability(drift_matrix(p, st))
+    m = drift_matrix(p, st)
+    report = stability(m)
     assert report.stable
-    assert report.eigenvalues.shape == (6,)
+    assert m.shape == (6, 6)
     assert report.max_real_part < 0.0
 
 
@@ -91,3 +110,36 @@ def test_middle_branch_positive_eigenvalue():
     report = stability(drift_matrix(FIG_BISTABLE, st))
     assert not report.stable
     assert report.max_real_part > 0.0
+
+
+def _with_dot(p, st):
+    """The 8x8 Jacobian at the fixed point in the drift matrix's order and
+    scaling, the dot's rows kept: [q, p, u1, v1, u2, v2, s_r, s_i] with every
+    field coordinate sqrt(2) times the Jacobian's."""
+    jac = jacobians(p, np.array([st.a_s]), np.array([st.q_s]))[0]
+    order = [6, 7, 2, 3, 0, 1, 4, 5]
+    scale = np.array([1.0, 1.0] + [math.sqrt(2.0)] * 6)
+    return scale[:, None] * jac[np.ix_(order, order)] / scale[None, :]
+
+
+def test_inactive_dot_drops_out(rng):
+    """Where g*N = 0 the full 8x8 eigenvalues are the 6x6's plus
+    -kappa_d +- i*delta_d, and the q row of the 8-row response is the
+    6-row one: the dot's rows do not feed the mirror and get no noise."""
+    grid = np.linspace(0.0, 2.5, 501)
+    for k in range(12):
+        p = random_params(rng).with_(**({"n_inversion": 0.0} if k % 3 else {"g_qd": 0.0}))
+        st = _steady(p, rng.uniform(0.05, 1.0))
+        m6, m8 = drift_matrix(p, st), _with_dot(p, st)
+        assert m6.shape == (6, 6)
+        np.testing.assert_allclose(m8[:6, :6], m6, rtol=1e-15, atol=0.0)
+        dot = -p.kappa_d + 1j * p.delta_d * np.array([1.0, -1.0])
+        expected = np.concatenate((np.linalg.eigvals(m6), dot))
+        got = np.linalg.eigvals(m8)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.min(np.abs(got[:, None] - expected[None, :]), axis=1)) < 1e-12 * scale
+        assert np.max(np.min(np.abs(expected[:, None] - got[None, :]), axis=1)) < 1e-12 * scale
+        t6 = _q_transfer(m6, p, grid)
+        # relative to each channel's largest response: a channel can pass
+        # through zero, where both solves leave only rounding
+        assert np.max(np.abs(_q_transfer(m8, p, grid) - t6) / np.max(np.abs(t6), axis=0)) < 1e-12

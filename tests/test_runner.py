@@ -276,6 +276,19 @@ def test_cli_and_config_reject_bad_formats_alike(tmp_path, capsys):
     assert str(err.value) == f"line {err.value.line}: {cli_message}"
 
 
+def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_bytes(BISTABILITY.encode("utf-8").replace(b"kappa_a", b"kappa_\xe4"))
+    code = cli_main(["bistability", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)["error"]
+    assert (record["type"], record["exit_code"]) == ("ConfigError", 2)
+    assert record["message"].startswith("config file is not valid UTF-8: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_bad_config_reports_line(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text("[system]\nkappa_a = -1\n[drive]\n[task]\nname = spectrum\n")
@@ -593,3 +606,19 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
     assert sorted(os.listdir(tmp_path)) == sorted(expected)
     for name, content in expected.items():
         assert _read(tmp_path / name) == content.encode(), name
+
+
+# bundled scenarios that no other test runs
+SMOKE_SCENARIOS = ("bandwidth_vs_pamp", "bistability_rocking", "switch_metrics_vs_omega_variant_b",
+                   "switch_ratio_vs_pamp_variant_a", "switch_ratio_vs_pamp_variant_b")
+
+
+@pytest.mark.parametrize("name", SMOKE_SCENARIOS)
+def test_bundled_sweep_scenario_runs_every_point(tmp_path, name):
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    with open(os.path.join(scenarios, f"{name}.cfg"), encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    manifest = run_scenario(cfg, out_dir=str(tmp_path))
+    index = json.loads(_read(tmp_path / "sweep_index.json"))
+    assert [point["status"] for point in index["points"]] == ["ok"] * len(cfg.sweep.values)
+    assert all((tmp_path / f).is_file() for f in manifest["files"])

@@ -17,7 +17,7 @@ from optomech_switch import (SingularResponseError, SystemParams, UnstableStateE
 from optomech_switch.spectrum import (OMEGA_BLOCK, PEAK_PROMINENCE_FRACTION, _q_transfer,
                                       thermal_coth_times_omega)
 from conftest import SPECTRUM_GRID, random_params, spectrum_params
-from reference import q_transfer_whole_grid
+from reference import model_drift_matrix, mirror_transfer, q_transfer_whole_grid
 
 
 def _correlation_matrix(omega, params):
@@ -39,18 +39,22 @@ def _correlation_matrix(omega, params):
 def correlation_oracle(params, steady, omega_grid):
     """Full-correlation S_q(w) = 1/2 [T(w) D(w) T(-w) + T(-w) D(-w) T(w)], complex.
 
-    T comes from a full per-frequency solve against the input matrix F
-    (Brownian force into p, vacuum inputs into both cavities), and
-    T(-w) = conj T(w).  The imaginary part is the residue of the optical
-    cross correlations, which cancel exactly in the symmetrized sum.
+    T comes from a full per-frequency solve of the printed model, bordered
+    by the dot where g*N != 0 (``reference.model_drift_matrix``), against
+    the input matrix F (Brownian force into p, vacuum inputs into both
+    cavities, none into the dot), and T(-w) = conj T(w).  The imaginary
+    part is the residue of the optical cross correlations, which cancel
+    exactly in the symmetrized sum.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    f = np.zeros((6, 5))
+    m = model_drift_matrix(params, steady)
+    n = m.shape[0]
+    f = np.zeros((n, 5))
     f[1, 0] = 1.0
     f[2, 1] = f[3, 2] = np.sqrt(params.kappa_b)
     f[4, 3] = f[5, 4] = np.sqrt(params.kappa_a)
-    a = -1j * omega_grid[:, None, None] * np.eye(6) - drift_matrix(params, steady)
-    t = np.linalg.solve(a, np.broadcast_to(f, (omega_grid.size, 6, 5)))[:, 0, :]
+    a = -1j * omega_grid[:, None, None] * np.eye(n) - m
+    t = np.linalg.solve(a, np.broadcast_to(f, (omega_grid.size, n, 5)))[:, 0, :]
     tc = np.conj(t)
     s1 = np.einsum("wj,wjk,wk->w", t, _correlation_matrix(omega_grid, params), tc)
     s2 = np.einsum("wj,wjk,wk->w", tc, _correlation_matrix(-omega_grid, params), t)
@@ -120,6 +124,29 @@ def test_positive_and_real_on_random_stable_configs(rng):
         assert np.all(np.isfinite(series.s_q))
         assert_matches_oracle(p, st, series)
         done += 1
+
+
+def test_active_dot_mirror_response_equals_elimination(rng):
+    """With g*N != 0, T_0 (the response of q to the Brownian force) equals
+    the mirror susceptibility with the optical spring, cavity B and the dot
+    eliminated per frequency (``reference.mirror_transfer``).  The draws
+    have a strong spring (chi up to 1, gamma_m / 20), where the dot's term
+    in cavity B's response moves T_0 far beyond the tolerance."""
+    grid = np.linspace(0.0, 2.5, 1001)
+    moved = []
+    while len(moved) < 12:
+        p = random_params(rng, chi_max=1.0)
+        p = p.with_(gamma_m=p.gamma_m / 20.0)
+        st = _stable_state(p, rng.uniform(0.05, 1.0))
+        if st is None:
+            continue
+        assert p.g_qd * p.n_inversion != 0.0
+        got = _q_transfer(drift_matrix(p, st), p, grid)[:, 0]
+        expected = mirror_transfer(p, st, grid)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+        without_dot = mirror_transfer(p.with_(n_inversion=0.0), st, grid)
+        moved.append(np.max(np.abs(without_dot - expected) / np.abs(expected)))
+    assert min(moved) > 1e-7 and max(moved) > 0.1
 
 
 def test_chi_zero_spectrum_independent_of_optical_parameters(rng):
@@ -298,11 +325,15 @@ def bundled_spectrum_calls(tmp_path_factory):
 def test_slab_transfer_equals_whole_grid_solve(bundled_spectrum_calls, size):
     """The transfer solve in slabs of OMEGA_BLOCK frequencies gives the bits
     of the same solve over the whole grid at once, signed zeros included,
-    partial slabs included."""
+    partial slabs included, with 6 rows and with 8."""
     recorded = bundled_spectrum_calls[0]
     assert len(recorded) > len(SPECTRUM_SCENARIOS)
     cases = recorded + [(_near_exceptional_matrix(s), NEAR_EP_PARAMS, (0.0, 2.5))
                         for s in NEAR_EP_SPLITS]
+    # an active dot: 8 rows
+    dot = spectrum_params().with_(n_inversion=-0.5)
+    cases.append((drift_matrix(dot, _stable_state(dot, 0.1, 0.10)), dot, (0.0, 2.5)))
+    assert cases[-1][0].shape == (8, 8)
     for m, params, (lo, hi) in cases:
         grid = np.linspace(lo, hi, size)
         got = _q_transfer(m, params, grid)
