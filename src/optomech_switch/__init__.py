@@ -10,9 +10,9 @@ from .config import ScenarioConfig, parse_config, serialize_config
 from .dynamics import (SwitchMetrics, bandwidth, gain_vs_frequency, hysteresis_sweep,
                        switch_metrics)
 from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
-                     IntegrationFailureError, InvalidDriveError, NoConvergenceError,
-                     NumericalError, OptomechError, OutputError, SingularResponseError,
-                     UndefinedGainError, UndefinedRatioError, UnstableStateError)
+                     IntegrationFailureError, NoConvergenceError, NumericalError,
+                     OptomechError, OutputError, SingularResponseError, UndefinedGainError,
+                     UndefinedRatioError, UnstableStateError)
 from .linearize import StabilityReport, drift_matrix, stability
 from .params import DriveConfig, SystemParams
 from .runner import run_scenario

@@ -9,10 +9,11 @@ modulation frequency are read off the T-periodic response, which is
 solved for directly by harmonic balance, with no time integration:
 
 - Reduction.  Cavity B, the dot and the mirror enter linearly, so they
-  are eliminated per harmonic nu = k*omega_mod, as the steady-state cubic
-  eliminates them at nu = 0: b and sigma from one 2x2 solve per harmonic,
-  q from the mirror susceptibility omega_m*g_om/(omega_m^2 - nu^2 +
-  i*gamma_m*nu) applied to |a|^2.  One equation for a(t) remains.
+  are eliminated per harmonic nu = k*omega_mod by `steady_state.eliminated`,
+  the function that back-substitutes the steady state at nu = 0: b and
+  sigma from one 2x2 solve per harmonic, q from the mirror susceptibility
+  omega_m*g_om/(omega_m^2 - nu^2 + i*gamma_m*nu) applied to |a|^2.  One
+  equation for a(t) remains.
 - Collocation.  That equation is solved at n = 2H + 1 uniform times of a
   period by Newton on the 2n real unknowns, from the lower-branch steady
   amplitude held constant.  H starts at HARMONICS_START and doubles until
@@ -52,7 +53,6 @@ randomness.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergence
                      UndefinedGainError, UndefinedRatioError)
 from .linearize import jacobians
 from .params import DriveConfig, SystemParams
-from .steady_state import SteadyState, steady_state
+from .steady_state import SteadyState, eliminated, steady_state
 
 # |state|^2 beyond this aborts the integration as a blow-up; checked only
 # for n_inversion > 0, since with n <= 0 the state is bounded (module notes)
@@ -228,23 +228,6 @@ def _on_grid(coef: np.ndarray, m: int, shift: float = 0.0) -> np.ndarray:
     return m * np.fft.ifft(padded)
 
 
-def _eliminated(params: SystemParams, nu: np.ndarray):
-    """Per frequency nu: the responses of b and of sigma to a, and to the
-    dot pump (their constant parts, used at nu = 0), from the 2x2 block
-    [[kappa_b + i(delta_b + nu), i g], [-i g N, kappa_d + i(delta_d + nu)]]
-    by Cramer's rule, and the mirror susceptibility of q to |a|^2."""
-    cav = params.kappa_b + 1j * (params.delta_b + nu)
-    dot = params.kappa_d + 1j * (params.delta_d + nu)
-    up, down = 1j * params.g_qd, -1j * params.g_qd * params.n_inversion
-    det = cav * dot - up * down
-    drive_a = -1j * params.j_coupling
-    pump = -1j * params.lambda_pump * params.n_inversion * cmath.exp(-1j * params.theta)
-    wm = params.omega_m
-    chi = wm * wm * params.chi / (wm * wm - nu * nu + 1j * params.gamma_m * nu)
-    return (dot * drive_a / det, -down * drive_a / det,
-            -up * pump / det, cav * pump / det, chi)
-
-
 def _circulant(symbol: np.ndarray) -> np.ndarray:
     """Matrix acting at the collocation points as ``symbol`` acts per harmonic."""
     n = symbol.size
@@ -258,7 +241,7 @@ def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.
     n = a.size
     g_om = params.omega_m * params.chi
     nu = drive.omega_mod * _harmonics(n // 2)
-    b_of_a, _, b_pumped, _, chi = _eliminated(params, nu)
+    b_of_a, _, b_pumped, _, chi = eliminated(params, nu)
     symbol = 1j * nu + params.kappa_a + 1j * params.delta_a + 1j * params.j_coupling * b_of_a
     lin, mirror = _circulant(symbol), _circulant(chi).real
     source = (drive.eta0 + drive.p_amp * np.cos(2.0 * math.pi * np.arange(n) / n)
@@ -287,8 +270,8 @@ def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.
 def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
     """The T-periodic response by harmonic balance (see the module notes),
     after its stability check."""
-    if drive.omega_mod <= 0.0 or drive.p_amp <= 0.0:
-        raise UndefinedGainError("switch metrics require p_amp > 0 and omega_mod > 0")
+    if drive.p_amp <= 0.0:
+        raise UndefinedGainError("switch metrics require p_amp > 0")
     h = HARMONICS_START
     a = np.full(2 * h + 1, steady_state(params, drive.eta0, 0.0, "lower").a_s)
     while True:
@@ -302,7 +285,7 @@ def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
                 f"periodic orbit: spectrum not resolved within {HARMONICS_CAP} harmonics")
         h *= 2
         a = _on_grid(coef, 2 * h + 1)
-    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = _eliminated(
+    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(
         params, drive.omega_mod * _harmonics(h))
     b, sigma = b_of_a * coef, sigma_of_a * coef
     b[0] += b_pumped[0]
@@ -310,7 +293,7 @@ def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
     # |a|^2 to harmonic 2H, exactly, from 4H + 1 samples
     power = np.fft.fft(np.abs(_on_grid(coef, 4 * h + 1)) ** 2) / (4 * h + 1)
     nu = drive.omega_mod * _harmonics(2 * h)
-    q = _eliminated(params, nu)[-1] * power
+    q = eliminated(params, nu)[-1] * power
     orbit = PeriodicOrbit(omega_mod=drive.omega_mod, a=coef, b=b, sigma=sigma, power=power,
                           q=q, p=1j * nu * q / params.omega_m)
     mu = float(np.max(np.abs(floquet_multipliers(params, orbit))))

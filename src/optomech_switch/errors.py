@@ -26,10 +26,6 @@ class NumericalError(OptomechError):
     """Base class for failures of the numerical routines."""
 
 
-class InvalidDriveError(NumericalError):
-    """Modulated drive with zero modulation frequency."""
-
-
 class DegenerateModelError(NumericalError):
     """The steady-state polynomial vanished identically."""
 

@@ -86,6 +86,8 @@ class DriveConfig:
             raise InvalidValueError("p_amp", f"p_amp must be >= 0, got {self.p_amp}")
         if not math.isfinite(self.omega_mod) or self.omega_mod < 0.0:
             raise InvalidValueError("omega_mod", f"omega_mod must be >= 0, got {self.omega_mod}")
+        if self.p_amp > 0.0 and self.omega_mod == 0.0:
+            raise InvalidValueError("omega_mod", f"p_amp = {self.p_amp} > 0 needs omega_mod > 0")
 
     def with_(self, **changes) -> "DriveConfig":
         return replace(self, **changes)

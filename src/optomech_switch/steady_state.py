@@ -16,10 +16,13 @@ drive modulation, and
 
 Taking the squared modulus turns this into a real cubic in P whose
 coefficients are assembled in :func:`cubic_coefficients`; the full
-symbolic derivation lives in docs/cubic_derivation.md.  The tests find
-the same fixed point independently, by a damped Newton iteration on
-``a_s`` itself (``steady_state_direct`` in tests/reference.py), as the
-oracle for the cubic route.
+symbolic derivation lives in docs/cubic_derivation.md.  Cavity B and the
+dot follow from a_s through :func:`eliminated` at nu = 0, the function
+that eliminates them at every harmonic of the periodic orbit (dynamics):
+the steady state is that orbit's zeroth harmonic.  The tests find the
+same fixed point independently, by a damped Newton iteration on ``a_s``
+itself and a 2x2 solve for b and sigma (``steady_state_direct`` in
+tests/reference.py), as the oracle for the cubic route.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, InvalidDriveError, SingularResponseError
+from .errors import DegenerateModelError, SingularResponseError
 from .params import DriveConfig, SystemParams
 
 @dataclass(frozen=True)
@@ -60,9 +63,6 @@ def rocking_parameter(drive: DriveConfig) -> float:
     """Effective static power shift C = p_amp^2 / (2*omega_mod^2)."""
     if drive.p_amp == 0.0:
         return 0.0
-    if drive.omega_mod <= 0.0:
-        raise InvalidDriveError(
-            f"p_amp={drive.p_amp} > 0 requires omega_mod > 0, got {drive.omega_mod}")
     return drive.p_amp**2 / (2.0 * drive.omega_mod**2)
 
 
@@ -83,6 +83,23 @@ def _drive_terms(params: SystemParams, eta0: float) -> complex:
     qd_drive = (1j * params.j_coupling * params.g_qd * params.lambda_pump
                 * params.n_inversion * cmath.exp(-1j * params.theta))
     return eta0 * (a1 + 1j * a2) + qd_drive
+
+
+def eliminated(params: SystemParams, nu):
+    """Per frequency nu: the responses of b and of sigma to a, and to the
+    dot pump (their constant parts, used at nu = 0), from the 2x2 block
+    [[kappa_b + i(delta_b + nu), i g], [-i g N, kappa_d + i(delta_d + nu)]]
+    by Cramer's rule, and the mirror susceptibility of q to |a|^2."""
+    cav = params.kappa_b + 1j * (params.delta_b + nu)
+    dot = params.kappa_d + 1j * (params.delta_d + nu)
+    up, down = 1j * params.g_qd, -1j * params.g_qd * params.n_inversion
+    det = cav * dot - up * down
+    drive_a = -1j * params.j_coupling
+    pump = -1j * params.lambda_pump * params.n_inversion * cmath.exp(-1j * params.theta)
+    wm = params.omega_m
+    chi = wm * wm * params.chi / (wm * wm - nu * nu + 1j * params.gamma_m * nu)
+    return (dot * drive_a / det, -down * drive_a / det,
+            -up * pump / det, cav * pump / det, chi)
 
 
 def effective_detuning(params: SystemParams, p_trans: float, c_rocking: float) -> float:
@@ -237,25 +254,6 @@ def solve_transmitted_power(params: SystemParams, eta0: float,
     return list(zip(p_trans, mult.tolist()))
 
 
-def _assemble_state(params: SystemParams, eta0: float, c_rocking: float,
-                    a_s: complex) -> SteadyState:
-    """Back-substitute a_s into the eliminated variables."""
-    p_trans = abs(a_s) ** 2
-    delta = effective_detuning(params, p_trans, c_rocking)
-    dd = params.kappa_d + 1j * params.delta_d
-    lam_phase = params.lambda_pump * cmath.exp(-1j * params.theta)
-    n = params.n_inversion
-
-    den_b = params.kappa_b + 1j * params.delta_b - params.g_qd**2 * n / dd
-    if abs(den_b) < 1e-12:
-        raise SingularResponseError("cavity-B/dot response denominator vanished")
-    b_s = -(1j * params.j_coupling * a_s + params.g_qd * lam_phase * n / dd) / den_b
-    sigma_eg_s = -1j * (params.g_qd * b_s - lam_phase) * n / dd
-    q_s = params.chi * (p_trans + c_rocking)
-    return SteadyState(a_s=a_s, b_s=b_s, sigma_eg_s=sigma_eg_s, q_s=q_s,
-                       p_s=0.0, p_trans=p_trans, eff_detuning=delta)
-
-
 def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float,
                              p_trans) -> SteadyState:
     """Steady state on the branch with transmitted power ``p_trans``.
@@ -275,7 +273,18 @@ def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float
         raise SingularResponseError(
             f"cavity-A response denominator vanished at p_trans={p_trans}")
     a_s = _drive_terms(params, eta0) / den
-    return _assemble_state(params, eta0, c_rocking, a_s)
+    # checked before `eliminated`, whose complex division by an exactly
+    # singular block would raise ZeroDivisionError
+    den_b =params.kappa_b + 1j * params.delta_b \
+        - params.g_qd**2 * params.n_inversion / (params.kappa_d + 1j * params.delta_d)
+    if abs(den_b) < 1e-12:
+        raise SingularResponseError("cavity-B/dot response denominator vanished")
+    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(params, 0.0)
+    p_trans = abs(a_s) ** 2
+    return SteadyState(a_s=a_s, b_s=b_of_a * a_s + b_pumped,
+                       sigma_eg_s=-(sigma_of_a * a_s + sigma_pumped),
+                       q_s=params.chi * (p_trans + c_rocking), p_s=0.0, p_trans=p_trans,
+                       eff_detuning=effective_detuning(params, p_trans, c_rocking))
 
 
 def steady_state(params: SystemParams, eta0: float, c_rocking: float,

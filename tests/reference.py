@@ -9,8 +9,10 @@
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
 - ``steady_state_direct`` finds a fixed point by damped Newton on the
-  cavity-A amplitude, with no use of the transmitted-power cubic, and
-  ``meanfield_residual`` evaluates the unreduced equations of motion.
+  cavity-A amplitude, with no use of the transmitted-power cubic, then
+  cavity B and the dot from one 2x2 solve of their stationary equations;
+  it shares no algebra with ``steady_state``.  ``meanfield_residual``
+  evaluates the unreduced equations of motion.
 - ``hysteresis_reference`` integrates the legs and the settle of a
   hysteresis sweep with DOP853 at rtol 1e-13, the accuracy oracle of the
   ramp integrator.
@@ -44,8 +46,7 @@ from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_f
                                       state_vector)
 from optomech_switch.errors import (NoConvergenceError, SingularResponseError, UndefinedGainError,
                                     UndefinedRatioError)
-from optomech_switch.steady_state import (_assemble_state, _drive_terms, helper_constants,
-                                          steady_state)
+from optomech_switch.steady_state import steady_state
 
 
 # trace samples per drive period of a modulated drive
@@ -246,13 +247,14 @@ def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
     :class:`NoConvergenceError` when the residual cannot be driven below
     tolerance; callers retry from a different branch guess.
     """
-    a1, a2 = helper_constants(params)
-    asum = a1 + 1j * a2
+    dd = params.kappa_d + 1j * params.delta_d
+    # the cavity-B/dot determinant A1 + i*A2, and the dot pump lambda*N*exp(-i*theta)
+    asum = (params.kappa_b + 1j * params.delta_b) * dd - params.g_qd**2 * params.n_inversion
+    pump = params.lambda_pump * params.n_inversion * cmath.exp(-1j * params.theta)
     j2 = params.j_coupling**2
     beta = params.omega_m * params.chi**2
     dt = params.delta_a - beta * c_rocking
-    src = _drive_terms(params, eta0)
-    dd = params.kappa_d + 1j * params.delta_d
+    src = eta0 * asum + 1j * params.j_coupling * params.g_qd * pump
 
     def denom(p):
         return (1j * (dt - beta * p) + params.kappa_a) * asum + j2 * dd
@@ -308,7 +310,14 @@ def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
         raise NoConvergenceError(
             f"no convergence after {max_iter} iterations (residual {abs(r):.3e})")
 
-    state = _assemble_state(params, eta0, c_rocking, a)
+    # the stationary cavity-B and dot equations, solved for (b, sigma_ge)
+    block = np.array([[params.kappa_b + 1j * params.delta_b, 1j * params.g_qd],
+                      [-1j * params.g_qd * params.n_inversion, dd]])
+    b, sig = np.linalg.solve(block, [-1j * params.j_coupling * a, -1j * pump])
+    p = abs(a) ** 2
+    state = SteadyState(a_s=a, b_s=complex(b), sigma_eg_s=-complex(sig),
+                        q_s=params.chi * (p + c_rocking), p_s=0.0, p_trans=p,
+                        eff_detuning=dt - beta * p)
     full = meanfield_residual(params, eta0, c_rocking, state)
     if np.max(np.abs(full)) >= 1e-10:
         raise NoConvergenceError(

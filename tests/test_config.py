@@ -4,8 +4,10 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from optomech_switch import ConfigError, DriveConfig, SystemParams, parse_config, serialize_config
+from optomech_switch import (ConfigError, DriveConfig, SystemParams, parse_config,
+                             rocking_parameter, serialize_config)
 from optomech_switch.config import apply_sweep_value
+from optomech_switch.params import InvalidValueError
 
 MINIMAL = """
 [system]
@@ -67,6 +69,23 @@ def test_bad_drive_value_rejected_with_its_line():
         parse_config(text)
     assert err.value.line == text.splitlines().index("p_amp = -1") + 1
     assert "p_amp" in str(err.value)
+
+
+def test_drive_that_cannot_modulate_is_rejected_on_omega_mod():
+    """p_amp > 0 needs omega_mod > 0, however the drive is made; a static
+    drive may leave omega_mod at 0."""
+    for make in (lambda: DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=0.0),
+                 lambda: DriveConfig(eta0=0.1, p_amp=0.5).with_(omega_mod=0.0),
+                 lambda: DriveConfig(eta0=0.1, omega_mod=0.0).with_(p_amp=0.5)):
+        with pytest.raises(InvalidValueError) as err:
+            make()
+        assert err.value.field == "omega_mod"
+    assert rocking_parameter(DriveConfig(eta0=0.1, p_amp=0.0, omega_mod=0.0)) == 0.0
+    text = MINIMAL.replace("eta0 = 0.3", "eta0 = 0.3\np_amp = 0.5\nomega_mod = 0")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("omega_mod = 0") + 1
+    assert "omega_mod" in str(err.value)
 
 
 def test_empty_file_missing_section():

@@ -174,10 +174,20 @@ def test_unstable_orbit_raises():
 
 
 def test_switch_metrics_need_a_modulated_drive():
-    for drive in (DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=0.0),
-                  DriveConfig(eta0=0.1, p_amp=0.0, omega_mod=1.0)):
-        with pytest.raises(UndefinedGainError):
-            switch_metrics(FIG_SWITCH, drive)
+    with pytest.raises(UndefinedGainError):
+        switch_metrics(FIG_SWITCH, DriveConfig(eta0=0.1, p_amp=0.0, omega_mod=1.0))
+
+
+@pytest.mark.parametrize("n_inversion", [0.0, -0.7])
+def test_steady_state_is_the_zeroth_harmonic(n_inversion):
+    """Under a vanishing modulation the orbit's mean values are the static
+    fixed point: the same elimination at nu = 0."""
+    p = FIG_SWITCH.with_(n_inversion=n_inversion)
+    orbit = periodic_orbit(p, DriveConfig(eta0=0.1, p_amp=1e-7, omega_mod=1.0))
+    st = steady_state(p, 0.1, 0.0, "lower")
+    for harmonic, static in ((orbit.a, st.a_s), (orbit.b, st.b_s),
+                             (orbit.sigma, st.sigma_ge_s), (orbit.q, st.q_s)):
+        np.testing.assert_allclose(harmonic[0], static, rtol=1e-12, atol=0.0)
 
 
 def test_variational_rhs_is_the_jacobian(rng):

@@ -197,9 +197,9 @@ def test_run_scenario_rejects_more_than_one_job(tmp_path):
 
 
 def test_failed_run_leaves_no_files(tmp_path):
-    # a drive with p_amp > 0 and omega_mod = 0 (invalid rocking) fails the run
-    cfg = parse_config(SPECTRUM)
-    cfg = dataclasses.replace(cfg, drive=cfg.drive.with_(omega_mod=0.0))
+    # switch metrics of an unmodulated drive have no gain: the run fails
+    cfg = parse_config(SWITCH)
+    cfg = dataclasses.replace(cfg, drive=cfg.drive.with_(p_amp=0.0))
     out = tmp_path / "out"
     with pytest.raises(NumericalError):
         run_scenario(cfg, out_dir=str(out))
@@ -297,6 +297,31 @@ def test_cli_bad_config_reports_line(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert "kappa_a" in record["error"]["message"]
+
+
+def test_cli_drive_that_cannot_modulate_is_config_error(tmp_path, capsys):
+    text = BISTABILITY.replace("omega_mod = 1.0", "omega_mod = 0")
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    code = cli_main(["bistability", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["exit_code"]) == ("ConfigError", 2)
+    line = text.splitlines().index("omega_mod = 0") + 1
+    assert record["message"].startswith(f"line {line}: ")
+    assert "omega_mod" in record["message"]
+    assert not out.exists()
+
+
+def test_sweep_point_with_drive_that_cannot_modulate_recorded(tmp_path):
+    text = BISTABILITY.replace("name = bistability", "name = sweep\ntask = bistability")
+    text += "\n[sweep]\nparameter = drive.omega_mod\nvalues = 1.0, 0.0\n"
+    run_scenario(parse_config(text), out_dir=str(tmp_path))
+    points = json.loads(_read(tmp_path / "sweep_index.json"))["points"]
+    assert [p["status"] for p in points] == ["ok", "error"]
+    assert points[1]["error"]["type"] == "ConfigError"
+    assert "omega_mod" in points[1]["error"]["message"]
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from optomech_switch import (DegenerateModelError, DriveConfig, InvalidDriveError,
-                             SystemParams, cubic_coefficients, helper_constants,
-                             rocking_parameter, solve_transmitted_power,
-                             steady_state_from_ptrans)
-from conftest import FIG_BISTABLE, random_params
+from optomech_switch import (DegenerateModelError, DriveConfig, SingularResponseError,
+                             SystemParams, bistability_curve, cubic_coefficients,
+                             helper_constants, rocking_parameter, solve_transmitted_power,
+                             spectrum_matrix, steady_state_from_ptrans, switch_metrics)
+from optomech_switch.steady_state import steady_state
+from conftest import FIG_BISTABLE, FIG_SWITCH, SPECTRUM_GRID, random_params
 from reference import meanfield_residual, steady_state_direct
 
 
@@ -24,12 +25,6 @@ def test_rocking_parameter_direct_evaluation():
 
 def test_rocking_parameter_unit_case():
     assert rocking_parameter(DriveConfig(eta0=0.0, p_amp=1.0, omega_mod=1.0)) == 0.5
-
-
-def test_rocking_parameter_degenerate_drive():
-    drive = DriveConfig(eta0=0.0, p_amp=0.5, omega_mod=1.0).with_(omega_mod=0.0)
-    with pytest.raises(InvalidDriveError):
-        rocking_parameter(drive)
 
 
 def test_helper_constants_bistable_set():
@@ -116,6 +111,22 @@ def test_roots_satisfy_meanfield_residuals(rng):
             state = steady_state_from_ptrans(p, eta0, c_rock, ptr)
             res = meanfield_residual(p, eta0, c_rock, state)
             assert np.max(np.abs(res)) < 1e-8
+
+
+def test_back_substitution_matches_the_oracle(rng):
+    """Seeded with the root's a_s, the oracle's Newton stops at once, so its
+    2x2 solve of the stationary cavity-B and dot equations sees the same
+    a_s as the package's elimination at nu = 0."""
+    for _ in range(40):
+        p = random_params(rng)
+        eta0 = rng.uniform(0.0, 1.0)
+        c_rock = rng.uniform(0.0, 0.5)
+        for ptr, _ in solve_transmitted_power(p, eta0, c_rock):
+            state = steady_state_from_ptrans(p, eta0, c_rock, ptr)
+            direct = steady_state_direct(p, eta0, c_rock, initial_guess=state.a_s)
+            assert direct.a_s == state.a_s
+            np.testing.assert_allclose([state.b_s, state.sigma_eg_s],
+                                       [direct.b_s, direct.sigma_eg_s], rtol=1e-13, atol=0.0)
 
 
 def test_from_ptrans_undriven_dot():
@@ -220,3 +231,32 @@ def test_degenerate_model_error():
     assert helper_constants(p) == (0.0, 0.0)
     with pytest.raises(DegenerateModelError):
         solve_transmitted_power(p, 0.0, 0.0)
+
+
+def test_dot_coupling_changes_no_bit_at_zero_inversion():
+    """At N = 0 the dot drops out of every equation, so g_qd must not move
+    a single bit of the switch metrics, the S-curve, the steady state or
+    the spectrum (variant A's system)."""
+    results = []
+    for g in (0.0, 0.5, 2.0):
+        p = FIG_SWITCH.with_(g_qd=g)
+        metrics = switch_metrics(p, DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0))
+        assert (metrics.switch_ratio, metrics.gain) == (4.077002552857644, 0.936671823395811)
+        curve = bistability_curve(p, np.linspace(0.01, 1.0, 100), 0.1)
+        st = steady_state(p, 0.3, 0.1, "upper")
+        s_q = spectrum_matrix(p, st, SPECTRUM_GRID).s_q
+        results.append((curve.point.tobytes(), curve.p_trans.tobytes(),
+                        curve.stable.tobytes(), curve.knees, st.a_s, st.b_s, s_q.tobytes()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_singular_cavity_b_dot_block_is_refused():
+    """g^2*N = kappa_b*kappa_d at zero detunings: A1 = A2 = 0, the cubic
+    keeps its one root p_trans = 1, and the cavity-B/dot block is singular."""
+    p = FIG_SWITCH.with_(kappa_b=1.0, kappa_d=1.0, delta_b=0.0, delta_d=0.0, g_qd=1.0,
+                         n_inversion=1.0, j_coupling=0.5, lambda_pump=0.5, chi=0.3)
+    assert helper_constants(p) == (0.0, 0.0)
+    roots = solve_transmitted_power(p, 0.2, 0.0)
+    assert [r for r, _ in roots] == [1.0]
+    with pytest.raises(SingularResponseError, match="cavity-B/dot response denominator"):
+        steady_state_from_ptrans(p, 0.2, 0.0, roots[0][0])
