@@ -6,8 +6,8 @@ This module evaluates the published closed-form expression
 
 with Dd and K1..K5 transcribed term by term, exactly as printed, from the
 source formulas.  The transcription is intentionally NOT repaired: it is
-an experimental reference route, audited against the matrix-inversion
-route (`spectrum.spectrum_matrix`), which is authoritative.  Known
+an experimental reference route, audited against the matrix backend's
+linear response (`spectrum.spectrum_matrix`), which is authoritative.  Known
 discrepancies and their suspected causes are itemized in
 docs/KNOWN_ERRATA.md.
 

@@ -6,9 +6,9 @@ fixed point it is the drift matrix M of the Gaussian fluctuations,
 dO/dt = M O + f, in the order O = [q, p, u1, v1, u2, v2, s_r, s_i] of the
 mirror, cavity B, cavity A and the dot (u = sqrt(2) Re, v = sqrt(2) Im); f,
 the Brownian force and the cavities' vacuum noise, leaves the dot out.
-Where g*N = 0, M is block-triangular: the dot's eigenvalues are
--kappa_d +- i*delta_d and its rows change neither a label nor S_q, so
-`drift_matrix` drops them.
+Where g*N = 0, M is block-triangular (the dot's eigenvalues are -kappa_d
++- i*delta_d), so `drift_matrix` drops the dot's rows.  M decides stability;
+the spectrum (`spectrum._transfer`) solves the same model by Cramer's rule.
 """
 
 from __future__ import annotations

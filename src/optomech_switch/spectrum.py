@@ -4,10 +4,11 @@ The linear fluctuation system dO/dt = M O + F f(t) is solved in Fourier
 space, O(w) = (-i w I - M)^{-1} F f(w).  Its q row is the response T_k(w)
 of the mirror position to unit noise in channel k (Brownian force, then
 the amplitude/phase vacuum inputs of cavities B and A, each
-delta-correlated with the [[1, i], [-i, 1]] block).  M is
-`linearize.drift_matrix`; the dot, where it has rows, gets no noise
-(docs/KNOWN_ERRATA.md item 14).  The symmetrized position spectrum is the
-closed sum
+delta-correlated with the [[1, i], [-i, 1]] block), by Cramer's rule on
+the linearized model (`_transfer`); the dot gets no noise
+(docs/KNOWN_ERRATA.md item 14).  M (`linearize.drift_matrix`) only
+decides stability; the `matrix` backend is named for this linear-response
+route.  The symmetrized position spectrum is the closed sum
 
     S_q(w) = (gamma_m / omega_m) * w coth(hbar*w / (2 kB T)) * |T_0|^2
              + sum_{k>=1} |T_k|^2,
@@ -20,11 +21,6 @@ even part of the full weight (gamma_m / omega_m) w [1 + coth(...)].
 The delta-function bookkeeping is fixed so that for a decoupled mirror at
 high temperature  integral S_q(w) dw / (2 pi) = kB T / (hbar omega_m),
 the equipartition value for the dimensionless displacement quadrature.
-
-T comes from one complex Schur form of M, refined once against M, with no
-BLAS matmul (`_q_transfer`; Laub, IEEE TAC 26, 407, 1981).  The solve runs
-over slabs of OMEGA_BLOCK consecutive frequencies in reused work rows; T
-does not depend on the slab size, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,26 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularResponseError, UnstableStateError
+from .errors import UnstableStateError
 from .linearize import drift_matrix, stability
 from .params import SystemParams
 from .steady_state import SteadyState
 
 # Peaks must protrude by this fraction of the global maximum.
 PEAK_PROMINENCE_FRACTION = 0.01
-# Frequencies per slab of the transfer solve (`_q_transfer`).  What the slabs
-# save is fresh memory: inside a `linear` benchmark run a whole-grid solve
-# took 1500-2500 minor page faults a call for its new rows, the slab solve
-# about 260, and in a process whose heap already held the pages the slabs
-# were no faster.  Narrower slabs pay in numpy calls.  CPU time of a
-# 20000-point solve inside a `linear` run (2-vCPU Xeon, two runs each), over
-# the whole-grid solve's 11.8-14.5 ms: slabs of 2048 0.69-0.85, 4096
-# 0.64-0.75, 8192 0.66-0.71, one slab of the whole grid 0.77-0.86.  For
-# scale only: a slab's 5 blocks of 6 rows (-i w - R_jj, z, x, residual,
-# scratch) take 30 x 16 B x 4096 = 1.9 MB (2.6 MB with the dot's 8 rows),
-# next to a 2 MB L2 a core; the whole-grid solve held about 24 rows x 16 B
-# x 20000 = 7.7 MB.
-OMEGA_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -90,104 +73,63 @@ def brownian_weight(omega, params: SystemParams):
     return params.gamma_m / params.omega_m * (omega + thermal_coth_times_omega(omega, params))
 
 
-def _rows_times(x: np.ndarray, mat: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = x @ mat for x stored as rows x[i], as axpys row by row.
+def _transfer(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> np.ndarray:
+    """T_k(w), shape (nw, 5): row q of (-i w I - M)^{-1} times the input
+    couplings, by Cramer's rule (x ~ exp(-i w t), G = omega_m chi).  At
+    v = w the dot, cavity B and cavity A answer through
 
-    out[k] sums x[i] * mat[i, k] in the order of i; tmp takes the products
-    of one x[i], so each step adds all of out at once.  Each product is a
-    row times a scalar: numpy's complex multiply rounds by the loop it runs
-    in, and only this one gives the bits of a row-by-row axpy.
+        dot(v) = kappa_d + i (delta_d - v),
+        det(v) = (kappa_b + i (delta_b - v)) dot(v) - g^2 N,
+        opt(v) = (kappa_a + i (Delta - v)) det(v) + J^2 dot(v),
+
+    the conjugate fields through dot', det', opt' = conj(.(-w)), and the
+    radiation force G (a_s* a + a_s a*) closes the loop on q:
+
+        den = (omega_m^2 - w^2 - i gamma_m w) opt opt'
+              - i omega_m G^2 |a_s|^2 (det opt' - det' opt),
+
+    the determinant of -i w I - M (times dot dot' where M has no dot rows),
+    nonzero on the real axis at a stable state.  Each T_k is a polynomial
+    in w over den: no det divides, so a cavity-B/dot pole on the grid (det
+    = 0, possible where g^2 N > 0) is harmless.
     """
-    for k in range(mat.shape[1]):
-        np.multiply(x[0], mat[0, k], out=out[k])
-    for i in range(1, len(x)):
-        for k in range(mat.shape[1]):
-            np.multiply(x[i], mat[i, k], out=tmp[k])
-        out += tmp
+    p, a, w = params, steady.a_s, np.asarray(omega, dtype=float)
+    j, wm, g_om = p.j_coupling, p.omega_m, p.omega_m * p.chi
 
+    def chain(v):
+        dot = p.kappa_d + 1j * (p.delta_d - v)
+        det = (p.kappa_b + 1j * (p.delta_b - v)) * dot - p.g_qd ** 2 * p.n_inversion
+        return dot, det, (p.kappa_a + 1j * (steady.eff_detuning - v)) * det + j * j * dot
 
-def _q_transfer(m: np.ndarray, params: SystemParams, omega_grid: np.ndarray) -> np.ndarray:
-    """T_k(w): response of q to unit noise in channel k, shape (nw, 5).
-
-    Row q of the resolvent, x (-i w I - M) = e_q, times the input
-    couplings: the Brownian force drives p, the (u_in, v_in) vacuum inputs
-    of cavities B and A drive (u1, v1) and (u2, v2) with the square-root
-    decay rates; the dot's rows, if any, get none.  With M = Q R Q^H
-    (complex Schur; Q unitary, so sound near an exceptional point) and
-    z = x Q, z (-i w I - R) = Q[0, :] is solved by forward substitution,
-    and x = z Q^H.  One step refined against M
-    restores per-w LU accuracy; the Schur rounding alone reaches ~1e-12 of
-    S_q near the J ~ 1.5 mode crossings.  Products are axpys over
-    contiguous rows: a BLAS matmul on these shapes threads over every core
-    and costs more CPU time than it saves.
-
-    One Schur form serves the whole grid, and the solve runs over slabs of
-    OMEGA_BLOCK consecutive frequencies in five reused blocks of rows.
-    Every operation is elementwise in w, so T does not depend on the slab
-    size, bit for bit.
-    """
-    # imported here: only spectrum tasks need scipy.linalg (~0.3 s to import)
-    from scipy.linalg import schur
-
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    r, q = schur(m, output="complex")
-    diag = np.diag(r)
-    # -i w - R_jj is 0 exactly where Re R_jj = 0 and w = -Im R_jj
-    if any(d.real == 0.0 and np.any(omega_grid == -d.imag) for d in diag):
-        raise SingularResponseError("singular response matrix: -i w is an eigenvalue of M")
-    qh = q.conj().T
-    kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
-    couplings = np.array([1.0, kb, kb, ka, ka])[:, None]
-    n = m.shape[0]
-    transfer = np.empty((5, omega_grid.size), dtype=complex)
-    work = np.empty((5, n, min(omega_grid.size, OMEGA_BLOCK)), dtype=complex)
-
-    def solve(z, shift, tmp):
-        """z (-i w I - R) = c for c given in z, in place.  z[j] is final once
-        rows 0..j-1 are in it; then z[j] r[j, k] goes into every later row k,
-        so each row sums its terms in the order of a row-by-row axpy."""
-        for j in range(n):
-            z[j] /= shift[j]
-            for k in range(j + 1, n):
-                np.multiply(z[j], r[j, k], out=tmp[k])
-            z[j + 1:] += tmp[j + 1:]
-        return z
-
-    for start in range(0, omega_grid.size, OMEGA_BLOCK):
-        omega = omega_grid[start:start + OMEGA_BLOCK]
-        shift, z, x, res, tmp = work[:, :, :omega.size]
-        np.subtract(-1j * omega, diag[:, None], out=shift)
-        z[:] = q[0][:, None]
-        _rows_times(solve(z, shift, tmp), qh, x, tmp)
-        _rows_times(x, m, res, tmp)
-        res += np.multiply(1j * omega, x, out=z)
-        res[0] += 1.0
-        _rows_times(res, q, z, tmp)
-        # T needs rows 1-5 of x only, the rows the noise enters
-        _rows_times(solve(z, shift, tmp), qh[:, 1:6], res[1:6], tmp[1:6])
-        x[1:6] += res[1:6]
-        np.multiply(x[1:6], couplings, out=transfer[:, start:start + omega.size])
-    return transfer.T
+    (dot, det, opt), (dot_c, det_c, opt_c) = chain(w), np.conj(chain(-w))
+    # omega_m^2 - w^2 factored, so it keeps its relative accuracy at the mechanical line
+    den = (((wm - w) * (wm + w) - 1j * p.gamma_m * w) * opt * opt_c
+           - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - det_c * opt))
+    # force on q per unit input into cavity A (x, y) and B (x_b, y_b), times opt opt'
+    x, y = np.conj(a) * det * opt_c, a * det_c * opt
+    x_b, y_b = -1j * j * np.conj(a) * dot * opt_c, 1j * j * a * dot_c * opt
+    c_b, c_a = wm * g_om * np.sqrt(p.kappa_b / 2.0), wm * g_om * np.sqrt(p.kappa_a / 2.0)
+    rows = [wm * opt * opt_c, c_b * (x_b + y_b), 1j * c_b * (x_b - y_b),
+            c_a * (x + y), 1j * c_a * (x - y)]
+    return (np.stack(rows) / den).T
 
 
 def spectrum_matrix(params: SystemParams, steady: SteadyState,
                     omega_grid: np.ndarray) -> SpectrumSeries:
-    """Symmetrized displacement spectrum S_q(w) by matrix inversion.
+    """Symmetrized displacement spectrum S_q(w) by linear response (`_transfer`).
 
-    Refuses dynamically unstable steady states.
+    Refuses steady states that the drift matrix labels unstable.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    m = drift_matrix(params, steady)
-    report = stability(m)
+    report = stability(drift_matrix(params, steady))
     if not report.stable:
         raise UnstableStateError(
             f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
 
-    power = np.abs(_q_transfer(m, params, omega_grid)) ** 2
+    power = np.abs(_transfer(params, steady, omega_grid)) ** 2
     s_q = (params.gamma_m / params.omega_m * thermal_coth_times_omega(omega_grid, params)
            * power[:, 0] + power[:, 1:].sum(axis=1))
-    peaks = detect_peaks(omega_grid, s_q)
-    return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=peaks)
+    return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=detect_peaks(omega_grid, s_q))
 
 
 def detect_peaks(omega_grid: np.ndarray, s_q: np.ndarray) -> tuple[Peak, ...]:

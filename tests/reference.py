@@ -18,9 +18,6 @@
   ramp integrator.
 - ``jump_input_power`` reads the switching input off a swept hysteresis
   curve, for comparison with the exact knees.
-- ``q_transfer_whole_grid`` is the spectrum transfer solve over the whole
-  frequency grid at once, the bit-for-bit oracle of the slab-wise
-  ``spectrum._q_transfer``.
 - ``printed_drift_matrix`` is the printed model's fluctuation drift matrix,
   written out entry by entry: the mirror and the two cavities, with the
   dot held fluctuation-free, exact where g*N = 0.
@@ -29,7 +26,8 @@
   ``linearize.drift_matrix``.
 - ``mirror_transfer`` is the response T_0 of q to the Brownian force from
   the mirror susceptibility with the optical spring, cavity B and the dot
-  eliminated per frequency, with no matrix.
+  eliminated per frequency, with no matrix: the oracle of the Brownian
+  channel of ``spectrum._transfer``, which reaches it by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from scipy.integrate import solve_ivp
 from optomech_switch import DriveConfig, SteadyState, SystemParams
 from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_factory,
                                       state_vector)
-from optomech_switch.errors import (NoConvergenceError, SingularResponseError, UndefinedGainError,
-                                    UndefinedRatioError)
+from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
 from optomech_switch.steady_state import steady_state
 
 
@@ -388,46 +385,6 @@ def jump_input_power(curve: np.ndarray) -> tuple[float, float]:
     half = np.searchsorted(cum, 0.5 * total)
     k = min(i + max(half, 1) - 1, j)
     return float(0.5 * (inp[k] + inp[k + 1])), float(total)
-
-
-def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat for x stored as rows x[i] of shape (nw,), as axpys row by row."""
-    out = np.empty((mat.shape[1], x.shape[1]), dtype=complex)
-    for k in range(mat.shape[1]):
-        out[k] = x[0] * mat[0, k]
-        for i in range(1, len(x)):
-            out[k] += x[i] * mat[i, k]
-    return out
-
-
-def q_transfer_whole_grid(m: np.ndarray, params: SystemParams,
-                          omega_grid: np.ndarray) -> np.ndarray:
-    """T_k(w) of ``spectrum._q_transfer``, shape (nw, 5), with every row over
-    the whole grid: one complex Schur form, forward substitution, one step
-    refined against M, and every product over all of M's entries."""
-    from scipy.linalg import schur
-
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    r, q = schur(m, output="complex")
-    shifted = -1j * omega_grid - np.diag(r)[:, None]
-    if np.any(shifted == 0.0):
-        raise SingularResponseError("singular response matrix: -i w is an eigenvalue of M")
-
-    def solve(c):
-        z = np.empty(shifted.shape, dtype=complex)
-        for j in range(m.shape[0]):
-            z[j] = c[j]
-            for i in range(j):
-                z[j] += z[i] * r[i, j]
-            z[j] /= shifted[j]
-        return _rows_times(z, q.conj().T)
-
-    x = solve(q[0][:, None])
-    residual = _rows_times(x, m) + 1j * omega_grid * x
-    residual[0] += 1.0
-    x += solve(_rows_times(residual, q))
-    kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
-    return (x[1:6] * np.array([1.0, kb, kb, ka, ka])[:, None]).T
 
 
 def printed_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:

@@ -136,6 +136,22 @@ def test_knees_bracket_three_root_region():
         assert n == (3 if lo < ip < hi else 1)
 
 
+@pytest.mark.parametrize("chi", [0.15, 0.3, 0.6])
+def test_knees_scale_as_one_over_omega_m_chi_squared(chi):
+    """At C = 0 the S-curve in the variables omega_m chi^2 P is free of chi
+    (the cubic's discriminant scales as chi^4), so both knees, input power
+    and p_trans, are fixed numbers times 1/(omega_m chi^2)."""
+    cfg = parse_config((ROOT / "scenarios" / "bistability_rocking.cfg").read_text())
+    p = cfg.params.with_(chi=chi)
+    scaled = [(inp * p.omega_m * chi**2, pt * p.omega_m * chi**2)
+              for inp, pt in turning_points(p, 0.0)]
+    expected = [(0.011629294231478841, 0.7419114713515198),
+                (0.06710610589089452, 0.26138885868148354)]
+    assert len(scaled) == 2
+    for got, want in zip(scaled, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_chi_zero_single_branch_no_knees():
     p = FIG_BISTABLE.with_(chi=0.0)
     curve = bistability_curve(p, np.linspace(0.01, 1.0, 20), 0.0)

@@ -7,7 +7,6 @@ from optomech_switch import (SystemParams, drift_matrix, fluctuation_amplitudes,
                              solve_transmitted_power, stability,
                              steady_state_from_ptrans)
 from optomech_switch.linearize import jacobians
-from optomech_switch.spectrum import _q_transfer
 from conftest import FIG_BISTABLE, random_params
 from reference import model_drift_matrix, printed_drift_matrix
 
@@ -124,9 +123,7 @@ def _with_dot(p, st):
 
 def test_inactive_dot_drops_out(rng):
     """Where g*N = 0 the full 8x8 eigenvalues are the 6x6's plus
-    -kappa_d +- i*delta_d, and the q row of the 8-row response is the
-    6-row one: the dot's rows do not feed the mirror and get no noise."""
-    grid = np.linspace(0.0, 2.5, 501)
+    -kappa_d +- i*delta_d: the matrix is block-triangular there."""
     for k in range(12):
         p = random_params(rng).with_(**({"n_inversion": 0.0} if k % 3 else {"g_qd": 0.0}))
         st = _steady(p, rng.uniform(0.05, 1.0))
@@ -139,7 +136,3 @@ def test_inactive_dot_drops_out(rng):
         scale = np.max(np.abs(expected))
         assert np.max(np.min(np.abs(got[:, None] - expected[None, :]), axis=1)) < 1e-12 * scale
         assert np.max(np.min(np.abs(expected[:, None] - got[None, :]), axis=1)) < 1e-12 * scale
-        t6 = _q_transfer(m6, p, grid)
-        # relative to each channel's largest response: a channel can pass
-        # through zero, where both solves leave only rounding
-        assert np.max(np.abs(_q_transfer(m8, p, grid) - t6) / np.max(np.abs(t6), axis=0)) < 1e-12

@@ -10,14 +10,16 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.signal import find_peaks
 
-from optomech_switch import (SingularResponseError, SystemParams, UnstableStateError,
-                             brownian_weight, closed_form, detect_peaks, drift_matrix,
-                             parse_config, run_scenario, spectrum, solve_transmitted_power,
-                             spectrum_matrix, stability, steady_state_from_ptrans)
-from optomech_switch.spectrum import (OMEGA_BLOCK, PEAK_PROMINENCE_FRACTION, _q_transfer,
+from optomech_switch import (SystemParams, UnstableStateError, brownian_weight, closed_form,
+                             detect_peaks, drift_matrix, parse_config, run_scenario, spectrum,
+                             solve_transmitted_power, spectrum_matrix, stability,
+                             steady_state_from_ptrans)
+from optomech_switch.spectrum import (PEAK_PROMINENCE_FRACTION, _transfer,
                                       thermal_coth_times_omega)
+from optomech_switch.steady_state import steady_state
 from conftest import SPECTRUM_GRID, random_params, spectrum_params
-from reference import model_drift_matrix, mirror_transfer, q_transfer_whole_grid
+from reference import model_drift_matrix, mirror_transfer
+from test_linearize import _with_dot
 
 
 def _correlation_matrix(omega, params):
@@ -141,7 +143,7 @@ def test_active_dot_mirror_response_equals_elimination(rng):
         if st is None:
             continue
         assert p.g_qd * p.n_inversion != 0.0
-        got = _q_transfer(drift_matrix(p, st), p, grid)[:, 0]
+        got = _transfer(p, st, grid)[:, 0]
         expected = mirror_transfer(p, st, grid)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
         without_dot = mirror_transfer(p.with_(n_inversion=0.0), st, grid)
@@ -236,59 +238,10 @@ def test_three_peak_demo_configuration():
 
 @pytest.mark.parametrize("j_coupling", [1.45, 1.55])
 def test_oracle_near_mode_crossing(j_coupling):
-    """Near J = 1.5 the Schur factors' rounding reaches ~1e-12 of S_q.
-
-    The refinement step against M is what keeps these inside the oracle's
-    rtol 1e-12 (about 1e-13 with it, 2.0e-12 and 1.2e-12 without).
-    """
+    """Near the J = 1.5 mode crossings S_q equals the oracle to rtol 1e-12."""
     p = spectrum_params(j_coupling=j_coupling)
     st = _stable_state(p, 0.1, 0.10)
     assert_matches_oracle(p, st, spectrum_matrix(p, st, SPECTRUM_GRID))
-
-
-NEAR_EP_SPLITS = (1e-6, 1e-9, 1e-12)
-NEAR_EP_PARAMS = SystemParams(thermal_ratio=1e-3, gamma_m=0.1, omega_m=1.0, kappa_a=0.2,
-                              kappa_b=0.3)
-
-
-def _near_exceptional_matrix(split):
-    """Two complex pairs `split` apart, chained by an identity block (almost a
-    Jordan block), in a random basis."""
-    def pair(re, im):
-        return np.array([[re, im], [-im, re]])
-
-    block = np.zeros((6, 6))
-    block[:2, :2] = pair(-0.05, 1.0)
-    block[2:4, 2:4] = pair(-0.05 + split, 1.0)
-    block[:2, 2:4] = np.eye(2)
-    block[4:, 4:] = pair(-0.3, 0.6)
-    basis = np.random.default_rng(7).standard_normal((6, 6))
-    return basis @ block @ np.linalg.inv(basis)
-
-
-@pytest.mark.parametrize("split", NEAR_EP_SPLITS)
-def test_transfer_near_exceptional_point(split):
-    """Near an exceptional point the transfer row equals per-w solves."""
-    m = _near_exceptional_matrix(split)
-    assert stability(m).stable
-    p = NEAR_EP_PARAMS
-    grid = np.linspace(0.0, 2.5, 2001)
-    got = _q_transfer(m, p, grid)
-    couplings = np.sqrt([1.0, 0.3, 0.3, 0.2, 0.2])
-    expected = np.array([np.linalg.solve((-1j * w * np.eye(6) - m).T, np.eye(6)[0])[1:]
-                         for w in grid]) * couplings
-    scale = np.max(np.abs(expected), axis=1, keepdims=True)
-    assert np.max(np.abs(got - expected) / scale) < 1e-11
-
-
-def test_singular_response_checked_on_the_whole_grid():
-    """An eigenvalue -i w of M on the grid's last point, in the last slab,
-    is refused before any slab is solved."""
-    m = np.diag([0.0, -1.0, -2.0, -3.0, -4.0, -5.0])
-    grid = np.linspace(-1.0, 0.0, 2 * OMEGA_BLOCK + 1)
-    with pytest.raises(SingularResponseError,
-                       match=r"^singular response matrix: -i w is an eigenvalue of M$"):
-        _q_transfer(m, NEAR_EP_PARAMS, grid)
 
 
 SPECTRUM_SCENARIOS = ("nms_three_peak_demo", "spectrum_closed_form_audit",
@@ -297,48 +250,80 @@ SPECTRUM_SCENARIOS = ("nms_three_peak_demo", "spectrum_closed_form_audit",
 
 @pytest.fixture(scope="module")
 def bundled_spectrum_calls(tmp_path_factory):
-    """The bundled spectrum scenarios, run once: the (M, params, grid ends)
-    of every distinct transfer solve, and the (grid, S) of every
-    detect_peaks call."""
-    transfers, peaks = {}, []
+    """The bundled spectrum scenarios, run once: the (params, steady, grid)
+    of every transfer evaluation, and the (grid, S) of every detect_peaks
+    call."""
+    transfers, peaks = [], []
 
-    def recording_transfer(m, params, omega_grid):
-        transfers[m.tobytes()] = (m.copy(), params, (omega_grid[0], omega_grid[-1]))
-        return _q_transfer(m, params, omega_grid)
+    def recording_transfer(params, steady, omega_grid):
+        transfers.append((params, steady, np.array(omega_grid)))
+        return _transfer(params, steady, omega_grid)
 
     def recording_peaks(grid, s):
         peaks.append((np.array(grid), np.array(s)))
         return detect_peaks(grid, s)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_q_transfer", recording_transfer)
+        mp.setattr(spectrum, "_transfer", recording_transfer)
         mp.setattr(spectrum, "detect_peaks", recording_peaks)
         mp.setattr(closed_form, "detect_peaks", recording_peaks)
         for name in SPECTRUM_SCENARIOS:
             cfg = parse_config((ROOT / "scenarios" / f"{name}.cfg").read_text())
             run_scenario(cfg, out_dir=str(tmp_path_factory.mktemp(name)))
-    return list(transfers.values()), peaks
+    return transfers, peaks
 
 
-@pytest.mark.parametrize("size", [1, 17, 2001, OMEGA_BLOCK - 1, OMEGA_BLOCK + 1,
-                                  3 * OMEGA_BLOCK + 17, 20000])
-def test_slab_transfer_equals_whole_grid_solve(bundled_spectrum_calls, size):
-    """The transfer solve in slabs of OMEGA_BLOCK frequencies gives the bits
-    of the same solve over the whole grid at once, signed zeros included,
-    partial slabs included, with 6 rows and with 8."""
+def _solved_transfer(m, params, grid):
+    """Rows 1-5 of x (-i w I - M) = e_q, one LU solve per w, times the input
+    couplings: the Brownian force into p, the vacua into cavities B and A."""
+    n = m.shape[0]
+    shifted = -1j * grid[:, None, None] * np.eye(n) - m
+    e_q = np.broadcast_to(np.eye(n)[:, :1], (grid.size, n, 1))
+    x = np.linalg.solve(np.swapaxes(shifted, 1, 2), e_q)[:, 1:6, 0]
+    kb, ka = np.sqrt(params.kappa_b), np.sqrt(params.kappa_a)
+    return x * np.array([1.0, kb, kb, ka, ka])
+
+
+def test_transfer_equals_per_frequency_solve(bundled_spectrum_calls):
+    """Cramer's rule gives the per-w solve of the drift matrix, all five
+    channels, within 1e-12 of each w's largest response: on every bundled
+    spectrum evaluation, an active dot (8 rows), the J ~ 1.5 mode
+    crossings, and at g*N = 0 against the 8-row Jacobian with the dot kept."""
     recorded = bundled_spectrum_calls[0]
     assert len(recorded) > len(SPECTRUM_SCENARIOS)
-    cases = recorded + [(_near_exceptional_matrix(s), NEAR_EP_PARAMS, (0.0, 2.5))
-                        for s in NEAR_EP_SPLITS]
-    # an active dot: 8 rows
-    dot = spectrum_params().with_(n_inversion=-0.5)
-    cases.append((drift_matrix(dot, _stable_state(dot, 0.1, 0.10)), dot, (0.0, 2.5)))
-    assert cases[-1][0].shape == (8, 8)
-    for m, params, (lo, hi) in cases:
-        grid = np.linspace(lo, hi, size)
-        got = _q_transfer(m, params, grid)
-        assert got.shape == (size, 5)
-        assert got.tobytes() == q_transfer_whole_grid(m, params, grid).tobytes()
+    cases = [(drift_matrix(p, st), p, st, grid) for p, st, grid in recorded]
+    grid = np.linspace(0.0, 2.5, 2001)
+    for p in (spectrum_params().with_(n_inversion=-0.5), spectrum_params(j_coupling=1.45),
+              spectrum_params(j_coupling=1.55)):
+        st = _stable_state(p, 0.1, 0.10)
+        cases.append((drift_matrix(p, st), p, st, grid))
+    assert cases[-3][0].shape == (8, 8)
+    # g*N = 0 both ways: the dot's rows kept change no T_k
+    for p in (spectrum_params(), spectrum_params().with_(g_qd=0.0, n_inversion=-0.5)):
+        st = _stable_state(p, 0.1, 0.10)
+        cases.append((_with_dot(p, st), p, st, grid))
+    for m, p, st, grid in cases:
+        expected = _solved_transfer(m, p, grid)
+        got = _transfer(p, st, grid)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.max(np.abs(got - expected) / scale) < 1e-12
+
+
+def test_cavity_b_dot_pole_on_the_grid():
+    """g^2 N / kappa_d = kappa_b at delta_b = delta_d = 1: cavity B and the
+    dot have a pole at w = 1, a grid point.  The spectrum divides by no
+    cavity-B/dot determinant, so it stays finite there and equals the
+    full-correlation oracle."""
+    p = SystemParams(kappa_b=0.1, kappa_d=1.0, g_qd=1.0, n_inversion=0.1, delta_b=1.0,
+                     delta_d=1.0)
+    grid = np.linspace(0.0, 2.5, 2001)
+    assert grid[800] == 1.0
+    for eta0 in (0.05, 0.3):
+        st = steady_state(p, eta0, 0.0, "upper")
+        assert stability(drift_matrix(p, st)).stable
+        series = spectrum_matrix(p, st, grid)
+        assert np.all(np.isfinite(series.s_q))
+        assert_matches_oracle(p, st, series)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -371,9 +356,9 @@ print(json.dumps(stages))
 
 
 def test_cli_runs_import_only_the_scipy_they_call(tmp_path):
-    """The package loads no scipy subpackage; a spectrum run adds only
-    scipy.linalg (Schur form), a hysteresis run scipy.integrate (odeint),
-    and nothing loads scipy.signal."""
+    """The package loads no scipy subpackage, nor does a bistability, switch
+    or spectrum run; a hysteresis run adds scipy.integrate (odeint), and
+    nothing loads scipy.signal."""
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(ROOT / "scenarios"),
                            str(tmp_path)], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=300)
@@ -382,7 +367,7 @@ def test_cli_runs_import_only_the_scipy_they_call(tmp_path):
     assert stages["import"] == []
     assert stages["bistability"] == []
     assert stages["switch"] == []
-    assert stages["spectrum"] == ["linalg"]
+    assert stages["spectrum"] == []
     assert "integrate" in stages["hysteresis"]
     assert "signal" not in stages["hysteresis"]
 
