@@ -10,6 +10,14 @@ Spectrum payloads carry their series as 1-D numpy arrays.  JSON files are
 json.dumps's indented, key-sorted bytes, written by orjson's compiled
 encoder (Ryu's shortest round-trip digits, the same digits as ``repr``)
 and two byte rewrites of its exponent layout; see ``_json``.
+
+CSV cells are ``"%.12g" % x``, byte for byte, but most are printed by the
+same encoder: numpy rounds each float to 12 significant digits (one exact
+power of ten, one rounded product, ``rint``, one rounded quotient), and the
+double nearest a decimal of at most 12 digits has that decimal as its
+shortest repr, since such a decimal round-trips.  Cells whose rounding
+cannot be proven so (ties, the scientific layout, integers, NaN, +-inf)
+and non-float columns go through ``%`` or ``str``; see ``_round12``.
 """
 
 from __future__ import annotations
@@ -36,14 +44,50 @@ from .spectrum import spectrum_matrix
 from .steady_state import rocking_parameter, steady_state
 
 FLOAT_FMT = "%.12g"
+# 10**k for k = 0..22, each exact in a double.
+_POW10 = np.array([float(10**k) for k in range(23)])
 
 
-def _csv(headers, columns) -> str:
+def _round12(x):
+    """``(y, sure)``: ``x`` rounded to 12 significant digits, and where
+    ``"%.12g" % x`` is sure to be y's shortest digits laid out positionally.
+
+    p = 11 - floor(log10|x|) is guessed and clamped to 0..22, so 10**p is
+    exact and m = x * 10**p is rounded once.  Where 1e11 <= |m| < 1e12 the
+    guess held; a float32 log10, at half the cost of a float64 one, misses
+    only near a power of ten.  Rounding is monotone and every half-integer
+    below 2**52 is a double, so m's one rounding can reach a half but never
+    cross one: where |m - rint(m)| < 1/2, rint(m) is the exact product
+    rounded to an integer, as ``%.12g`` rounds it, and y = rint(m) / 10**p
+    is the double nearest that decimal of at most 12 digits.  The decimal
+    round-trips (DBL_DIG = 15), so it is y's shortest repr, and ``%g``
+    writes it positionally where 1e-4 <= |y| < 1e12.  An integer-valued y
+    is not sure either, as ``repr`` ends it in ``.0``; that also leaves out
+    zeros of either sign and every |y| >= 1e12.  NaN, +-inf and subnormals
+    never are.
+    """
+    with np.errstate(all="ignore"):
+        guess = 11 - np.floor(np.log10(np.abs(x), dtype=np.float32))
+        scale = _POW10[np.fmin(np.fmax(guess, 0), 22).astype(np.intp)]
+        m = x * scale
+        r = np.rint(m)
+        y = r / scale
+        size, tie = np.abs(m), np.abs(m - r)
+    return y, ((1e11 <= size) & (size < 1e12) & (tie < 0.5)
+               & (np.abs(y) >= 1e-4) & (np.floor(y) != y))
+
+
+def _csv(headers, columns) -> bytes:
     """Header line, then one line per row of ``columns`` (one per header):
-    a float column's cells ``%.12g``, any other column's ``str``.
+    a float column's cells ``%.12g``, any other column's ``str``; encoded.
 
-    The line format comes from the columns' dtypes, and the whole table is
-    formatted by a single ``%``.
+    Every cell ``_round12`` is sure of is printed by a single ``orjson.dumps``
+    of the table's cells, row-major, in one float64 array.  Ryu's shortest
+    digits of such a cell's y are ``%.12g``'s, and orjson writes them
+    positionally too.  Every other cell (NaN, +-inf, integers, the scientific
+    layout, ties and any non-float column) is ``null`` there; the nulls
+    are replaced, in order, by the cell's ``FLOAT_FMT % value`` or
+    ``str(value)``.
     """
     columns = [np.asarray(column) for column in columns]
     if len(columns) != len(headers):
@@ -51,9 +95,31 @@ def _csv(headers, columns) -> str:
     rows = len(columns[0]) if columns else 0
     if any(len(column) != rows for column in columns):
         raise ValueError("CSV columns differ in length")
-    line = ",".join(FLOAT_FMT if column.dtype.kind == "f" else "%s" for column in columns)
-    cells = tuple(chain.from_iterable(zip(*(column.tolist() for column in columns))))
-    return ",".join(headers) + "\n" + (line + "\n") * rows % cells
+    head = (",".join(headers) + "\n").encode()
+    if not rows:
+        return head
+    width = len(columns)
+    floats = [column.dtype.kind == "f" for column in columns]
+    cells = np.full((rows, width), np.nan)
+    for j in np.flatnonzero(floats):
+        cells[:, j] = columns[j]
+    cells = cells.ravel()
+    y, sure = _round12(cells)
+    unsure = np.flatnonzero(~sure)
+    y[unsure] = np.nan
+    text = bytearray(orjson.dumps(y, option=orjson.OPT_SERIALIZE_NUMPY))
+    text[-1] = ord(",")  # the closing bracket ends the last row like any other
+    chars = np.frombuffer(text, np.uint8)
+    chars[np.flatnonzero(chars == ord(","))[width - 1::width]] = ord("\n")
+    text = bytes(text[1:])
+    if unsure.size:
+        lists = [None if f else column.tolist() for f, column in zip(floats, columns)]
+        row_of, column_of = (k.tolist() for k in np.divmod(unsure, width))
+        fills = [(FLOAT_FMT % value if floats[j] else str(lists[j][i])).encode()
+                 for value, i, j in zip(cells[unsure].tolist(), row_of, column_of)]
+        parts = text.split(b"null")
+        text = b"".join(chain.from_iterable(zip(parts, fills))) + parts[-1]
+    return head + text
 
 
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
@@ -101,8 +167,9 @@ def _json(payload) -> bytes:
                            default=lambda value: value.tolist()) + "\n").encode()
     text = _EXPONENT.sub(_exponent, text)
     # bytes.find scans ten times as fast as the pattern, whose first byte is
-    # a common digit, and most files hold no such number.
-    if b".0000" in text:
+    # a common digit.  The gate is the rewrite's own precondition (a number
+    # that starts ``0.0000``), as ``.0000`` alone is in most spectrum grids.
+    if b" 0.0000" in text or b"-0.0000" in text or text.startswith(b"0.0000"):
         text = _FIFTH_DECIMAL.sub(_fifth_decimal, text)
     return text
 
@@ -253,7 +320,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     files = {}
     if "csv" in formats:
         for name, (headers, columns) in bundle["csv"].items():
-            files[name] = _csv(headers, columns).encode()
+            files[name] = _csv(headers, columns)
     if "json" in formats:
         for name, payload in bundle["json"].items():
             files[name] = _json(payload)

@@ -547,6 +547,19 @@ def test_json_writer_rewrites_orjson_float_layout_into_repr(value, orjson_text, 
         assert runner._json(payload) == _oracle_json(payload).encode()
 
 
+OMEGA_WITH_FIFTH_DECIMAL = np.linspace(0.0, 2.5, 40_001)  # holds 1.0000625
+OMEGA_WITH_FIFTH_DECIMAL[1] = 0.00001
+
+
+@pytest.mark.parametrize("payload", [
+    [10.00001, 1.0000625], OMEGA_WITH_FIFTH_DECIMAL, {"s_q": [2.5, -0.00001]}, 0.00001],
+    ids=["dot-0000-inside-a-number", "omega-grid", "negative", "bare"])
+def test_json_writer_fifth_decimal_rewrite_gate(payload):
+    """The ``0.00001`` rewrite runs where a number starts ``0.0000`` (after a
+    space, a minus sign or at the start) and leaves ``10.00001`` alone."""
+    assert runner._json(payload) == _oracle_json(payload).encode()
+
+
 @pytest.mark.parametrize("payload", [
     math.nan, [1.0, math.inf], {"a": -math.inf}, np.array([0.5, math.nan]), [None, 1e-7],
     {"ü": 1e16}, ["ü€", 0.00001], "\x7f", {"k": ["a\x7fb", 1e-7]},
@@ -590,7 +603,7 @@ def _random_columns(rng):
 def test_csv_writer_matches_oracle_on_random_tables(rng):
     for _ in range(500):
         headers, columns = _random_columns(rng)
-        expected = _oracle_csv(headers, zip(*columns))
+        expected = _oracle_csv(headers, zip(*columns)).encode()
         assert runner._csv(headers, columns) == expected, columns
 
 
@@ -599,6 +612,57 @@ def test_csv_writer_rejects_columns_that_do_not_fit_the_header():
         runner._csv(("a", "b"), ([1.0], [2.0], [3.0]))
     with pytest.raises(ValueError, match="differ in length"):
         runner._csv(("a", "b"), ([1.0, 2.0], [3.0]))
+
+
+def _digit_ties(rng, n):
+    """Doubles nearest d.ddddddddddd5e+-k for k = -6..14: ties, or all but
+    ties, in the 13th significant digit, where ``%.12g`` rounds."""
+    digits = rng.integers(10**11, 10**12, size=n).tolist()
+    exponents = rng.integers(-6, 15, size=n).tolist()
+    return np.array([float(f"{d // 10**11}.{d % 10**11:011d}5e{k}")
+                     for d, k in zip(digits, exponents)])
+
+
+CSV_EDGES = np.array([0.1234567890125, 9.999999999995e-05, 9.9999999999995e-05, 1e-4,
+                      999999999999.4, 999999999999.5, 999999999999.6, 1e12,
+                      0.99999999123456, 0.0100000000123, 1e-3,
+                      1.0, 100.0, 2.0**53, -0.0, 0.0, math.nan, math.inf, 5e-324])
+
+
+def test_csv_writer_matches_oracle_at_scale(rng):
+    """~200k doubles in one column (random bit patterns, 13th-digit ties, the
+    positional layout's edges, integer values, every positional decade and
+    its neighbourhood of a power of ten), then a spectrum table shaped like
+    ``linear``'s and a hysteresis table with its str column, against the
+    per-cell oracle."""
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    u = rng.random(20_000)
+    decades = 10.0 ** rng.integers(-6, 14, size=u.size)
+    column = np.concatenate([bits, _digit_ties(rng, 60_000), CSV_EDGES, -CSV_EDGES,
+                             (u - 0.5) * decades, decades * (1 + (u - 0.5) * 1e-6)])
+    omega = np.linspace(0.0, 2.5, 20_000)
+    legs = np.linspace(0.05, 0.9, 600)
+    tables = [(("x",), [column]),
+              (("omega[omega_m]", "s_q[dimensionless]"),
+               (omega, 1e-3 / ((omega - 1.0) ** 2 + 1e-8))),
+              (("direction", "input_power[omega_m^2]", "output_power[dimensionless]"),
+               (np.repeat(["up", "down"], 600), np.concatenate([legs, legs[::-1]]),
+                rng.random(1200) * 0.3))]
+    for headers, columns in tables:
+        expected = _oracle_csv(headers, zip(*columns)).encode()
+        assert runner._csv(headers, columns) == expected
+
+
+def test_csv_writer_prints_a_bundled_spectrum_in_bulk():
+    """At least 99% of a matrix-backend spectrum's (omega, S_q) cells are
+    ones ``runner._round12`` is sure of, which orjson prints, not ``%``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "nms_three_peak_demo.cfg")
+    with open(path, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    headers, columns = runner.run_spectrum(cfg)["csv"]["spectrum.csv"]
+    _, sure = runner._round12(np.column_stack(columns).ravel())
+    assert sure.mean() >= 0.99
+    assert runner._csv(headers, columns) == _oracle_csv(headers, zip(*columns)).encode()
 
 
 SWEEP_WITH_FAILED_POINT = (BISTABILITY.replace("name = bistability",
