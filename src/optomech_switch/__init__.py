@@ -17,8 +17,7 @@ from .linearize import StabilityReport, drift_matrix, stability
 from .params import DriveConfig, SystemParams
 from .runner import run_scenario
 from .spectrum import Peak, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
-from .steady_state import (SteadyState, cubic_coefficients, helper_constants,
-                           rocking_parameter, solve_transmitted_power,
-                           steady_state_from_ptrans)
+from .steady_state import (SteadyState, cubic_coefficients, response, rocking_parameter,
+                           solve_transmitted_power, steady_state_from_ptrans)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

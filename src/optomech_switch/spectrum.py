@@ -5,7 +5,9 @@ space, O(w) = (-i w I - M)^{-1} F f(w).  Its q row is the response T_k(w)
 of the mirror position to unit noise in channel k (Brownian force, then
 the amplitude/phase vacuum inputs of cavities B and A, each
 delta-correlated with the [[1, i], [-i, 1]] block), by Cramer's rule on
-the linearized model (`_transfer`); the dot gets no noise
+the linearized model (`_transfer`), whose dot, cavity-B/dot determinant
+and cavity-A response are `steady_state.response` at nu = -w; the dot
+gets no noise
 (docs/KNOWN_ERRATA.md item 14).  M (`linearize.drift_matrix`) only
 decides stability; the `matrix` backend is named for this linear-response
 route.  The symmetrized position spectrum is the closed sum
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import UnstableStateError
 from .linearize import drift_matrix, stability
 from .params import SystemParams
-from .steady_state import SteadyState
+from .steady_state import SteadyState, response
 
 # Peaks must protrude by this fraction of the global maximum.
 PEAK_PROMINENCE_FRACTION = 0.01
@@ -75,14 +77,16 @@ def brownian_weight(omega, params: SystemParams):
 
 def _transfer(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> np.ndarray:
     """T_k(w), shape (nw, 5): row q of (-i w I - M)^{-1} times the input
-    couplings, by Cramer's rule (x ~ exp(-i w t), G = omega_m chi).  At
-    v = w the dot, cavity B and cavity A answer through
+    couplings, by Cramer's rule (x ~ exp(-i w t), G = omega_m chi).  The
+    dot, cavity B and cavity A answer through `steady_state.response` at
+    nu = -w and the effective detuning Delta,
 
-        dot(v) = kappa_d + i (delta_d - v),
-        det(v) = (kappa_b + i (delta_b - v)) dot(v) - g^2 N,
-        opt(v) = (kappa_a + i (Delta - v)) det(v) + J^2 dot(v),
+        dot = kappa_d + i (delta_d - w),
+        det = (kappa_b + i (delta_b - w)) dot - g^2 N,
+        opt = (kappa_a + i (Delta - w)) det + J^2 dot,
 
-    the conjugate fields through dot', det', opt' = conj(.(-w)), and the
+    the conjugate fields through dot', det', opt', the conjugates of the
+    response at nu = +w, and the
     radiation force G (a_s* a + a_s a*) closes the loop on q:
 
         den = (omega_m^2 - w^2 - i gamma_m w) opt opt'
@@ -95,13 +99,8 @@ def _transfer(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> n
     """
     p, a, w = params, steady.a_s, np.asarray(omega, dtype=float)
     j, wm, g_om = p.j_coupling, p.omega_m, p.omega_m * p.chi
-
-    def chain(v):
-        dot = p.kappa_d + 1j * (p.delta_d - v)
-        det = (p.kappa_b + 1j * (p.delta_b - v)) * dot - p.g_qd ** 2 * p.n_inversion
-        return dot, det, (p.kappa_a + 1j * (steady.eff_detuning - v)) * det + j * j * dot
-
-    (dot, det, opt), (dot_c, det_c, opt_c) = chain(w), np.conj(chain(-w))
+    (dot, det, opt), (dot_c, det_c, opt_c) = (
+        response(p, -w, steady.eff_detuning), np.conj(response(p, w, steady.eff_detuning)))
     # omega_m^2 - w^2 factored, so it keeps its relative accuracy at the mechanical line
     den = (((wm - w) * (wm + w) - 1j * p.gamma_m * w) * opt * opt_c
            - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - det_c * opt))

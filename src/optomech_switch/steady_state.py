@@ -1,28 +1,30 @@
 """Steady states of the coupled cavity-cavity-dot-mirror system.
 
-Eliminating cavity B, the dot coherence and the mirror displacement from
-the mean-field fixed-point equations leaves a single complex condition on
-the cavity-A amplitude ``a_s``,
+The cavity-B/dot block and cavity A answer a drive at frequency nu
+through three undivided polynomials, :func:`response`'s
 
-    a_s * [(i*Delta + kappa_a)*(A1 + i*A2) + J^2*(kappa_d + i*delta_d)]
-        = eta0*(A1 + i*A2) + i*J*g*lambda*exp(-i*theta)*N,
+    dot = kappa_d + i*(delta_d + nu),
+    det = (kappa_b + i*(delta_b + nu))*dot - g^2*N,
+    opt = (kappa_a + i*(Delta + nu))*det + J^2*dot,
 
-with the effective detuning Delta = delta_a - omega_m*chi^2*(P + C),
-P = |a_s|^2 the transmitted power, C the rocking parameter of the fast
-drive modulation, and
+the determinant of the cavity-B/dot block and, times it, cavity A's
+response with cavity B and the dot eliminated.  At nu = 0 the mean-field
+fixed point is the single complex condition
 
-    A1 = -g^2*N + kappa_b*kappa_d - delta_b*delta_d,
-    A2 = delta_b*kappa_d + kappa_b*delta_d.
+    a_s * opt = eta0*det + s,        s = i*J*g*lambda*N*exp(-i*theta),
 
-Taking the squared modulus turns this into a real cubic in P whose
-coefficients are assembled in :func:`cubic_coefficients`; the full
-symbolic derivation lives in docs/cubic_derivation.md.  Cavity B and the
+with the effective detuning Delta = delta_a - omega_m*chi^2*(P + C), P =
+|a_s|^2 the transmitted power and C the rocking parameter of the fast
+drive modulation.  Its squared modulus is a real cubic in P, assembled in
+:func:`cubic_coefficients` (docs/cubic_derivation.md).  Cavity B and the
 dot follow from a_s through :func:`eliminated` at nu = 0, the function
 that eliminates them at every harmonic of the periodic orbit (dynamics):
-the steady state is that orbit's zeroth harmonic.  The tests find the
-same fixed point independently, by a damped Newton iteration on ``a_s``
-itself and a 2x2 solve for b and sigma (``steady_state_direct`` in
-tests/reference.py), as the oracle for the cubic route.
+the steady state is that orbit's zeroth harmonic.  The spectrum
+(`spectrum._transfer`) reads the same :func:`response` at every
+frequency.  The tests find the same fixed point independently, by a
+damped Newton iteration on ``a_s`` itself and a 2x2 solve for b and sigma
+(``steady_state_direct`` in tests/reference.py), as the oracle for the
+cubic route.
 """
 
 from __future__ import annotations
@@ -66,34 +68,43 @@ def rocking_parameter(drive: DriveConfig) -> float:
     return drive.p_amp**2 / (2.0 * drive.omega_mod**2)
 
 
-def helper_constants(params: SystemParams) -> tuple[float, float]:
-    """A1, A2 of the eliminated cavity-B/dot block.
+def response(params: SystemParams, nu, detuning):
+    """(dot, det, opt) at frequency nu, undivided: the dot's
+    kappa_d + i(delta_d + nu), the determinant of the cavity-B/dot block
+    [[kappa_b + i(delta_b + nu), i g], [-i g N, dot]] and cavity A's
+    response (kappa_a + i(detuning + nu))*det + J^2*dot, which is det times
+    that of cavity A with cavity B and the dot eliminated."""
+    dot = params.kappa_d + 1j * (params.delta_d + nu)
+    det = (params.kappa_b + 1j * (params.delta_b + nu)) * dot \
+        - params.g_qd ** 2 * params.n_inversion
+    return dot, det, (params.kappa_a + 1j * (detuning + nu)) * det \
+        + params.j_coupling ** 2 * dot
 
-    (A1 + i*A2) = (kappa_b + i*delta_b)*(kappa_d + i*delta_d) - g^2*N.
-    """
-    a1 = -params.g_qd**2 * params.n_inversion + params.kappa_b * params.kappa_d \
-        - params.delta_b * params.delta_d
-    a2 = params.delta_b * params.kappa_d + params.kappa_b * params.delta_d
-    return a1, a2
+
+def _pump_source(params: SystemParams) -> complex:
+    """s = i*J*g*lambda*N*exp(-i*theta): the pumped dot's drive on cavity A,
+    times det (the fixed point is a_s*opt = eta0*det + s)."""
+    return (1j * params.j_coupling * params.g_qd * params.lambda_pump
+            * params.n_inversion * cmath.exp(-1j * params.theta))
 
 
-def _drive_terms(params: SystemParams, eta0: float) -> complex:
-    """Numerator eta0*(A1+i*A2) + i*J*g*lambda*exp(-i*theta)*N of a_s."""
-    a1, a2 = helper_constants(params)
-    qd_drive = (1j * params.j_coupling * params.g_qd * params.lambda_pump
-                * params.n_inversion * cmath.exp(-1j * params.theta))
-    return eta0 * (a1 + 1j * a2) + qd_drive
+def _source_moments(params: SystemParams, det: complex) -> tuple[float, float, float]:
+    """|det|^2, k = Re(conj(det)*s) and m = |s|^2, so that |eta0*det + s|^2
+    = |det|^2*eta0^2 + 2*k*eta0 + m in real arithmetic: the same bits at an
+    eta0 of a grid and at a knee's scalar eta0."""
+    s = _pump_source(params)
+    return det.real ** 2 + det.imag ** 2, (det.conjugate() * s).real, s.real ** 2 + s.imag ** 2
 
 
 def eliminated(params: SystemParams, nu):
     """Per frequency nu: the responses of b and of sigma to a, and to the
     dot pump (their constant parts, used at nu = 0), from the 2x2 block
-    [[kappa_b + i(delta_b + nu), i g], [-i g N, kappa_d + i(delta_d + nu)]]
-    by Cramer's rule, and the mirror susceptibility of q to |a|^2."""
+    [[kappa_b + i(delta_b + nu), i g], [-i g N, dot]] by Cramer's rule with
+    :func:`response`'s dot and det, and the mirror susceptibility of q to
+    |a|^2."""
+    dot, det, _ = response(params, nu, 0.0)
     cav = params.kappa_b + 1j * (params.delta_b + nu)
-    dot = params.kappa_d + 1j * (params.delta_d + nu)
     up, down = 1j * params.g_qd, -1j * params.g_qd * params.n_inversion
-    det = cav * dot - up * down
     drive_a = -1j * params.j_coupling
     pump = -1j * params.lambda_pump * params.n_inversion * cmath.exp(-1j * params.theta)
     wm = params.omega_m
@@ -111,29 +122,18 @@ def cubic_coefficients(params: SystemParams, eta0: float,
                        c_rocking: float) -> tuple[float, float, float, float]:
     """Coefficients (c3, c2, c1, c0) of the transmitted-power cubic.
 
-    c3*P^3 + c2*P^2 + c1*P + c0 = 0 with P = |a_s|^2.  Re-derived from the
-    fixed-point equations (docs/cubic_derivation.md); deviations from the
-    published closed form are listed in docs/KNOWN_ERRATA.md.
+    c3*P^3 + c2*P^2 + c1*P + c0 = 0 with P = |a_s|^2.  With opt0 cavity A's
+    :func:`response` at P = 0 (the rocking shift only), the fixed point's
+    opt is opt0 - i*beta*P*det, beta = omega_m*chi^2, and the cubic is
+    P*|opt0 - i*beta*P*det|^2 = |eta0*det + s|^2 (docs/cubic_derivation.md);
+    deviations from the published closed form are listed in
+    docs/KNOWN_ERRATA.md.
     """
-    a1, a2 = helper_constants(params)
-    a_sq = a1 * a1 + a2 * a2
     beta = params.omega_m * params.chi**2
-    j2 = params.j_coupling**2
-    # detuning with only the rocking shift applied
-    dt = params.delta_a - beta * c_rocking
-    # real/imag parts of the response denominator at P = 0
-    r0 = params.kappa_a * a1 + j2 * params.kappa_d - dt * a2
-    i0 = dt * a1 + params.kappa_a * a2 + j2 * params.delta_d
-
-    c3 = a_sq * beta * beta
-    c2 = -2.0 * beta * (dt * a_sq - j2 * (params.kappa_d * a2 - params.delta_d * a1))
-    c1 = r0 * r0 + i0 * i0
-
-    lam_n = (params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion)
-    c0 = -(eta0 * eta0 * a_sq
-           + 2.0 * eta0 * lam_n * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta))
-           + lam_n**2)
-    return c3, c2, c1, c0
+    _, det, opt0 = response(params, 0.0, params.delta_a - beta * c_rocking)
+    det_sq, k, m = _source_moments(params, det)
+    return (det_sq * beta * beta, -2.0 * beta * (opt0 * det.conjugate()).imag,
+            opt0.real ** 2 + opt0.imag ** 2, -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m))
 
 
 def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
@@ -141,22 +141,19 @@ def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
     """Input power eta0^2 that places a steady state at the given p_trans.
 
     Inverts the steady-state polynomial.  With a pumped dot (N*lambda*J*g
-    nonzero) the relation is quadratic in eta0, |A|^2*eta0^2 + 2*k*eta0 +
-    m = lhs(p_trans), with roots eta0 = (-k +- sqrt(D))/|A|^2; ``sign``
+    nonzero) the relation is quadratic in eta0, |det|^2*eta0^2 + 2*k*eta0 +
+    m = lhs(p_trans), with roots eta0 = (-k +- sqrt(D))/|det|^2; ``sign``
     picks one.  nan where that root is complex or negative (no drive
     reaches p_trans on it).
     """
     p = np.asarray(p_trans, dtype=float)
-    a1, a2 = helper_constants(params)
-    a_sq = a1 * a1 + a2 * a2
     c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
     lhs = c3 * p**3 + c2 * p**2 + c1 * p
-    lam_n = params.j_coupling * params.g_qd * params.lambda_pump * params.n_inversion
-    k, m = lam_n * (a1 * math.sin(params.theta) + a2 * math.cos(params.theta)), lam_n**2
+    det_sq, k, m = _source_moments(params, response(params, 0.0, 0.0)[1])
     if k == 0.0:
-        return (lhs - m) / a_sq
+        return (lhs - m) / det_sq
     with np.errstate(invalid="ignore"):
-        eta0 = (-k + sign * np.sqrt(k * k + a_sq * (lhs - m))) / a_sq
+        eta0 = (-k + sign * np.sqrt(k * k + det_sq * (lhs - m))) / det_sq
     return np.where(eta0 >= 0.0, eta0**2, np.nan)
 
 
@@ -265,19 +262,14 @@ def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float
     """
     if np.any(p_trans < 0.0):
         raise ValueError(f"p_trans must be >= 0, got {np.min(p_trans)}")
-    a1, a2 = helper_constants(params)
-    delta = effective_detuning(params, p_trans, c_rocking)
-    den = ((1j * delta + params.kappa_a) * (a1 + 1j * a2)
-           + params.j_coupling**2 * (params.kappa_d + 1j * params.delta_d))
-    if np.any(np.abs(den) < 1e-12):
+    dot, det, opt = response(params, 0.0, effective_detuning(params, p_trans, c_rocking))
+    if np.any(np.abs(opt) < 1e-12):
         raise SingularResponseError(
             f"cavity-A response denominator vanished at p_trans={p_trans}")
-    a_s = _drive_terms(params, eta0) / den
+    a_s = (eta0 * det + _pump_source(params)) / opt
     # checked before `eliminated`, whose complex division by an exactly
     # singular block would raise ZeroDivisionError
-    den_b =params.kappa_b + 1j * params.delta_b \
-        - params.g_qd**2 * params.n_inversion / (params.kappa_d + 1j * params.delta_d)
-    if abs(den_b) < 1e-12:
+    if abs(det) < 1e-12 * abs(dot):
         raise SingularResponseError("cavity-B/dot response denominator vanished")
     b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(params, 0.0)
     p_trans = abs(a_s) ** 2

@@ -8,6 +8,11 @@
   time, the start state of those one-period integrations.
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
+- ``expanded_cubic`` is the transmitted-power cubic expanded by hand in
+  the helper constants A1, A2 and the response's R0, I0 at P = 0
+  (docs/cubic_derivation.md), the form that KNOWN_ERRATA 1-3 compare with
+  the printed one: the oracle of ``steady_state.cubic_coefficients``,
+  exact in Fractions.  ``refined_root`` polishes a root of it to 50 digits.
 - ``steady_state_direct`` finds a fixed point by damped Newton on the
   cavity-A amplitude, with no use of the transmitted-power cubic, then
   cavity B and the dot from one 2x2 solve of their stationary equations;
@@ -35,6 +40,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -232,6 +239,44 @@ def meanfield_residual(params: SystemParams, eta0: float, c_rocking: float,
     dp = (-params.omega_m * q + g_om * (abs(a) ** 2 + c_rocking) - params.gamma_m * p)
     return np.array([da.real, da.imag, db.real, db.imag,
                      abs(dsig), dq, dp], dtype=float)
+
+
+def expanded_cubic(params: SystemParams, eta0: float, c_rocking: float) -> tuple:
+    """(c3, c2, c1, c0) of the transmitted-power cubic from the hand
+    expansion in A1, A2, R0 and I0, in exact rationals of the double inputs
+    (and of sin, cos theta)."""
+    ka, kb, kd, da, db, dd, j, g, lam, n, wm, chi, eta0, c = map(Fraction, (
+        params.kappa_a, params.kappa_b, params.kappa_d, params.delta_a, params.delta_b,
+        params.delta_d, params.j_coupling, params.g_qd, params.lambda_pump,
+        params.n_inversion, params.omega_m, params.chi, eta0, c_rocking))
+    sin_t, cos_t = Fraction(math.sin(params.theta)), Fraction(math.cos(params.theta))
+    a1 = -g * g * n + kb * kd - db * dd
+    a2 = db * kd + kb * dd
+    a_sq = a1 * a1 + a2 * a2
+    beta, j2 = wm * chi * chi, j * j
+    dt = da - beta * c  # the rocking-shifted detuning
+    r0 = ka * a1 + j2 * kd - dt * a2
+    i0 = dt * a1 + ka * a2 + j2 * dd
+    lam_n = j * g * lam * n
+    return (a_sq * beta * beta, -2 * beta * (dt * a_sq - j2 * (kd * a2 - dd * a1)),
+            r0 * r0 + i0 * i0,
+            -(eta0 * eta0 * a_sq + 2 * eta0 * lam_n * (a1 * sin_t + a2 * cos_t) + lam_n * lam_n))
+
+
+def refined_root(coeffs, x: float) -> Decimal:
+    """Newton on the polynomial with exact (Fraction) coefficients, leading
+    first, from the simple root's estimate x, in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        cs = [Decimal(c.numerator) / Decimal(c.denominator) for c in coeffs]
+        x = Decimal(x)
+        for _ in range(8):
+            p = dp = Decimal(0)
+            for c in cs:
+                dp = dp * x + p
+                p = p * x + c
+            x -= p / dp
+        return x
 
 
 def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,

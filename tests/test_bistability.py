@@ -204,11 +204,15 @@ def _check_side(roots, fold, upper, inside):
 
 
 @pytest.mark.parametrize("params, c", [(FIG_BISTABLE, 0.10), (FIG_BISTABLE, 0.36),
-                                       (FIG_BISTABLE, 0.49), (CLEAN_BISTABLE, 0.0)])
+                                       (FIG_BISTABLE, 0.49), (CLEAN_BISTABLE, 0.0),
+                                       (FIG_BISTABLE.with_(g_qd=1.0, n_inversion=-1.0), 0.1),
+                                       (FIG_BISTABLE.with_(g_qd=1.0, n_inversion=0.5), 0.1)])
 def test_root_count_follows_the_side_of_each_knee(params, c):
     """Count from the exact knees: 3 strictly inside, 1 outside, and exactly
     on a knee the fold's p_trans once as a double root beside the simple one.
-    A few ulps from the knee, eigvals misjudges which roots are real."""
+    A few ulps from the knee, eigvals misjudges which roots are real.  The
+    pumped-dot cases (N != 0) reach the knees through the cross term k of
+    the drive side."""
     folds = turning_points(params, c)
     for knee, fold in folds:
         upper = fold == min(p for _, p in folds)  # the lower-power fold closes the window above

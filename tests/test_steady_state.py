@@ -1,16 +1,26 @@
 import cmath
 import math
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optomech_switch import (DegenerateModelError, DriveConfig, SingularResponseError,
                              SystemParams, bistability_curve, cubic_coefficients,
-                             helper_constants, rocking_parameter, solve_transmitted_power,
-                             spectrum_matrix, steady_state_from_ptrans, switch_metrics)
+                             parse_config, response, rocking_parameter,
+                             solve_transmitted_power, spectrum_matrix, steady_state_from_ptrans,
+                             switch_metrics)
 from optomech_switch.steady_state import steady_state
 from conftest import FIG_BISTABLE, FIG_SWITCH, SPECTRUM_GRID, random_params
-from reference import meanfield_residual, steady_state_direct
+from reference import expanded_cubic, meanfield_residual, refined_root, steady_state_direct
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# g^2*N = kappa_b*kappa_d at zero detunings: the cavity-B/dot block is singular
+SINGULAR_BLOCK = FIG_SWITCH.with_(kappa_b=1.0, kappa_d=1.0, delta_b=0.0, delta_d=0.0,
+                                  g_qd=1.0, n_inversion=1.0, j_coupling=0.5,
+                                  lambda_pump=0.5, chi=0.3)
 
 
 def test_rocking_parameter_zero_modulation():
@@ -28,43 +38,77 @@ def test_rocking_parameter_unit_case():
 
 
 def test_helper_constants_bistable_set():
-    a1, a2 = helper_constants(FIG_BISTABLE)
-    assert a1 == pytest.approx(0.18, abs=1e-15)
-    assert a2 == pytest.approx(1.8, abs=1e-15)
+    """A1 + i*A2 is the cavity-B/dot determinant det of `response` at nu = 0."""
+    det = response(FIG_BISTABLE, 0.0, 0.0)[1]
+    assert det.real == pytest.approx(0.18, abs=1e-15)
+    assert det.imag == pytest.approx(1.8, abs=1e-15)
 
 
 def test_helper_constants_decoupled_dot():
     p = SystemParams(g_qd=0.0, n_inversion=0.0, kappa_b=1.0, kappa_d=1.0,
                      delta_b=0.0, delta_d=0.0)
-    assert helper_constants(p) == (1.0, 0.0)
+    det = response(p, 0.0, 0.0)[1]
+    assert (det.real, det.imag) == (1.0, 0.0)
 
 
 def test_helper_constants_direct_substitution():
     p = SystemParams(g_qd=1.0, n_inversion=1.0, kappa_b=1e-300, kappa_d=1e-300,
                      delta_b=1.0, delta_d=1.0)
-    a1, a2 = helper_constants(p)
-    assert a1 == pytest.approx(-2.0)
-    assert a2 == pytest.approx(0.0, abs=1e-299)
+    det = response(p, 0.0, 0.0)[1]
+    assert det.real == pytest.approx(-2.0)
+    assert det.imag == pytest.approx(0.0, abs=1e-299)
 
 
 def test_cubic_matches_brute_force_modulus_square(rng):
-    """Coefficients equal the expansion of P*|den|^2 - |num|^2 term by term."""
+    """Coefficients equal the expansion of P*|den|^2 - |num|^2 term by term,
+    with den and num of the fixed point a_s*den = num written out from the
+    parameters."""
     for _ in range(50):
         p = random_params(rng)
         eta0 = rng.uniform(0.0, 1.0)
         c_rock = rng.uniform(0.0, 0.5)
         c3, c2, c1, c0 = cubic_coefficients(p, eta0, c_rock)
-        a1, a2 = helper_constants(p)
+        dot = p.kappa_d + 1j * p.delta_d
+        block = (p.kappa_b + 1j * p.delta_b) * dot - p.g_qd**2 * p.n_inversion
         for ptr in rng.uniform(0.0, 5.0, size=3):
             delta = p.delta_a - p.omega_m * p.chi**2 * (ptr + c_rock)
-            den = ((1j * delta + p.kappa_a) * (a1 + 1j * a2)
-                   + p.j_coupling**2 * (p.kappa_d + 1j * p.delta_d))
-            num = (eta0 * (a1 + 1j * a2)
+            den = (p.kappa_a + 1j * delta) * block + p.j_coupling**2 * dot
+            num = (eta0 * block
                    + 1j * p.j_coupling * p.g_qd * p.lambda_pump * p.n_inversion
                    * cmath.exp(-1j * p.theta))
             brute = ptr * abs(den) ** 2 - abs(num) ** 2
             poly = ((c3 * ptr + c2) * ptr + c1) * ptr + c0
             assert poly == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+
+def test_cubic_matches_the_hand_expansion(rng):
+    """The coefficients from the undivided response equal the expansion in
+    A1, A2, R0 and I0 (docs/cubic_derivation.md), evaluated exactly, to
+    1e-12 relative: random draws with N != 0, and the singular-block set
+    where A1 = A2 = 0."""
+    cases = [(random_params(rng), rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
+             for _ in range(50)]
+    assert sum(p.n_inversion != 0.0 for p, _, _ in cases) > 40
+    cases.append((SINGULAR_BLOCK, 0.2, 0.0))
+    for p, eta0, c_rock in cases:
+        expected = [float(c) for c in expanded_cubic(p, eta0, c_rock)]
+        assert cubic_coefficients(p, eta0, c_rock) == pytest.approx(expected, rel=1e-12)
+
+
+def test_upper_root_of_the_three_peak_demo_is_exact_to_1e13():
+    """At N = 0 the cubic's coefficients are polynomials in the double
+    parameters, so a 50-digit Newton on them gives the exact roots: the
+    upper root of the bundled three-peak demo, and |a_s|^2 of its steady
+    state, lie within 1e-13 of it (narrow lines, kappa = 0.005, make the
+    cavity-A response small by cancellation)."""
+    cfg = parse_config((ROOT / "scenarios" / "nms_three_peak_demo.cfg").read_text())
+    assert cfg.params.n_inversion == 0.0
+    eta0, c = cfg.drive.eta0, rocking_parameter(cfg.drive)
+    roots = solve_transmitted_power(cfg.params, eta0, c)
+    assert len(roots) == 3
+    exact = refined_root(expanded_cubic(cfg.params, eta0, c), roots[-1][0])
+    for p_trans in (roots[-1][0], steady_state(cfg.params, eta0, c, "upper").p_trans):
+        assert abs(Decimal(float(p_trans)) - exact) < Decimal("1e-13") * exact
 
 
 def test_cubic_chi_zero_is_linear():
@@ -228,7 +272,7 @@ def test_degenerate_model_error():
     p = SystemParams(j_coupling=0.0, chi=0.0, lambda_pump=0.0, g_qd=1.0,
                      n_inversion=1.0, kappa_b=1.0, kappa_d=1.0,
                      delta_b=0.0, delta_d=0.0)
-    assert helper_constants(p) == (0.0, 0.0)
+    assert response(p, 0.0, 0.0)[1] == 0.0
     with pytest.raises(DegenerateModelError):
         solve_transmitted_power(p, 0.0, 0.0)
 
@@ -253,9 +297,8 @@ def test_dot_coupling_changes_no_bit_at_zero_inversion():
 def test_singular_cavity_b_dot_block_is_refused():
     """g^2*N = kappa_b*kappa_d at zero detunings: A1 = A2 = 0, the cubic
     keeps its one root p_trans = 1, and the cavity-B/dot block is singular."""
-    p = FIG_SWITCH.with_(kappa_b=1.0, kappa_d=1.0, delta_b=0.0, delta_d=0.0, g_qd=1.0,
-                         n_inversion=1.0, j_coupling=0.5, lambda_pump=0.5, chi=0.3)
-    assert helper_constants(p) == (0.0, 0.0)
+    p = SINGULAR_BLOCK
+    assert response(p, 0.0, 0.0)[1] == 0.0
     roots = solve_transmitted_power(p, 0.2, 0.0)
     assert [r for r, _ in roots] == [1.0]
     with pytest.raises(SingularResponseError, match="cavity-B/dot response denominator"):
