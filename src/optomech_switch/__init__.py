@@ -4,7 +4,7 @@ stability and the mirror displacement noise spectrum."""
 
 __version__ = "0.1.0"
 
-from .bistability import BistabilityCurve, bistability_curve, turning_points
+from .bistability import BistabilityCurve, bistability_curve
 from .closed_form import fluctuation_amplitudes, spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
 from .dynamics import (SwitchMetrics, bandwidth, gain_vs_frequency, hysteresis_sweep,
@@ -18,6 +18,6 @@ from .params import DriveConfig, SystemParams
 from .runner import run_scenario
 from .spectrum import Peak, SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import (SteadyState, cubic_coefficients, response, rocking_parameter,
-                           solve_transmitted_power, steady_state_from_ptrans)
+                           solve_transmitted_power, steady_state_from_ptrans, turning_points)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

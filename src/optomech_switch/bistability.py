@@ -2,27 +2,24 @@
 
 The transmitted-power polynomial is solved on an input-power grid and
 every root is classified stable/unstable through the eigenvalues of its
-drift matrix (`linearize`), all grid points at once.  Knees (saddle-node
-turning points of the S-curve) are computed exactly by inverting the
-polynomial: the input power is a closed-form function of the output power
-(two-valued with a pumped dot), so the turning points are the roots of
-its derivative, a quadratic.  The branch count switches between one and
-three at every knee: without a pumped dot, three strictly between the
-knees and one outside.  The curve is returned as columns: the grid, and
-one entry per root for its grid index, p_trans, stability and margin.
+drift matrix (`linearize`), all grid points at once.  The knees
+(saddle-node turning points of the S-curve) are `steady_state`'s exact
+`turning_points`, the same list from which the root solver counts the
+branches: one or three, switching at every knee.  The curve is returned
+as columns: the grid, and one entry per root for its grid index, p_trans,
+stability and margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linearize import drift_matrix, stability
 from .params import SystemParams
-from .steady_state import (fold_points, input_power_of_ptrans, steady_state_from_ptrans,
-                           transmitted_power_roots)
+from .steady_state import (steady_state_from_ptrans, transmitted_power_roots,
+                           turning_points)
 
 
 @dataclass(frozen=True)
@@ -39,16 +36,6 @@ class BistabilityCurve:
     stable: np.ndarray
     max_real_eig: np.ndarray
     knees: tuple[float, ...]
-
-
-def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
-    """Exact (input_power, p_trans) saddle-node points of the S-curve,
-    ascending in input power: each fold at every drive eta0 >= 0 that
-    reaches it.  With a pumped dot the reach is quadratic in eta0, so one
-    fold can be reached twice."""
-    reaches = {(float(input_power_of_ptrans(params, c_rocking, p, sign)), p)
-               for p, _ in fold_points(params, c_rocking) if p > 0.0 for sign in (1.0, -1.0)}
-    return tuple(sorted((inp, p) for inp, p in reaches if inp >= 0.0 and math.isfinite(inp)))
 
 
 def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> BistabilityCurve:

@@ -16,11 +16,13 @@ fixed point is the single complex condition
 with the effective detuning Delta = delta_a - omega_m*chi^2*(P + C), P =
 |a_s|^2 the transmitted power and C the rocking parameter of the fast
 drive modulation.  Its squared modulus is a real cubic in P, assembled in
-:func:`cubic_coefficients` (docs/cubic_derivation.md).  Cavity B and the
-dot follow from a_s through :func:`eliminated` at nu = 0, the function
-that eliminates them at every harmonic of the periodic orbit (dynamics):
-the steady state is that orbit's zeroth harmonic.  The spectrum
-(`spectrum._transfer`) reads the same :func:`response` at every
+:func:`cubic_coefficients` (docs/cubic_derivation.md), whose roots
+:func:`transmitted_power_roots` counts by the side of its exact knees
+(:func:`turning_points`), so no rounding decides the branch count.
+Cavity B and the dot follow from a_s through :func:`eliminated` at nu =
+0, the function that eliminates them at every harmonic of the periodic
+orbit (dynamics): the steady state is that orbit's zeroth harmonic.  The
+spectrum (`spectrum._transfer`) reads the same :func:`response` at every
 frequency.  The tests find the same fixed point independently, by a
 damped Newton iteration on ``a_s`` itself and a 2x2 solve for b and sigma
 (``steady_state_direct`` in tests/reference.py), as the oracle for the
@@ -90,8 +92,8 @@ def _pump_source(params: SystemParams) -> complex:
 
 def _source_moments(params: SystemParams, det: complex) -> tuple[float, float, float]:
     """|det|^2, k = Re(conj(det)*s) and m = |s|^2, so that |eta0*det + s|^2
-    = |det|^2*eta0^2 + 2*k*eta0 + m in real arithmetic: the same bits at an
-    eta0 of a grid and at a knee's scalar eta0."""
+    = |det|^2*eta0^2 + 2*k*eta0 + m in real arithmetic, which gives the
+    batched and the one-point root solve the same c0 bits at one eta0."""
     s = _pump_source(params)
     return det.real ** 2 + det.imag ** 2, (det.conjugate() * s).real, s.real ** 2 + s.imag ** 2
 
@@ -157,17 +159,25 @@ def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
     return np.where(eta0 >= 0.0, eta0**2, np.nan)
 
 
-def fold_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
-    """(p_trans, input power of the + root of :func:`input_power_of_ptrans`)
-    at the stationary points of the cubic, ascending in p_trans; the input
-    power is nan or negative where that root does not reach the point."""
+def _folds(params: SystemParams, c_rocking: float) -> tuple[float, ...]:
+    """The cubic's stationary points in p_trans, ascending; () where it has
+    none (c3 = 0 or a nonpositive discriminant)."""
     c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
     disc = c2 * c2 - 3.0 * c3 * c1
     if c3 == 0.0 or disc <= 0.0:
         return ()
     root = math.sqrt(disc)
-    ps = sorted(((-c2 - root) / (3.0 * c3), (-c2 + root) / (3.0 * c3)))
-    return tuple((p, float(input_power_of_ptrans(params, c_rocking, p))) for p in ps)
+    return tuple(sorted(((-c2 - root) / (3.0 * c3), (-c2 + root) / (3.0 * c3))))
+
+
+def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
+    """Exact (input_power, p_trans) saddle-node points of the S-curve,
+    ascending in input power: each fold at every drive eta0 >= 0 that
+    reaches it (:func:`input_power_of_ptrans`).  With a pumped dot the reach
+    is quadratic in eta0, so one fold can be reached twice."""
+    reaches = {(float(input_power_of_ptrans(params, c_rocking, p, sign)), p)
+               for p in _folds(params, c_rocking) if p > 0.0 for sign in (1.0, -1.0)}
+    return tuple(sorted((inp, p) for inp, p in reaches if inp >= 0.0 and math.isfinite(inp)))
 
 
 def _newton_polish(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -196,12 +206,13 @@ def transmitted_power_roots(params: SystemParams, eta0,
     so the polynomial is the full cubic, or the line c1*P + c0 where c3 = 0
     (no root where c1 = 0 too).  One ``eigvals`` call on the companion
     matrices (as ``np.roots`` builds them), then three Newton steps.
-    Which roots exist comes from the exact stationary values, not from the
-    eigenvalues (c3, c1 >= 0 >= c0): a cubic has three roots where c0 lies
-    strictly between its values at the two folds of :func:`fold_points`,
-    one outside, and at a fold's value (a knee) the fold's p_trans as a
-    double root, listed once.  Where three are due, a conjugate pair (a
-    near double root) splits into re -+ |im|.
+    Which roots exist comes from the knees of :func:`turning_points`, not
+    from the eigenvalues.  The polynomial's sign at a fold is 0 where eta0
+    is the sqrt of one of its knee inputs, else -1 (c0 -> -inf as eta0
+    grows) flipped once per knee above eta0: three roots where it is + at
+    the lower fold and - at the upper, one otherwise, and on a knee the
+    fold's p_trans as a double root, listed once.  Where three are due, a
+    conjugate pair (a near double root) splits into re -+ |im|.
     """
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
     coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
@@ -213,13 +224,9 @@ def transmitted_power_roots(params: SystemParams, eta0,
     if not np.any(poly[:, 0]):  # c3 = c1 = 0: a nonzero constant
         return np.zeros(0, int), np.zeros(0), np.zeros(0, int)
     deg = poly.shape[1] - 1
-    folds = fold_points(params, c_rocking)
-    if len(folds) < 2 or folds[0][0] <= 0.0:  # no three-root window
-        folds = ((math.nan, math.nan),) * 2
-    # c0 at which a fold is a double root: its value at the knee input (inf: none)
-    (fold_lo, level_lo), (fold_hi, level_hi) = (
-        (p, cubic_coefficients(params, math.sqrt(inp), c_rocking)[3] if inp >= 0.0 else math.inf)
-        for p, inp in folds)
+    fold_lo, fold_hi = _folds(params, c_rocking) or (math.nan, math.nan)
+    knees = turning_points(params, c_rocking)
+    reaches = [np.sqrt([inp for inp, p in knees if p == fold]) for fold in (fold_lo, fold_hi)]
     companion = np.zeros((eta0.size, deg, deg))
     companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
     companion[:, range(1, deg), range(deg - 1)] = 1.0
@@ -227,8 +234,9 @@ def transmitted_power_roots(params: SystemParams, eta0,
     imag = np.abs(z.imag)
     most_real = np.where(imag == imag.min(axis=1, keepdims=True), z.real, np.nan)
     top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
-    # sign of the polynomial at each fold: + below its knee input, 0 on it
-    at_lo, at_hi = (np.sign(poly[:, -1] - level) for level in (level_lo, level_hi))
+    at_lo, at_hi = (np.where(np.any(eta0[:, None] == reach, axis=1), 0,
+                             (-1) ** (1 + np.sum(eta0[:, None] < reach, axis=1)))
+                    for reach in reaches)
     every = (at_lo > 0) & (at_hi < 0)
     single = np.where(at_hi >= 0, bottom, top)
     double = np.select([at_lo == 0, at_hi == 0], [fold_lo, fold_hi], np.nan)
@@ -283,6 +291,8 @@ def steady_state(params: SystemParams, eta0: float, c_rocking: float,
                  branch: str) -> SteadyState:
     """Steady state on the lowest (``"lower"``) or the highest (``"upper"``)
     transmitted-power branch at the given bias."""
+    if branch not in ("lower", "upper"):
+        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     roots = solve_transmitted_power(params, eta0, c_rocking)
     if not roots:
         raise DegenerateModelError("no steady-state root at the requested bias")

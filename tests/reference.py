@@ -33,6 +33,10 @@
   the mirror susceptibility with the optical spring, cavity B and the dot
   eliminated per frequency, with no matrix: the oracle of the Brownian
   channel of ``spectrum._transfer``, which reaches it by Cramer's rule.
+- ``repaired_closed_form`` is the printed closed-form spectrum
+  (``closed_form._coefficients``) with its three transcription defects
+  repaired and K1 on the even Brownian weight (KNOWN_ERRATA 9-11): the
+  matrix route's S_q where g*N = 0, from the paper's own algebra.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from optomech_switch import DriveConfig, SteadyState, SystemParams
+from optomech_switch.closed_form import _coefficients, fluctuation_amplitudes
 from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_factory,
                                       state_vector)
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
+from optomech_switch.spectrum import thermal_coth_times_omega
 from optomech_switch.steady_state import steady_state
 
 
@@ -496,3 +502,39 @@ def mirror_transfer(params: SystemParams, steady: SteadyState,
     wm, g_om = params.omega_m, params.omega_m * params.chi
     spring = -1j * wm * g_om ** 2 * abs(steady.a_s) ** 2 * (1.0 / d_a(w) - 1.0 / np.conj(d_a(-w)))
     return wm / (wm * wm - w * w - 1j * params.gamma_m * w + spring)
+
+
+# The printed closed form's transcription defects (KNOWN_ERRATA 9 and 10).
+CLOSED_FORM_REPAIRS = frozenset({"Dd a_+^2", "Dd Delta_b", "K5"})
+
+
+def repaired_closed_form(params: SystemParams, steady: SteadyState, omega_grid,
+                         repairs=CLOSED_FORM_REPAIRS) -> np.ndarray:
+    """S_q(w) of the printed closed form with the named repairs made:
+
+    - Dd's omega_m bracket: ``+ a_+ kappa_b^2 Delta`` becomes
+      ``+ a_+^2 kappa_b^2 Delta`` ("Dd a_+^2") and ``+ J^2 a_-^2 Delta_b^2``
+      becomes ``+ J^2 a_-^2 Delta_b`` ("Dd Delta_b");
+    - K5 = B1 + sqrt(kappa_a) C, with B1 its printed first bracket and
+      C = (-i w - kappa_a)(-w^2 + 2 i w kappa_b + kappa_b^2 + Delta_b^2),
+      becomes -sqrt(kappa_a) [B1 + i a_- omega_m C] ("K5").
+
+    K1 carries the even part of the Brownian weight,
+    sqrt((gamma_m/omega_m) w coth(hbar w/(2 kB T))), as the matrix route
+    does.  All three repairs give the matrix route's S_q where g*N = 0."""
+    w = np.asarray(omega_grid, dtype=float)
+    dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, w)
+    wm, ka, kb, j = params.omega_m, params.kappa_a, params.kappa_b, params.j_coupling
+    d, db = steady.eff_detuning, params.delta_b
+    ap, iam = fluctuation_amplitudes(steady, params)
+    am = -1j * iam
+    if "Dd a_+^2" in repairs:
+        dd = dd - wm * (ap**2 - ap) * kb**2 * d
+    if "Dd Delta_b" in repairs:
+        dd = dd - wm * j**2 * am**2 * (db - db**2)
+    if "K5" in repairs:
+        c = (-1j * w - ka) * (-w**2 + 2j * w * kb + kb**2 + db**2)
+        k5 = -math.sqrt(ka) * (k5 - math.sqrt(ka) * c + 1j * am * wm * c)
+    k1 = k1b * np.sqrt(params.gamma_m / wm * thermal_coth_times_omega(w, params))
+    return (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
+            + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2

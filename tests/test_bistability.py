@@ -245,17 +245,21 @@ def test_fold_that_no_drive_reaches_is_no_knee():
         assert p_trans == [r[0] for r in _reference_branches(p, ip, 0.44)]
 
 
-def test_branch_count_changes_exactly_at_the_knees():
+@pytest.fixture(scope="module")
+def seed_2_draws():
+    rng = np.random.default_rng(2)
+    return tuple(random_params(rng) for _ in range(6302))
+
+
+def test_branch_count_changes_exactly_at_the_knees(seed_2_draws):
     """Pumped draws whose knee equation has a negative linear term: one fold
     reached at two inputs (draws 1393, 2622, 6301 of seed 2), or folds that
     no drive reaches (draws 2507, 4088).  On a fine grid the branch count
     changes within one step of every listed knee, and nowhere else."""
-    rng = np.random.default_rng(2)
-    draws = [random_params(rng) for _ in range(6302)]
     grid = np.linspace(0.0, 50.0, 50001)
     step = grid[1] - grid[0]
     for index in (1393, 2507, 2622, 4088, 6301):
-        params = draws[index]
+        params = seed_2_draws[index]
         point, _, _ = transmitted_power_roots(params, np.sqrt(grid), 0.0)
         counts = np.bincount(point, minlength=grid.size)
         changes = 0.5 * (grid[1:] + grid[:-1])[np.diff(counts) != 0]
@@ -264,6 +268,28 @@ def test_branch_count_changes_exactly_at_the_knees():
             assert np.any(np.abs(knees - x) <= step), (index, x, knees)
         for knee in knees:
             assert np.any(np.abs(changes - knee) <= step), (index, knee, changes)
+
+
+def test_both_reaches_of_a_fold_are_exact_knees(seed_2_draws):
+    """Draws 1393, 2622 and 6301 of seed 2 reach one fold at two inputs.
+    At each knee, the first reach as much as the second, eta0 = sqrt(knee)
+    gives the fold's p_trans once as a double root beside one simple root,
+    and two ulps of eta0 away the count is 1 on one side and 3 on the
+    other: the decision is the knee list's, not c0's rounding."""
+    for index in (1393, 2622, 6301):
+        params = seed_2_draws[index]
+        knees = turning_points(params, 0.0)
+        assert len({p for _, p in knees}) < len(knees), index  # a fold reached twice
+        for knee, fold in knees:
+            eta = math.sqrt(knee)
+            roots = solve_transmitted_power(params, eta, 0.0)
+            assert sorted(m for _, m in roots) == [1, 2], (index, knee, roots)
+            assert [p for p, m in roots if m == 2] == [fold], (index, knee, roots)
+            counts = []
+            for toward in (0.0, math.inf):
+                near = float(np.nextafter(np.nextafter(eta, toward), toward))
+                counts.append(sum(m for _, m in solve_transmitted_power(params, near, 0.0)))
+            assert sorted(counts) == [1, 3], (index, knee, counts)
 
 
 def test_grid_validation():

@@ -1,14 +1,20 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optomech_switch import (SteadyState, SystemParams, brownian_weight,
-                             solve_transmitted_power, spectrum_closed_form,
-                             spectrum_matrix, steady_state_from_ptrans)
+from optomech_switch import (SteadyState, SystemParams, brownian_weight, drift_matrix,
+                             parse_config, rocking_parameter, solve_transmitted_power,
+                             spectrum_closed_form, spectrum_matrix, stability,
+                             steady_state_from_ptrans)
 from optomech_switch.closed_form import AUDIT_TOL, _coefficients, _relative_deviation
-from conftest import spectrum_params
-from reference import printed_drift_matrix
+from optomech_switch.config import apply_sweep_value
+from optomech_switch.steady_state import steady_state
+from conftest import random_params, spectrum_params
+from reference import CLOSED_FORM_REPAIRS, printed_drift_matrix, repaired_closed_form
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,10 @@ def _decoupled_state():
 def test_decoupled_limit_reduces_to_thermal_lorentzian():
     """Both routes give the same thermal line when only mechanics is live.
 
-    The printed K5 carries a spurious coupling-independent term (errata
-    item 10) that caps the full agreement near 1e-3; excluding that one
-    channel, the transcription matches the matrix route to 1e-6.
+    The printed K5 keeps the v_A channel's term without its amplitude
+    factor (errata item 10), so it is nonzero here and caps the full
+    agreement near 1e-3; excluding that one channel, the transcription
+    matches the matrix route to 1e-6.
     """
     p, st = _decoupled_state()
     grid = np.linspace(0.0, 2.5, 1200)
@@ -90,7 +97,7 @@ def test_decoupled_limit_reduces_to_thermal_lorentzian():
     x = grid * p.thermal_ratio / 2.0
     assert np.max(rel - np.tanh(x)) < 1e-9
     assert np.max(rel[grid <= 2.0]) < 1e-6
-    # the excluded channel is exactly the documented spurious term
+    # the excluded channel is exactly the documented defect of K5
     assert np.max(np.abs(k5)) > 0.0
 
 
@@ -139,3 +146,62 @@ def test_deviation_logging(caplog):
     with caplog.at_level("WARNING", logger="optomech_switch.closed_form"):
         spectrum_closed_form(p, st, grid)
     assert any("authoritative" in rec.message for rec in caplog.records)
+
+
+def _bundled_spectrum_evaluations():
+    """(params, steady, omega grid) of every spectrum the bundled scenarios
+    compute, one per sweep value."""
+    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
+        cfg = parse_config(path.read_text())
+        opt = dict(cfg.task.options)
+        if (opt.get("task") if cfg.task.name == "sweep" else cfg.task.name) != "spectrum":
+            continue
+        grid = np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
+        values = cfg.sweep.values if cfg.sweep is not None else (None,)
+        for value in values:
+            point = cfg if value is None else apply_sweep_value(cfg, value)
+            steady = steady_state(point.params, point.drive.eta0,
+                                  rocking_parameter(point.drive), opt["branch"])
+            yield point.params, steady, grid
+
+
+def _max_relative(candidate, reference):
+    return float(np.max(np.abs(candidate - reference) / np.abs(reference)))
+
+
+def test_repaired_closed_form_is_the_matrix_route():
+    """With its three transcription defects repaired and K1 on the even
+    Brownian weight, the printed closed form is the matrix route's S_q to
+    1e-11 relative where g*N = 0: on the 7 bundled spectrum evaluations and
+    on 40 stable roots of seeded random draws."""
+    evaluations = list(_bundled_spectrum_evaluations())
+    assert len(evaluations) == 7
+    for params, steady, grid in evaluations:
+        assert params.g_qd * params.n_inversion == 0.0
+        matrix = spectrum_matrix(params, steady, grid).s_q
+        assert _max_relative(repaired_closed_form(params, steady, grid), matrix) < 1e-11
+    rng = np.random.default_rng(7)
+    grid, checked = np.linspace(0.0, 2.5, 400), 0
+    while checked < 40:
+        params, eta0 = random_params(rng).with_(n_inversion=0.0), rng.uniform(0.05, 1.0)
+        for p_trans, _ in solve_transmitted_power(params, eta0, 0.0):
+            steady = steady_state_from_ptrans(params, eta0, 0.0, p_trans)
+            if stability(drift_matrix(params, steady)).stable:
+                checked += 1
+                matrix = spectrum_matrix(params, steady, grid).s_q
+                assert _max_relative(repaired_closed_form(params, steady, grid), matrix) < 1e-11
+
+
+def test_each_closed_form_repair_is_needed():
+    """Undoing any one repair moves the closed form off the matrix route by
+    more than 5e-4, on the audit scenario's system with delta_b = 0.5 (at its
+    own delta_b = 1, db^2 = db hides the Delta_b repair)."""
+    cfg = parse_config((ROOT / "scenarios" / "spectrum_closed_form_audit.cfg").read_text())
+    params = cfg.params.with_(delta_b=0.5)
+    steady = steady_state(params, cfg.drive.eta0, rocking_parameter(cfg.drive), "upper")
+    grid = np.linspace(0.0, 2.5, 2000)
+    matrix = spectrum_matrix(params, steady, grid).s_q
+    assert _max_relative(repaired_closed_form(params, steady, grid), matrix) < 1e-11
+    for repair in sorted(CLOSED_FORM_REPAIRS):
+        undone = repaired_closed_form(params, steady, grid, CLOSED_FORM_REPAIRS - {repair})
+        assert _max_relative(undone, matrix) > 5e-4, repair

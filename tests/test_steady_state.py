@@ -277,6 +277,15 @@ def test_degenerate_model_error():
         solve_transmitted_power(p, 0.0, 0.0)
 
 
+def test_unknown_branch_is_refused():
+    """Only "lower" and "upper" name a branch; a typo is not the upper one."""
+    assert steady_state(FIG_BISTABLE, 0.5, 0.1, "lower").p_trans < \
+        steady_state(FIG_BISTABLE, 0.5, 0.1, "upper").p_trans
+    for branch in ("Upper", "uper", "middle", ""):
+        with pytest.raises(ValueError, match="branch"):
+            steady_state(FIG_BISTABLE, 0.5, 0.1, branch)
+
+
 def test_dot_coupling_changes_no_bit_at_zero_inversion():
     """At N = 0 the dot drops out of every equation, so g_qd must not move
     a single bit of the switch metrics, the S-curve, the steady state or
