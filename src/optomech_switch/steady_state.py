@@ -15,18 +15,17 @@ fixed point is the single complex condition
 
 with the effective detuning Delta = delta_a - omega_m*chi^2*(P + C), P =
 |a_s|^2 the transmitted power and C the rocking parameter of the fast
-drive modulation.  Its squared modulus is a real cubic in P, assembled in
-:func:`cubic_coefficients` (docs/cubic_derivation.md), whose roots
-:func:`transmitted_power_roots` counts by the side of its exact knees
-(:func:`turning_points`), so no rounding decides the branch count.
-Cavity B and the dot follow from a_s through :func:`eliminated` at nu =
-0, the function that eliminates them at every harmonic of the periodic
-orbit (dynamics): the steady state is that orbit's zeroth harmonic.  The
+drive modulation.  Its squared modulus is a real cubic in P
+(:func:`cubic_coefficients`, docs/cubic_derivation.md), whose roots
+:func:`transmitted_power_roots` counts by the side of the exact drives at
+which a fold is a double root, so no rounding decides the branch count.
+Cavity B and the dot follow from a_s through :func:`eliminated` at nu = 0,
+the function that eliminates them at every harmonic of the periodic orbit
+(dynamics): the steady state is that orbit's zeroth harmonic.  The
 spectrum (`spectrum._transfer`) reads the same :func:`response` at every
-frequency.  The tests find the same fixed point independently, by a
-damped Newton iteration on ``a_s`` itself and a 2x2 solve for b and sigma
-(``steady_state_direct`` in tests/reference.py), as the oracle for the
-cubic route.
+frequency.  The tests find the same fixed point by a damped Newton
+iteration on ``a_s`` and a 2x2 solve for b and sigma
+(``steady_state_direct`` in tests/reference.py), the cubic route's oracle.
 """
 
 from __future__ import annotations
@@ -138,46 +137,52 @@ def cubic_coefficients(params: SystemParams, eta0: float,
             opt0.real ** 2 + opt0.imag ** 2, -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m))
 
 
-def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
-                          sign: float = 1.0) -> np.ndarray:
-    """Input power eta0^2 that places a steady state at the given p_trans.
-
-    Inverts the steady-state polynomial.  With a pumped dot (N*lambda*J*g
-    nonzero) the relation is quadratic in eta0, |det|^2*eta0^2 + 2*k*eta0 +
-    m = lhs(p_trans), with roots eta0 = (-k +- sqrt(D))/|det|^2; ``sign``
-    picks one.  nan where that root is complex or negative (no drive
-    reaches p_trans on it).
-    """
+def _drive_of_ptrans(params: SystemParams, c_rocking: float, p_trans, sign):
+    """(signed eta0 or nan, input power) of :func:`input_power_of_ptrans`."""
     p = np.asarray(p_trans, dtype=float)
     c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
     lhs = c3 * p**3 + c2 * p**2 + c1 * p
     det_sq, k, m = _source_moments(params, response(params, 0.0, 0.0)[1])
-    if k == 0.0:
-        return (lhs - m) / det_sq
     with np.errstate(invalid="ignore"):
+        if k == 0.0:
+            return sign * np.sqrt((lhs - m) / det_sq), (lhs - m) / det_sq
         eta0 = (-k + sign * np.sqrt(k * k + det_sq * (lhs - m))) / det_sq
-    return np.where(eta0 >= 0.0, eta0**2, np.nan)
+    return eta0, eta0**2
 
 
-def _folds(params: SystemParams, c_rocking: float) -> tuple[float, ...]:
-    """The cubic's stationary points in p_trans, ascending; () where it has
-    none (c3 = 0 or a nonpositive discriminant)."""
+def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
+                          sign: float = 1.0) -> np.ndarray:
+    """Input power eta0^2 that places a steady state at the given p_trans:
+    the steady-state polynomial inverted, with a pumped dot (k nonzero) a
+    quadratic |det|^2*eta0^2 + 2*k*eta0 + m = lhs(p_trans) whose roots are
+    eta0 = (-k +- sqrt(D))/|det|^2; ``sign`` picks one.  nan where that
+    root is complex or negative (no drive reaches p_trans on it)."""
+    eta0, inp = _drive_of_ptrans(params, c_rocking, p_trans, sign)
+    return np.where(eta0 >= 0.0, inp, np.nan)
+
+
+def _reaches(params: SystemParams, c_rocking: float):
+    """(folds, drives, inputs): the cubic's folds in p_trans, ascending (nan:
+    none), and per fold the signed eta0 on both roots of the quadratic of
+    :func:`input_power_of_ptrans` (nan: complex, or p_trans <= 0) and, where
+    it is >= 0 (a knee), its input power, whose sqrt it is (else nan)."""
     c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
-    disc = c2 * c2 - 3.0 * c3 * c1
-    if c3 == 0.0 or disc <= 0.0:
-        return ()
-    root = math.sqrt(disc)
-    return tuple(sorted(((-c2 - root) / (3.0 * c3), (-c2 + root) / (3.0 * c3))))
+    disc = c2 * c2 - 3.0 * c3 * c1  # c3 > 0 where not 0: the - root is the lower fold
+    folds = ((-c2 + np.array([-1.0, 1.0]) * math.sqrt(disc)) / (3.0 * c3)
+             if c3 != 0.0 and disc > 0.0 else np.full(2, math.nan))
+    eta0, inp = _drive_of_ptrans(params, c_rocking, folds[:, None], np.array([1.0, -1.0]))
+    with np.errstate(invalid="ignore"):
+        drives = np.where(folds[:, None] > 0.0, np.where(eta0 >= 0.0, np.sqrt(inp), eta0), np.nan)
+    return folds, drives, np.where(drives >= 0.0, inp, np.nan)
 
 
 def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float, float], ...]:
     """Exact (input_power, p_trans) saddle-node points of the S-curve,
-    ascending in input power: each fold at every drive eta0 >= 0 that
-    reaches it (:func:`input_power_of_ptrans`).  With a pumped dot the reach
-    is quadratic in eta0, so one fold can be reached twice."""
-    reaches = {(float(input_power_of_ptrans(params, c_rocking, p, sign)), p)
-               for p in _folds(params, c_rocking) if p > 0.0 for sign in (1.0, -1.0)}
-    return tuple(sorted((inp, p) for inp, p in reaches if inp >= 0.0 and math.isfinite(inp)))
+    ascending in input power: each fold at every drive eta0 >= 0 of
+    :func:`_reaches`, so with a pumped dot one fold can be reached twice."""
+    folds, _, inputs = _reaches(params, c_rocking)
+    hit = np.isfinite(inputs)
+    return tuple(sorted(set(zip(inputs[hit].tolist(), np.repeat(folds, 2)[hit.ravel()].tolist()))))
 
 
 def _newton_polish(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -206,13 +211,13 @@ def transmitted_power_roots(params: SystemParams, eta0,
     so the polynomial is the full cubic, or the line c1*P + c0 where c3 = 0
     (no root where c1 = 0 too).  One ``eigvals`` call on the companion
     matrices (as ``np.roots`` builds them), then three Newton steps.
-    Which roots exist comes from the knees of :func:`turning_points`, not
-    from the eigenvalues.  The polynomial's sign at a fold is 0 where eta0
-    is the sqrt of one of its knee inputs, else -1 (c0 -> -inf as eta0
-    grows) flipped once per knee above eta0: three roots where it is + at
-    the lower fold and - at the upper, one otherwise, and on a knee the
-    fold's p_trans as a double root, listed once.  Where three are due, a
-    conjugate pair (a near double root) splits into re -+ |im|.
+    Which roots exist comes from the exact knees, not the eigenvalues: a
+    fold is a double root at its drives (:func:`_reaches`; those >= 0 are
+    :func:`turning_points`).  The polynomial's sign there is 0 on a drive,
+    else -1 (c0 -> -inf as |eta0| grows) flipped once per drive above eta0:
+    three roots where it is + at the lower fold and - at the upper, one
+    otherwise, and on a knee the fold's p_trans as a double root, listed
+    once.  Where three are due, a conjugate pair splits into re -+ |im|.
     """
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
     coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
@@ -224,9 +229,7 @@ def transmitted_power_roots(params: SystemParams, eta0,
     if not np.any(poly[:, 0]):  # c3 = c1 = 0: a nonzero constant
         return np.zeros(0, int), np.zeros(0), np.zeros(0, int)
     deg = poly.shape[1] - 1
-    fold_lo, fold_hi = _folds(params, c_rocking) or (math.nan, math.nan)
-    knees = turning_points(params, c_rocking)
-    reaches = [np.sqrt([inp for inp, p in knees if p == fold]) for fold in (fold_lo, fold_hi)]
+    folds, drives, _ = _reaches(params, c_rocking)
     companion = np.zeros((eta0.size, deg, deg))
     companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
     companion[:, range(1, deg), range(deg - 1)] = 1.0
@@ -236,10 +239,10 @@ def transmitted_power_roots(params: SystemParams, eta0,
     top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
     at_lo, at_hi = (np.where(np.any(eta0[:, None] == reach, axis=1), 0,
                              (-1) ** (1 + np.sum(eta0[:, None] < reach, axis=1)))
-                    for reach in reaches)
+                    for reach in drives)
     every = (at_lo > 0) & (at_hi < 0)
     single = np.where(at_hi >= 0, bottom, top)
-    double = np.select([at_lo == 0, at_hi == 0], [fold_lo, fold_hi], np.nan)
+    double = np.select([at_lo == 0, at_hi == 0], folds, np.nan)
     cand = np.column_stack([np.where(every[:, None], np.sort(z.real + z.imag, axis=1), np.nan),
                             np.where(every, np.nan, single), double])
     point, col = np.nonzero(~np.isnan(cand))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -290,6 +291,24 @@ def test_both_reaches_of_a_fold_are_exact_knees(seed_2_draws):
                 near = float(np.nextafter(np.nextafter(eta, toward), toward))
                 counts.append(sum(m for _, m in solve_transmitted_power(params, near, 0.0)))
             assert sorted(counts) == [1, 3], (index, knee, counts)
+
+
+def test_a_negative_drive_counts_like_its_polynomial():
+    """eta0 < 0 is the drive at the opposite phase.  Without a pumped dot c0
+    is even in eta0, so -eta0 has the roots of +eta0, the double root at
+    -sqrt(knee) included; with one, the count at eta0 < 0 is the per-point
+    reference's: the sign rule reads the folds' negative drives too."""
+    assert len(solve_transmitted_power(FIG_BISTABLE, 0.5, 0.1)) == 3
+    knees = [math.sqrt(inp) for inp, _ in turning_points(FIG_BISTABLE, 0.1)]
+    for eta in [0.3, 0.5, 1.0] + knees:
+        assert solve_transmitted_power(FIG_BISTABLE, -eta, 0.1) == \
+            solve_transmitted_power(FIG_BISTABLE, eta, 0.1), eta
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        params = dataclasses.replace(random_params(rng), lambda_pump=rng.uniform(0.1, 2.0))
+        for eta in -rng.uniform(0.0, 3.0, 3):
+            assert len(solve_transmitted_power(params, eta, 0.0)) == \
+                len(_reference_roots(params, eta, 0.0)), (params, eta)
 
 
 def test_grid_validation():
