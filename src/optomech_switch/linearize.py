@@ -8,9 +8,9 @@ mirror, cavity B, cavity A and the dot (u = sqrt(2) Re, v = sqrt(2) Im); f,
 the Brownian force and the cavities' vacuum noise, leaves the dot out.
 Where g*N = 0, M is block-triangular (the dot's eigenvalues are -kappa_d
 +- i*delta_d), so `drift_matrix` drops the dot's rows.  M decides stability;
-the spectrum (`spectrum._transfer`) solves the same model by Cramer's rule,
-from the undivided responses dot, det and opt of `steady_state.response`
-in place of M's entries.
+the spectrum (`spectrum._response_power`) solves the same model by
+Cramer's rule, from the undivided responses dot, det and opt of
+`steady_state.response` in place of M's entries.
 """
 
 from __future__ import annotations

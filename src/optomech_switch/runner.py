@@ -166,10 +166,9 @@ def _json(payload) -> bytes:
         return (json.dumps(payload, indent=2, sort_keys=True,
                            default=lambda value: value.tolist()) + "\n").encode()
     text = _EXPONENT.sub(_exponent, text)
-    # bytes.find scans ten times as fast as the pattern, whose first byte is
-    # a common digit.  The gate is the rewrite's own precondition (a number
-    # that starts ``0.0000``), as ``.0000`` alone is in most spectrum grids.
-    if b" 0.0000" in text or b"-0.0000" in text or text.startswith(b"0.0000"):
+    # One bytes.find, ten times as fast as the pattern (whose first byte is a
+    # common digit), gates it: every number the rewrite changes has ``0.0000``.
+    if b"0.0000" in text:
         text = _FIFTH_DECIMAL.sub(_fifth_decimal, text)
     return text
 

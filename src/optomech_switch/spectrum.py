@@ -5,9 +5,8 @@ space, O(w) = (-i w I - M)^{-1} F f(w).  Its q row is the response T_k(w)
 of the mirror position to unit noise in channel k (Brownian force, then
 the amplitude/phase vacuum inputs of cavities B and A, each
 delta-correlated with the [[1, i], [-i, 1]] block), by Cramer's rule on
-the linearized model (`_transfer`), whose dot, cavity-B/dot determinant
-and cavity-A response are `steady_state.response` at nu = -w; the dot
-gets no noise
+the linearized model, whose dot, cavity-B/dot determinant and cavity-A
+response are `steady_state.response` at nu = -w; the dot gets no noise
 (docs/KNOWN_ERRATA.md item 14).  M (`linearize.drift_matrix`) only
 decides stability; the `matrix` backend is named for this linear-response
 route.  The symmetrized position spectrum is the closed sum
@@ -16,9 +15,11 @@ route.  The symmetrized position spectrum is the closed sum
              + sum_{k>=1} |T_k|^2,
 
 real and non-negative by construction: T(-w) = conj T(w), so the +-i
-amplitude-phase cross correlations of each vacuum input enter the
-w and -w halves with opposite sign and cancel.  The Brownian term is the
-even part of the full weight (gamma_m / omega_m) w [1 + coth(...)].
+amplitude-phase cross correlations of each vacuum input enter the w and -w
+halves with opposite sign and cancel.  The Brownian term is the even part
+of the full weight (gamma_m / omega_m) w [1 + coth(...)].  Only squared
+moduli enter: `_response_power` sums them in real arithmetic, and the
+complex rows T_k are the tests' per-channel oracle (tests/reference.py).
 
 The delta-function bookkeeping is fixed so that for a decoupled mirror at
 high temperature  integral S_q(w) dw / (2 pi) = kB T / (hbar omega_m),
@@ -75,47 +76,47 @@ def brownian_weight(omega, params: SystemParams):
     return params.gamma_m / params.omega_m * (omega + thermal_coth_times_omega(omega, params))
 
 
-def _transfer(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> np.ndarray:
-    """T_k(w), shape (nw, 5): row q of (-i w I - M)^{-1} times the input
-    couplings, by Cramer's rule (x ~ exp(-i w t), G = omega_m chi).  The
-    dot, cavity B and cavity A answer through `steady_state.response` at
-    nu = -w and the effective detuning Delta,
+def _power(z):
+    """|z|^2 in real arithmetic."""
+    return z.real * z.real + z.imag * z.imag
 
-        dot = kappa_d + i (delta_d - w),
-        det = (kappa_b + i (delta_b - w)) dot - g^2 N,
-        opt = (kappa_a + i (Delta - w)) det + J^2 dot,
 
-    the conjugate fields through dot', det', opt', the conjugates of the
-    response at nu = +w, and the
-    radiation force G (a_s* a + a_s a*) closes the loop on q:
+def _response_power(params: SystemParams, steady: SteadyState, omega: np.ndarray):
+    """|T_0|^2 and sum_{k>=1} |T_k|^2 at each w, in real arithmetic.
+
+    Cramer's rule (x ~ exp(-i w t), G = omega_m chi) on the response dot, det,
+    opt at nu = -w and its conjugate dot', det', opt' at nu = +w gives
 
         den = (omega_m^2 - w^2 - i gamma_m w) opt opt'
               - i omega_m G^2 |a_s|^2 (det opt' - det' opt),
 
     the determinant of -i w I - M (times dot dot' where M has no dot rows),
-    nonzero on the real axis at a stable state.  Each T_k is a polynomial
-    in w over den: no det divides, so a cavity-B/dot pole on the grid (det
-    = 0, possible where g^2 N > 0) is harmless.
+    nonzero on the real axis at a stable state; T_0 = omega_m opt opt' / den.
+    A cavity's amplitude and phase inputs give c (x + y) and i c (x - y), c =
+    omega_m G sqrt(kappa / 2) / den (A: x = a_s* det opt', y = a_s det' opt;
+    B: x = -i J a_s* dot opt', y = i J a_s dot' opt).  As |x + y|^2 + |x -
+    y|^2 = 2 (|x|^2 + |y|^2), the vacua sum to omega_m^2 G^2 |a_s|^2 [kappa_b
+    J^2 (|dot opt'|^2 + |dot' opt|^2) + kappa_a (|det opt'|^2 + |det' opt|^2)]
+    / |den|^2.  No det divides, so a cavity-B/dot pole on the grid (det = 0,
+    possible where g^2 N > 0) is harmless.
     """
     p, a, w = params, steady.a_s, np.asarray(omega, dtype=float)
-    j, wm, g_om = p.j_coupling, p.omega_m, p.omega_m * p.chi
+    wm, g_om = p.omega_m, p.omega_m * p.chi
     (dot, det, opt), (dot_c, det_c, opt_c) = (
-        response(p, -w, steady.eff_detuning), np.conj(response(p, w, steady.eff_detuning)))
+        response(p, -w, steady.eff_detuning), map(np.conj, response(p, w, steady.eff_detuning)))
     # omega_m^2 - w^2 factored, so it keeps its relative accuracy at the mechanical line
     den = (((wm - w) * (wm + w) - 1j * p.gamma_m * w) * opt * opt_c
            - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - det_c * opt))
-    # force on q per unit input into cavity A (x, y) and B (x_b, y_b), times opt opt'
-    x, y = np.conj(a) * det * opt_c, a * det_c * opt
-    x_b, y_b = -1j * j * np.conj(a) * dot * opt_c, 1j * j * a * dot_c * opt
-    c_b, c_a = wm * g_om * np.sqrt(p.kappa_b / 2.0), wm * g_om * np.sqrt(p.kappa_a / 2.0)
-    rows = [wm * opt * opt_c, c_b * (x_b + y_b), 1j * c_b * (x_b - y_b),
-            c_a * (x + y), 1j * c_a * (x - y)]
-    return (np.stack(rows) / den).T
+    o, o_c = _power(opt), _power(opt_c)
+    scale = wm * wm / _power(den)
+    vacua = (p.kappa_b * p.j_coupling ** 2 * (_power(dot) * o_c + _power(dot_c) * o)
+             + p.kappa_a * (_power(det) * o_c + _power(det_c) * o))
+    return scale * o * o_c, scale * (g_om ** 2 * abs(a) ** 2) * vacua
 
 
 def spectrum_matrix(params: SystemParams, steady: SteadyState,
                     omega_grid: np.ndarray) -> SpectrumSeries:
-    """Symmetrized displacement spectrum S_q(w) by linear response (`_transfer`).
+    """Symmetrized displacement spectrum S_q(w) from `_response_power`.
 
     Refuses steady states that the drift matrix labels unstable.
     """
@@ -125,9 +126,9 @@ def spectrum_matrix(params: SystemParams, steady: SteadyState,
         raise UnstableStateError(
             f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
 
-    power = np.abs(_transfer(params, steady, omega_grid)) ** 2
+    brownian, vacua = _response_power(params, steady, omega_grid)
     s_q = (params.gamma_m / params.omega_m * thermal_coth_times_omega(omega_grid, params)
-           * power[:, 0] + power[:, 1:].sum(axis=1))
+           * brownian + vacua)
     return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=detect_peaks(omega_grid, s_q))
 
 

@@ -22,8 +22,8 @@ which a fold is a double root, so no rounding decides the branch count.
 Cavity B and the dot follow from a_s through :func:`eliminated` at nu = 0,
 the function that eliminates them at every harmonic of the periodic orbit
 (dynamics): the steady state is that orbit's zeroth harmonic.  The
-spectrum (`spectrum._transfer`) reads the same :func:`response` at every
-frequency.  The tests find the same fixed point by a damped Newton
+spectrum (`spectrum._response_power`) reads the same :func:`response` at
+every frequency.  The tests find the same fixed point by a damped Newton
 iteration on ``a_s`` and a 2x2 solve for b and sigma
 (``steady_state_direct`` in tests/reference.py), the cubic route's oracle.
 """

@@ -29,10 +29,14 @@
   ``model_drift_matrix`` borders it with the dot's rows and columns where
   g*N != 0, written out from the mean-field equations: the oracle of
   ``linearize.drift_matrix``.
+- ``transfer_rows`` is the response T_k of q to each of the five noise
+  inputs, complex, by Cramer's rule on the linearized model: the
+  per-channel oracle of ``spectrum._response_power``, which sums only
+  their squared moduli, in real arithmetic.
 - ``mirror_transfer`` is the response T_0 of q to the Brownian force from
   the mirror susceptibility with the optical spring, cavity B and the dot
   eliminated per frequency, with no matrix: the oracle of the Brownian
-  channel of ``spectrum._transfer``, which reaches it by Cramer's rule.
+  channel, which ``transfer_rows`` reaches by Cramer's rule.
 - ``repaired_closed_form`` is the printed closed-form spectrum
   (``closed_form._coefficients``) with its three transcription defects
   repaired and K1 on the even Brownian weight (KNOWN_ERRATA 9-11): the
@@ -56,7 +60,7 @@ from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_f
                                       state_vector)
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
 from optomech_switch.spectrum import thermal_coth_times_omega
-from optomech_switch.steady_state import steady_state
+from optomech_switch.steady_state import response, steady_state
 
 
 # trace samples per drive period of a modulated drive
@@ -474,6 +478,30 @@ def model_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
     m[6, 3], m[7, 2] = -gn, gn
     m[6:, 6:] = [[-kd, dd], [-dd, -kd]]
     return m
+
+
+def transfer_rows(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> np.ndarray:
+    """T_k(w), shape (nw, 5): row q of (-i w I - M)^{-1} times the input
+    couplings (Brownian force, then the amplitude/phase vacua of cavities B
+    and A), by Cramer's rule with ``spectrum._response_power``'s dot, det,
+    opt, their primed conjugates and den.  The force on q per unit input
+    into cavity A is x = a_s* det opt', y = a_s det' opt, into cavity B
+    x_b = -i J a_s* dot opt', y_b = i J a_s dot' opt; a cavity's amplitude
+    and phase inputs give c (x + y) and i c (x - y), c = omega_m G
+    sqrt(kappa / 2), and the Brownian force omega_m opt opt', all over den.
+    """
+    p, a, w = params, steady.a_s, np.asarray(omega, dtype=float)
+    j, wm, g_om = p.j_coupling, p.omega_m, p.omega_m * p.chi
+    (dot, det, opt), (dot_c, det_c, opt_c) = (
+        response(p, -w, steady.eff_detuning), np.conj(response(p, w, steady.eff_detuning)))
+    den = (((wm - w) * (wm + w) - 1j * p.gamma_m * w) * opt * opt_c
+           - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - det_c * opt))
+    x, y = np.conj(a) * det * opt_c, a * det_c * opt
+    x_b, y_b = -1j * j * np.conj(a) * dot * opt_c, 1j * j * a * dot_c * opt
+    c_b, c_a = wm * g_om * np.sqrt(p.kappa_b / 2.0), wm * g_om * np.sqrt(p.kappa_a / 2.0)
+    rows = [wm * opt * opt_c, c_b * (x_b + y_b), 1j * c_b * (x_b - y_b),
+            c_a * (x + y), 1j * c_a * (x - y)]
+    return (np.stack(rows) / den).T
 
 
 def mirror_transfer(params: SystemParams, steady: SteadyState,

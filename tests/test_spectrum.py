@@ -14,11 +14,11 @@ from optomech_switch import (SystemParams, UnstableStateError, brownian_weight, 
                              detect_peaks, drift_matrix, parse_config, run_scenario, spectrum,
                              solve_transmitted_power, spectrum_matrix, stability,
                              steady_state_from_ptrans)
-from optomech_switch.spectrum import (PEAK_PROMINENCE_FRACTION, _transfer,
+from optomech_switch.spectrum import (PEAK_PROMINENCE_FRACTION, _response_power,
                                       thermal_coth_times_omega)
 from optomech_switch.steady_state import steady_state
 from conftest import SPECTRUM_GRID, random_params, spectrum_params
-from reference import model_drift_matrix, mirror_transfer
+from reference import model_drift_matrix, mirror_transfer, transfer_rows
 from test_linearize import _with_dot
 
 
@@ -143,7 +143,7 @@ def test_active_dot_mirror_response_equals_elimination(rng):
         if st is None:
             continue
         assert p.g_qd * p.n_inversion != 0.0
-        got = _transfer(p, st, grid)[:, 0]
+        got = transfer_rows(p, st, grid)[:, 0]
         expected = mirror_transfer(p, st, grid)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
         without_dot = mirror_transfer(p.with_(n_inversion=0.0), st, grid)
@@ -251,26 +251,26 @@ SPECTRUM_SCENARIOS = ("nms_three_peak_demo", "spectrum_closed_form_audit",
 @pytest.fixture(scope="module")
 def bundled_spectrum_calls(tmp_path_factory):
     """The bundled spectrum scenarios, run once: the (params, steady, grid)
-    of every transfer evaluation, and the (grid, S) of every detect_peaks
-    call."""
-    transfers, peaks = [], []
+    of every response-power evaluation, and the (grid, S) of every
+    detect_peaks call."""
+    kernel_calls, peaks = [], []
 
-    def recording_transfer(params, steady, omega_grid):
-        transfers.append((params, steady, np.array(omega_grid)))
-        return _transfer(params, steady, omega_grid)
+    def recording_response_power(params, steady, omega_grid):
+        kernel_calls.append((params, steady, np.array(omega_grid)))
+        return _response_power(params, steady, omega_grid)
 
     def recording_peaks(grid, s):
         peaks.append((np.array(grid), np.array(s)))
         return detect_peaks(grid, s)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_transfer", recording_transfer)
+        mp.setattr(spectrum, "_response_power", recording_response_power)
         mp.setattr(spectrum, "detect_peaks", recording_peaks)
         mp.setattr(closed_form, "detect_peaks", recording_peaks)
         for name in SPECTRUM_SCENARIOS:
             cfg = parse_config((ROOT / "scenarios" / f"{name}.cfg").read_text())
             run_scenario(cfg, out_dir=str(tmp_path_factory.mktemp(name)))
-    return transfers, peaks
+    return kernel_calls, peaks
 
 
 def _solved_transfer(m, params, grid):
@@ -284,12 +284,18 @@ def _solved_transfer(m, params, grid):
     return x * np.array([1.0, kb, kb, ka, ka])
 
 
-def test_transfer_equals_per_frequency_solve(bundled_spectrum_calls):
-    """Cramer's rule gives the per-w solve of the drift matrix, all five
-    channels, within 1e-12 of each w's largest response: on every bundled
-    spectrum evaluation, an active dot (8 rows), the J ~ 1.5 mode
-    crossings, and at g*N = 0 against the 8-row Jacobian with the dot kept."""
-    recorded = bundled_spectrum_calls[0]
+def _weighted_power(params, grid, t):
+    """S_q from the five responses T_k: the even Brownian weight times
+    |T_0|^2 plus sum_{k>=1} |T_k|^2."""
+    power = np.abs(t) ** 2
+    return (params.gamma_m / params.omega_m * thermal_coth_times_omega(grid, params)
+            * power[:, 0] + power[:, 1:].sum(axis=1))
+
+
+def _solve_cases(recorded):
+    """(M, params, steady, grid): every bundled spectrum evaluation, an
+    active dot (8 rows), the J ~ 1.5 mode crossings, and g*N = 0 both ways
+    against the 8-row Jacobian with the dot kept."""
     assert len(recorded) > len(SPECTRUM_SCENARIOS)
     cases = [(drift_matrix(p, st), p, st, grid) for p, st, grid in recorded]
     grid = np.linspace(0.0, 2.5, 2001)
@@ -302,11 +308,50 @@ def test_transfer_equals_per_frequency_solve(bundled_spectrum_calls):
     for p in (spectrum_params(), spectrum_params().with_(g_qd=0.0, n_inversion=-0.5)):
         st = _stable_state(p, 0.1, 0.10)
         cases.append((_with_dot(p, st), p, st, grid))
-    for m, p, st, grid in cases:
+    return cases
+
+
+def test_transfer_equals_per_frequency_solve(bundled_spectrum_calls):
+    """Cramer's rule (``reference.transfer_rows``) gives the per-w solve of
+    the drift matrix, all five channels, within 1e-12 of each w's largest
+    response, on every case of ``_solve_cases``."""
+    for m, p, st, grid in _solve_cases(bundled_spectrum_calls[0]):
         expected = _solved_transfer(m, p, grid)
-        got = _transfer(p, st, grid)
+        got = transfer_rows(p, st, grid)
         scale = np.max(np.abs(expected), axis=1, keepdims=True)
         assert np.max(np.abs(got - expected) / scale) < 1e-12
+
+
+def test_response_power_equals_per_frequency_solve(bundled_spectrum_calls):
+    """S_q summed from squared moduli in real arithmetic equals the
+    weighted sum of |T_k|^2 from the per-w solve to 1e-12 relative, on
+    every case of ``_solve_cases``."""
+    for m, p, st, grid in _solve_cases(bundled_spectrum_calls[0]):
+        expected = _weighted_power(p, grid, _solved_transfer(m, p, grid))
+        got = spectrum_matrix(p, st, grid).s_q
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_brownian_power_equals_mirror_susceptibility(bundled_spectrum_calls):
+    """The kernel's |T_0|^2 is |``reference.mirror_transfer``|^2, the
+    mirror susceptibility with the fields eliminated, to 1e-12 relative."""
+    for _, p, st, grid in _solve_cases(bundled_spectrum_calls[0]):
+        brownian, _ = _response_power(p, st, grid)
+        expected = np.abs(mirror_transfer(p, st, grid)) ** 2
+        np.testing.assert_allclose(brownian, expected, rtol=1e-12, atol=0.0)
+
+
+def test_three_peak_demo_equals_the_cramer_rows(bundled_spectrum_calls):
+    """On ``nms_three_peak_demo``'s evaluation, the sum of squared moduli
+    in real arithmetic equals the weighted |T_k|^2 of the complex Cramer
+    rows to 1e-13 relative: the real sum trades no accuracy for speed."""
+    demo = parse_config((ROOT / "scenarios" / "nms_three_peak_demo.cfg").read_text()).params
+    calls = [(p, st, grid) for p, st, grid in bundled_spectrum_calls[0] if p == demo]
+    assert calls
+    for p, st, grid in calls:
+        expected = _weighted_power(p, grid, transfer_rows(p, st, grid))
+        got = spectrum_matrix(p, st, grid).s_q
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 def test_cavity_b_dot_pole_on_the_grid():
