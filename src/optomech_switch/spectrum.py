@@ -85,7 +85,7 @@ def _response_power(params: SystemParams, steady: SteadyState, omega: np.ndarray
     """|T_0|^2 and sum_{k>=1} |T_k|^2 at each w, in real arithmetic.
 
     Cramer's rule (x ~ exp(-i w t), G = omega_m chi) on the response dot, det,
-    opt at nu = -w and its conjugate dot', det', opt' at nu = +w gives
+    opt at nu = -w and the conjugates dot', det', opt' of the response at +w gives
 
         den = (omega_m^2 - w^2 - i gamma_m w) opt opt'
               - i omega_m G^2 |a_s|^2 (det opt' - det' opt),
@@ -97,21 +97,21 @@ def _response_power(params: SystemParams, steady: SteadyState, omega: np.ndarray
     B: x = -i J a_s* dot opt', y = i J a_s dot' opt).  As |x + y|^2 + |x -
     y|^2 = 2 (|x|^2 + |y|^2), the vacua sum to omega_m^2 G^2 |a_s|^2 [kappa_b
     J^2 (|dot opt'|^2 + |dot' opt|^2) + kappa_a (|det opt'|^2 + |det' opt|^2)]
-    / |den|^2.  No det divides, so a cavity-B/dot pole on the grid (det = 0,
-    possible where g^2 N > 0) is harmless.
+    / |den|^2.  No det divides, so det = 0 (a cavity-B/dot pole) on the grid is harmless.
     """
     p, a, w = params, steady.a_s, np.asarray(omega, dtype=float)
     wm, g_om = p.omega_m, p.omega_m * p.chi
-    (dot, det, opt), (dot_c, det_c, opt_c) = (
-        response(p, -w, steady.eff_detuning), map(np.conj, response(p, w, steady.eff_detuning)))
+    dot, det, opt = response(p, -w, steady.eff_detuning)
+    dot_p, det_p, opt_p = response(p, w, steady.eff_detuning)
+    opt_c = np.conj(opt_p)
     # omega_m^2 - w^2 factored, so it keeps its relative accuracy at the mechanical line
     den = (((wm - w) * (wm + w) - 1j * p.gamma_m * w) * opt * opt_c
-           - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - det_c * opt))
-    o, o_c = _power(opt), _power(opt_c)
+           - 1j * wm * g_om ** 2 * abs(a) ** 2 * (det * opt_c - np.conj(det_p) * opt))
+    o, o_p = _power(opt), _power(opt_p)
     scale = wm * wm / _power(den)
-    vacua = (p.kappa_b * p.j_coupling ** 2 * (_power(dot) * o_c + _power(dot_c) * o)
-             + p.kappa_a * (_power(det) * o_c + _power(det_c) * o))
-    return scale * o * o_c, scale * (g_om ** 2 * abs(a) ** 2) * vacua
+    vacua = (p.kappa_b * p.j_coupling ** 2 * (_power(dot) * o_p + _power(dot_p) * o)
+             + p.kappa_a * (_power(det) * o_p + _power(det_p) * o))
+    return scale * o * o_p, scale * (g_om ** 2 * abs(a) ** 2) * vacua
 
 
 def spectrum_matrix(params: SystemParams, steady: SteadyState,

@@ -131,9 +131,11 @@ def test_positive_and_real_on_random_stable_configs(rng):
 def test_active_dot_mirror_response_equals_elimination(rng):
     """With g*N != 0, T_0 (the response of q to the Brownian force) equals
     the mirror susceptibility with the optical spring, cavity B and the dot
-    eliminated per frequency (``reference.mirror_transfer``).  The draws
-    have a strong spring (chi up to 1, gamma_m / 20), where the dot's term
-    in cavity B's response moves T_0 far beyond the tolerance."""
+    eliminated per frequency (``reference.mirror_transfer``): the kernel's
+    |T_0|^2 in modulus, and the Cramer row ``reference.transfer_rows`` in
+    phase too.  The draws have a strong spring (chi up to 1, gamma_m / 20),
+    where the dot's term in cavity B's response moves T_0 far beyond the
+    tolerance."""
     grid = np.linspace(0.0, 2.5, 1001)
     moved = []
     while len(moved) < 12:
@@ -143,8 +145,10 @@ def test_active_dot_mirror_response_equals_elimination(rng):
         if st is None:
             continue
         assert p.g_qd * p.n_inversion != 0.0
-        got = transfer_rows(p, st, grid)[:, 0]
         expected = mirror_transfer(p, st, grid)
+        got = np.sqrt(_response_power(p, st, grid)[0])
+        np.testing.assert_allclose(got, np.abs(expected), rtol=1e-10, atol=0.0)
+        got = transfer_rows(p, st, grid)[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
         without_dot = mirror_transfer(p.with_(n_inversion=0.0), st, grid)
         moved.append(np.max(np.abs(without_dot - expected) / np.abs(expected)))
