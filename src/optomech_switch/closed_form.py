@@ -9,7 +9,9 @@ source formulas.  The transcription is intentionally NOT repaired: it is
 an experimental reference route, audited against the matrix backend's
 linear response (`spectrum.spectrum_matrix`), which is authoritative.  Known
 discrepancies and their suspected causes are itemized in
-docs/KNOWN_ERRATA.md.
+docs/KNOWN_ERRATA.md.  Dd and the K brackets are polynomials in w: `_Poly`
+collects them once a call (~400 scalar operations), and Horner's rule
+evaluates them on the grid (~45 array operations; the text takes ~120).
 
 The printed thermal factor of K1, gamma_m*coth(hbar*w/(2 kB T)), is
 replaced by the dimensionally consistent sqrt of the full Brownian weight,
@@ -21,12 +23,14 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import partialmethod, reduce
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import SingularResponseError
 from .params import SystemParams
-from .spectrum import SpectrumSeries, brownian_weight, detect_peaks, spectrum_matrix
+from .spectrum import SpectrumSeries, _power, brownian_weight, detect_peaks, spectrum_matrix
 from .steady_state import SteadyState
 
 log = logging.getLogger(__name__)
@@ -42,9 +46,8 @@ def fluctuation_amplitudes(steady: SteadyState, params: SystemParams):
     return scale * steady.a_s.real, -scale * steady.a_s.imag
 
 
-def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
-    """Dd and the K brackets (without thermal/root factors), per frequency."""
-    w = np.asarray(omega, dtype=float)
+def _printed(params: SystemParams, steady: SteadyState, w):
+    """Dd and the K brackets (no thermal/root factors) as printed, at a grid or a _Poly."""
     wm = params.omega_m
     ka, kb = params.kappa_a, params.kappa_b
     j = params.j_coupling
@@ -134,7 +137,7 @@ def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
         - 2j * w * ka * wm * db**2
         - ka**2 * wm * db**2
         - wm * d**2 * db**2
-    ) * np.ones_like(w)
+    ) * w**0
 
     k2 = (
         - 1j * j**3 * am * wm
@@ -187,7 +190,50 @@ def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
         (-1j * w - ka) * (-w**2 + 2j * w * kb + kb**2 + db**2)
     ) * np.sqrt(ka)
 
-    return dd, k1_bracket, k2, k3, k4, np.asarray(k5) * np.ones_like(w)
+    return dd, k1_bracket, k2, k3, k4, k5 * w**0
+
+
+class _Poly:
+    """A polynomial in w, its scalar coefficients constant first: ~2 us an
+    operation, where numpy's `Polynomial` takes ~18 us, as slow as the grid."""
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, coef: list):
+        self.coef = coef
+
+    def __add__(self, other):
+        b = other.coef if isinstance(other, _Poly) else [other]
+        return _Poly([x + y for x, y in zip_longest(self.coef, b, fillvalue=0)])
+
+    def __mul__(self, other):
+        b = other.coef if isinstance(other, _Poly) else [other]
+        out = [0] * (len(self.coef) + len(b) - 1)
+        for i, x in enumerate(self.coef):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return _Poly(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = partialmethod(__mul__, -1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __pow__(self, n: int):
+        return reduce(_Poly.__mul__, [self] * n, _Poly([1]))
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        out = np.full(w.shape, self.coef[-1], dtype=complex)
+        for c in self.coef[-2::-1]:
+            out *= w
+            out += c
+        return out
+
+
+def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):
+    """Dd and the K brackets (without thermal/root factors), per frequency."""
+    w = np.asarray(omega, dtype=float)
+    return tuple(poly(w) for poly in _printed(params, steady, _Poly([0.0, 1.0])))
 
 
 def spectrum_closed_form(params: SystemParams, steady: SteadyState,
@@ -200,13 +246,12 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState,
     omega_grid = np.asarray(omega_grid, dtype=float)
     reference = spectrum_matrix(params, steady, omega_grid)  # refuses unstable states
     dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
-    scale = np.max(np.abs(dd))
-    if scale == 0.0 or np.any(np.abs(dd) < 1e-14 * scale):
+    den = _power(dd)
+    if np.max(den) == 0.0 or np.any(den < 1e-28 * np.max(den)):
         raise SingularResponseError("closed-form denominator vanished on the grid")
-    k1 = k1b * np.sqrt(brownian_weight(omega_grid, params))
     with np.errstate(over="ignore", invalid="ignore"):
-        s_q = (np.abs(k1)**2 + np.abs(k2)**2 + np.abs(k3)**2
-               + np.abs(k4)**2 + np.abs(k5)**2) / np.abs(dd)**2
+        s_q = (_power(k1b) * brownian_weight(omega_grid, params) + _power(k2)
+               + _power(k3) + _power(k4) + _power(k5)) / den
 
     deviation = _relative_deviation(s_q, reference.s_q)
     bad = deviation > AUDIT_TOL

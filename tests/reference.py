@@ -38,9 +38,12 @@
   eliminated per frequency, with no matrix: the oracle of the Brownian
   channel, which ``transfer_rows`` reaches by Cramer's rule.
 - ``repaired_closed_form`` is the printed closed-form spectrum
-  (``closed_form._coefficients``) with its three transcription defects
+  (``closed_form._coefficients``: the printed Dd and K brackets as
+  polynomials in w, by Horner's rule) with its three transcription defects
   repaired and K1 on the even Brownian weight (KNOWN_ERRATA 9-11): the
-  matrix route's S_q where g*N = 0, from the paper's own algebra.
+  matrix route's S_q where g*N = 0, from the paper's own algebra.  The
+  printed text itself, term by term on a grid (``closed_form._printed``), is
+  the oracle of ``_coefficients`` in tests/test_closed_form.py.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,8 @@ from optomech_switch import (SteadyState, SystemParams, brownian_weight, drift_m
                              parse_config, rocking_parameter, solve_transmitted_power,
                              spectrum_closed_form, spectrum_matrix, stability,
                              steady_state_from_ptrans)
-from optomech_switch.closed_form import AUDIT_TOL, _coefficients, _relative_deviation
+from optomech_switch.closed_form import (AUDIT_TOL, _coefficients, _Poly, _printed,
+                                         _relative_deviation)
 from optomech_switch.config import apply_sweep_value
 from optomech_switch.steady_state import steady_state
 from conftest import random_params, spectrum_params
@@ -205,3 +207,57 @@ def test_each_closed_form_repair_is_needed():
     for repair in sorted(CLOSED_FORM_REPAIRS):
         undone = repaired_closed_form(params, steady, grid, CLOSED_FORM_REPAIRS - {repair})
         assert _max_relative(undone, matrix) > 5e-4, repair
+
+
+def _linear_benchmark_states():
+    """The spectrum systems of perfbench's `linear` workload at its drive
+    (eta0 = 0.1, C = 0.1): broad lines at J ~ 0, 1, 1.5 and narrow lines at
+    chi = 0.1, 0.2, 0.3, upper branch."""
+    broad = [spectrum_params(j_coupling=j) for j in (0.03, 1.0, 1.5)]
+    narrow = [spectrum_params(chi=chi, gamma_m=0.05).with_(kappa_a=0.005, kappa_b=0.005,
+                                                            delta_a=1.5)
+              for chi in (0.1, 0.2, 0.3)]
+    for params in broad + narrow:
+        yield params, steady_state(params, 0.1, 0.1, "upper")
+
+
+def test_collected_polynomials_are_the_printed_text():
+    """`_coefficients` (the printed text collected as polynomials in w, then
+    Horner on the grid) equals `_printed` evaluated term by term on the grid
+    to 1e-11 relative at every point: on every bundled spectrum evaluation
+    and on the benchmark's 20000-point spectrum systems.  The largest
+    difference, 6.0e-12 in Dd, sits on the mechanical line at J = 0.03, where
+    |Dd| is ~2e-4 of its O(1) coefficients."""
+    grid = np.linspace(0.0, 2.5, 20000)
+    cases = [*_bundled_spectrum_evaluations(),
+             *((params, steady, grid) for params, steady in _linear_benchmark_states())]
+    assert len(cases) == 13
+    for params, steady, omega in cases:
+        for horner, printed in zip(_coefficients(params, steady, omega),
+                                   _printed(params, steady, omega)):
+            assert np.all(np.abs(horner - printed) <= 1e-11 * np.abs(printed))
+
+
+def _closed_form_40_digits(params, steady, grid):
+    """S_q of the printed polynomials, collected and evaluated at 40 digits
+    (K1 on the double-precision Brownian weight, as in the library)."""
+    with mpmath.workdps(40):
+        polys = _printed(params, steady, _Poly([mpmath.mpf(0), mpmath.mpf(1)]))
+        s_q = []
+        for w, weight in zip(grid.tolist(), brownian_weight(grid, params).tolist()):
+            dd, k1b, *ks = (abs(mpmath.polyval(p.coef[::-1], w)) ** 2 for p in polys)
+            s_q.append(float((k1b * weight + sum(ks)) / dd))
+    return np.array(s_q)
+
+
+def test_closed_form_spectrum_against_40_digits():
+    """The library's closed-form S_q is within 1e-11 relative of the same
+    printed polynomials evaluated at 40 digits, on 2000 points of the
+    benchmark's spectrum systems.  Both double routes lose digits where Dd
+    nearly vanishes: at J = 0.03, on the mechanical line, the collected
+    polynomials read 2.9e-12 and the term-by-term text 2.2e-12; the other
+    five systems read 9.8e-14 to 1.6e-12."""
+    grid = np.linspace(0.0, 2.5, 2000)
+    for params, steady in _linear_benchmark_states():
+        s_q = spectrum_closed_form(params, steady, grid).s_q
+        assert _max_relative(s_q, _closed_form_40_digits(params, steady, grid)) < 1e-11
