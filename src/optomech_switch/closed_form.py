@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import partialmethod, reduce
-from itertools import zip_longest
 
 import numpy as np
 
 from .errors import SingularResponseError
 from .params import SystemParams
 from .spectrum import SpectrumSeries, _power, brownian_weight, detect_peaks, spectrum_matrix
-from .steady_state import SteadyState
+from .steady_state import SteadyState, _Poly
 
 log = logging.getLogger(__name__)
 
@@ -191,43 +189,6 @@ def _printed(params: SystemParams, steady: SteadyState, w):
     ) * np.sqrt(ka)
 
     return dd, k1_bracket, k2, k3, k4, k5 * w**0
-
-
-class _Poly:
-    """A polynomial in w, its scalar coefficients constant first: ~2 us an
-    operation, where numpy's `Polynomial` takes ~18 us, as slow as the grid."""
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
-
-    def __init__(self, coef: list):
-        self.coef = coef
-
-    def __add__(self, other):
-        b = other.coef if isinstance(other, _Poly) else [other]
-        return _Poly([x + y for x, y in zip_longest(self.coef, b, fillvalue=0)])
-
-    def __mul__(self, other):
-        b = other.coef if isinstance(other, _Poly) else [other]
-        out = [0] * (len(self.coef) + len(b) - 1)
-        for i, x in enumerate(self.coef):
-            for k, y in enumerate(b):
-                out[i + k] += x * y
-        return _Poly(out)
-
-    __radd__, __rmul__ = __add__, __mul__
-    __neg__ = partialmethod(__mul__, -1)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __pow__(self, n: int):
-        return reduce(_Poly.__mul__, [self] * n, _Poly([1]))
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        out = np.full(w.shape, self.coef[-1], dtype=complex)
-        for c in self.coef[-2::-1]:
-            out *= w
-            out += c
-        return out
 
 
 def _coefficients(params: SystemParams, steady: SteadyState, omega: np.ndarray):

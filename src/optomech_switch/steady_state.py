@@ -23,8 +23,9 @@ Cavity B and the dot follow from a_s through :func:`eliminated` at nu = 0,
 the function that eliminates them at every harmonic of the periodic orbit
 (dynamics): the steady state is that orbit's zeroth harmonic.  The
 spectrum (`spectrum._response_power`) reads the same :func:`response` at
-every frequency.  The tests find the same fixed point by a damped Newton
-iteration on ``a_s`` and a 2x2 solve for b and sigma
+every frequency, and `linearize._characteristic_polynomial` reads it with
+nu a polynomial variable.  The tests find the same fixed point by a damped
+Newton iteration on ``a_s`` and a 2x2 solve for b and sigma
 (``steady_state_direct`` in tests/reference.py), the cubic route's oracle.
 """
 
@@ -33,6 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partialmethod, reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -67,6 +70,45 @@ def rocking_parameter(drive: DriveConfig) -> float:
     if drive.p_amp == 0.0:
         return 0.0
     return drive.p_amp**2 / (2.0 * drive.omega_mod**2)
+
+
+class _Poly:
+    """A polynomial in one variable, its scalar coefficients constant first,
+    on which :func:`response` and the printed closed form (closed_form) run
+    as they run on numbers: ~2 us an operation, where numpy's `Polynomial`
+    takes ~18 us, as slow as the grid."""
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, coef: list):
+        self.coef = coef
+
+    def __add__(self, other):
+        b = other.coef if isinstance(other, _Poly) else [other]
+        return _Poly([x + y for x, y in zip_longest(self.coef, b, fillvalue=0)])
+
+    def __mul__(self, other):
+        b = other.coef if isinstance(other, _Poly) else [other]
+        out = [0] * (len(self.coef) + len(b) - 1)
+        for i, x in enumerate(self.coef):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return _Poly(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = partialmethod(__mul__, -1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __pow__(self, n: int):
+        return reduce(_Poly.__mul__, [self] * n, _Poly([1]))
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        out = np.full(w.shape, self.coef[-1], dtype=complex)
+        for c in self.coef[-2::-1]:
+            out *= w
+            out += c
+        return out
 
 
 def response(params: SystemParams, nu, detuning):

@@ -29,6 +29,19 @@
   ``model_drift_matrix`` borders it with the dot's rows and columns where
   g*N != 0, written out from the mean-field equations: the oracle of
   ``linearize.drift_matrix``.
+- ``reference_roots`` is the per-point root route that the batched solver
+  replaced: ``np.roots``, an |imag| cut, Newton steps, a clamp and a merge,
+  each with its own tolerance.  ``root_max_real_eig`` is the per-root
+  labelling route that ``bistability``'s interval labels replaced: the
+  largest real part of the drift eigenvalues at each root's own steady
+  state.  ``reference_branches`` joins them per grid point.
+- ``mp_hurwitz_real_roots`` are the real roots of Delta_7(P), the Hurwitz
+  determinant of the characteristic polynomial along the S-curve, in
+  mpmath: the model's 8x8 drift matrix written out (the dot bordered at
+  any g*N), Faddeev-LeVerrier for its characteristic polynomial, the
+  degree-12 polynomial interpolated at P = 0..12 in 60 digits and its
+  companion eigenvalues in 40; the oracle of the Hopf boundaries of
+  ``bistability._boundaries``.
 - ``transfer_rows`` is the response T_k of q to each of the five noise
   inputs, complex, by Cramer's rule on the linearized model: the
   per-channel oracle of ``spectrum._response_power``, which sums only
@@ -54,16 +67,19 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from optomech_switch import DriveConfig, SteadyState, SystemParams
+from optomech_switch import (DriveConfig, SteadyState, SystemParams, drift_matrix, stability,
+                             steady_state_from_ptrans)
 from optomech_switch.closed_form import _coefficients, fluctuation_amplitudes
 from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_factory,
                                       state_vector)
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
+from optomech_switch.linearize import STABILITY_TOL
 from optomech_switch.spectrum import thermal_coth_times_omega
-from optomech_switch.steady_state import response, steady_state
+from optomech_switch.steady_state import cubic_coefficients, response, steady_state
 
 
 # trace samples per drive period of a modulated drive
@@ -481,6 +497,119 @@ def model_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
     m[6, 3], m[7, 2] = -gn, gn
     m[6:, 6:] = [[-kd, dd], [-dd, -kd]]
     return m
+
+
+def reference_roots(params: SystemParams, eta0: float, c_rocking: float):
+    """The per-point route the batched solver replaced: ``np.roots``, an
+    |imag| cut, three Newton steps, a clamp of tiny negatives and a merge of
+    near-coincident roots, each with its own tolerance.  Ascending
+    (p_trans, multiplicity) pairs."""
+    coeffs = np.array(cubic_coefficients(params, eta0, c_rocking), dtype=float)
+    real = []
+    for z in np.roots(coeffs):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
+            continue
+        x = z.real
+        for _ in range(3):
+            p = dp = 0.0
+            for cf in coeffs:
+                dp = dp * x + p
+                p = p * x + cf
+            if dp == 0.0 or not math.isfinite(p) or not math.isfinite(p / dp):
+                break
+            x = x - p / dp
+        if x >= -1e-10 * max(1.0, abs(x)):
+            real.append(max(x, 0.0))
+    merged = []
+    for x in sorted(real):
+        if merged and abs(x - merged[-1][0]) <= 1e-8 * max(1.0, abs(x)):
+            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
+        else:
+            merged.append((x, 1))
+    return merged
+
+
+def root_max_real_eig(params: SystemParams, eta0, c_rocking: float, p_trans) -> np.ndarray:
+    """Largest real part of the drift eigenvalues at each root: its steady
+    state, its drift matrix, one ``eigvals`` per root (arrays broadcast)."""
+    steady = steady_state_from_ptrans(params, eta0, c_rocking, p_trans)
+    return stability(drift_matrix(params, steady)).max_real_part
+
+
+def reference_branches(params: SystemParams, input_power: float, c_rocking: float):
+    """(p_trans, stable, max_real_eig) per root of ``reference_roots``, one
+    scalar drift matrix each."""
+    eta0 = math.sqrt(input_power)
+    out = []
+    for p, _ in reference_roots(params, eta0, c_rocking):
+        max_real_eig = float(root_max_real_eig(params, eta0, c_rocking, p))
+        out.append((p, max_real_eig < STABILITY_TOL, max_real_eig))
+    return out
+
+
+def _mp_drift_matrix(params: SystemParams, c_rocking: float, p_trans) -> mpmath.matrix:
+    """The model's 8x8 drift matrix at a_s = sqrt(P), in the order [q, p, u1,
+    v1, u2, v2, s_r, s_i] of ``model_drift_matrix``, in mpmath."""
+    f = mpmath.mpf
+    ka, kb, kd, gm, wm = map(f, (params.kappa_a, params.kappa_b, params.kappa_d,
+                                 params.gamma_m, params.omega_m))
+    db, dd, j, g, chi = map(f, (params.delta_b, params.delta_d, params.j_coupling,
+                                params.g_qd, params.chi))
+    gn = g * f(params.n_inversion)
+    d = f(params.delta_a) - wm * chi ** 2 * (p_trans + f(c_rocking))
+    ap = mpmath.sqrt(2) * wm * chi * mpmath.sqrt(p_trans)
+    return mpmath.matrix([[0, wm, 0, 0, 0, 0, 0, 0],
+                          [-wm, -gm, 0, 0, ap, 0, 0, 0],
+                          [0, 0, -kb, db, 0, j, 0, g],
+                          [0, 0, -db, -kb, -j, 0, -g, 0],
+                          [0, 0, 0, j, -ka, d, 0, 0],
+                          [ap, 0, -j, 0, -d, -ka, 0, 0],
+                          [0, 0, 0, -gn, 0, 0, -kd, dd],
+                          [0, 0, gn, 0, 0, 0, -dd, -kd]])
+
+
+def _mp_characteristic_polynomial(m: mpmath.matrix) -> list:
+    """Ascending coefficients of det(lam I - m), Faddeev-LeVerrier."""
+    n = m.rows
+    coef = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+    power = mpmath.zeros(n, n)
+    for k in range(1, n + 1):
+        power = m * power + coef[n - k + 1] * mpmath.eye(n)
+        product = m * power
+        coef[n - k] = -sum(product[i, i] for i in range(n)) / k
+    return coef
+
+
+def mp_hurwitz_real_roots(params: SystemParams, c_rocking: float) -> list[float]:
+    """Real roots of Delta_7(P), ascending: the degree-12 polynomial through
+    its values at P = 0..12 in 60 digits, then the eigenvalues of its
+    companion matrix in 40; a root counts as real where its imaginary part
+    is below 1e-15 of its size, so a double root split by rounding counts."""
+    with mpmath.workdps(60):
+        at = [_mp_characteristic_polynomial(_mp_drift_matrix(params, c_rocking, mpmath.mpf(p)))
+              for p in (0, 1, 2)]
+        # each coefficient is a quadratic in P: a + b P + c P^2 through P = 0, 1, 2
+        quad = [(a0, (4 * a1 - 3 * a0 - a2) / 2, (a2 - 2 * a1 + a0) / 2)
+                for a0, a1, a2 in zip(*at)]
+        values = []
+        for p in range(13):
+            desc = [a + b * p + c * p * p for a, b, c in quad][::-1]
+            h = mpmath.matrix(7, 7)
+            for i in range(7):
+                for j in range(7):
+                    if 0 <= 2 * j - i + 1 <= 8:
+                        h[i, j] = desc[2 * j - i + 1]
+            values.append(mpmath.det(h))
+        vander = mpmath.matrix([[mpmath.mpf(p) ** k for k in range(13)] for p in range(13)])
+        coef = mpmath.lu_solve(vander, mpmath.matrix(values))
+    with mpmath.workdps(40):
+        companion = mpmath.zeros(12, 12)
+        for k in range(12):
+            companion[k, 11] = -coef[k] / coef[12]
+            if k:
+                companion[k, k - 1] = 1
+        roots = mpmath.eig(companion, left=False, right=False)
+        return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-15 * abs(r))
 
 
 def transfer_rows(params: SystemParams, steady: SteadyState, omega: np.ndarray) -> np.ndarray:

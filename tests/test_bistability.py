@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from optomech_switch import (DriveConfig, IntegrationFailureError, SystemParams,
-                             bistability_curve, cubic_coefficients, drift_matrix, parse_config,
-                             rocking_parameter, solve_transmitted_power, stability,
+                             bistability_curve, cubic_coefficients, parse_config,
+                             rocking_parameter, solve_transmitted_power,
                              steady_state_from_ptrans, turning_points)
+from optomech_switch.bistability import _boundaries
+from optomech_switch.config import apply_sweep_value
 from optomech_switch.dynamics import state_vector
-from optomech_switch.steady_state import input_power_of_ptrans, transmitted_power_roots
+from optomech_switch.linearize import STABILITY_TOL, _characteristic_polynomial, jacobians
+from optomech_switch.steady_state import _reaches, input_power_of_ptrans, transmitted_power_roots
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
-from reference import integrate_meanfield
+from reference import (integrate_meanfield, mp_hurwitz_real_roots, reference_branches,
+                       reference_roots, root_max_real_eig)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,51 +26,11 @@ def _root_counts(curve):
 
 
 def _roots_by_point(curve):
-    """Per grid point: its input power and its roots' p_trans, stable and
-    max_real_eig lists, read from the curve's columns."""
+    """Per grid point: its input power and its roots' p_trans and stable
+    lists, read from the curve's columns."""
     for i, ip in enumerate(curve.input_power.tolist()):
         at = curve.point == i
-        yield (ip, curve.p_trans[at].tolist(), curve.stable[at].tolist(),
-               curve.max_real_eig[at].tolist())
-
-
-def _reference_roots(params, eta0, c):
-    """The per-point route the batched solver replaced: ``np.roots``, an
-    |imag| cut, three Newton steps, a clamp of tiny negatives and a merge of
-    near-coincident roots, each with its own tolerance."""
-    coeffs = np.array(cubic_coefficients(params, eta0, c), dtype=float)
-    real = []
-    for z in np.roots(coeffs):
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
-            continue
-        x = z.real
-        for _ in range(3):
-            p = dp = 0.0
-            for cf in coeffs:
-                dp = dp * x + p
-                p = p * x + cf
-            if dp == 0.0 or not math.isfinite(p) or not math.isfinite(p / dp):
-                break
-            x = x - p / dp
-        if x >= -1e-10 * max(1.0, abs(x)):
-            real.append(max(x, 0.0))
-    merged = []
-    for x in sorted(real):
-        if merged and abs(x - merged[-1][0]) <= 1e-8 * max(1.0, abs(x)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((x, 1))
-    return merged
-
-
-def _reference_branches(params, input_power, c):
-    """(p_trans, stable, max_real_eig) per root, one scalar drift matrix each."""
-    eta0 = math.sqrt(input_power)
-    out = []
-    for p, _ in _reference_roots(params, eta0, c):
-        report = stability(drift_matrix(params, steady_state_from_ptrans(params, eta0, c, p)))
-        out.append((p, bool(report.stable), float(report.max_real_part)))
-    return out
+        yield ip, curve.p_trans[at].tolist(), curve.stable[at].tolist()
 
 
 def _oracle_cases():
@@ -89,11 +53,14 @@ def test_batched_curve_equals_per_point_route():
         knees = np.array([inp for inp, _ in turning_points(params, c)] or [np.inf])
         grid = grid[np.min(np.abs(grid[:, None] / knees - 1.0), axis=1) > 1e-6]
         curve = bistability_curve(params, grid, c)
-        for ip, p_trans, stable, max_real_eig in _roots_by_point(curve):
-            ref = _reference_branches(params, ip, c)
+        # the oracle's stacked route at the curve's roots, against its scalar one
+        max_real_eig = root_max_real_eig(params, np.sqrt(grid[curve.point]), c, curve.p_trans)
+        for i, (ip, p_trans, stable) in enumerate(_roots_by_point(curve)):
+            ref = reference_branches(params, ip, c)
             assert p_trans == [r[0] for r in ref]
             assert stable == [r[1] for r in ref]
-            assert max_real_eig == pytest.approx([r[2] for r in ref], rel=1e-12, abs=1e-13)
+            assert max_real_eig[curve.point == i].tolist() == pytest.approx(
+                [r[2] for r in ref], rel=1e-12, abs=1e-13)
     assert pumped > 0
 
 
@@ -175,7 +142,7 @@ def test_input_power_inverts_the_cubic(rng):
 def test_middle_branch_unstable_outer_stable_clean_set():
     lo, hi = sorted(inp for inp, _ in turning_points(CLEAN_BISTABLE, 0.0))
     curve = bistability_curve(CLEAN_BISTABLE, np.linspace(0.5 * lo, 1.3 * hi, 40), 0.0)
-    for _, _, stable, _ in _roots_by_point(curve):
+    for _, _, stable in _roots_by_point(curve):
         if len(stable) == 3:
             assert not stable[1]
             assert stable[0] and stable[2]
@@ -186,7 +153,7 @@ def test_middle_branch_unstable_outer_stable_clean_set():
 def test_middle_branch_unstable_published_set():
     """Instability of the middle branch holds on the published set too."""
     curve = bistability_curve(FIG_BISTABLE, np.linspace(0.15, 0.7, 25), 0.10)
-    mids = [stable[1] for _, _, stable, _ in _roots_by_point(curve) if len(stable) == 3]
+    mids = [stable[1] for _, _, stable in _roots_by_point(curve) if len(stable) == 3]
     assert mids and all(not m for m in mids)
 
 
@@ -220,7 +187,10 @@ def test_root_count_follows_the_side_of_each_knee(params, c):
         offsets = (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)
         inputs = [knee * (1.0 + e) for e in offsets]
         curve = bistability_curve(params, inputs, c)
-        for e, ip, (_, p_trans, _, _) in zip(offsets, inputs, _roots_by_point(curve)):
+        # the fold's double root, its own cell, has the per-root label (a 0 eigenvalue)
+        assert np.array_equal(curve.stable, root_max_real_eig(
+            params, np.sqrt(np.array(inputs))[curve.point], c, curve.p_trans) < STABILITY_TOL)
+        for e, ip, (_, p_trans, _) in zip(offsets, inputs, _roots_by_point(curve)):
             roots = solve_transmitted_power(params, math.sqrt(ip), c)
             assert [p for p, _ in roots] == p_trans
             assert ((fold, 2) in roots) == (e == 0.0)
@@ -242,8 +212,8 @@ def test_fold_that_no_drive_reaches_is_no_knee():
     assert len(turning_points(p, 0.44)) == 1
     curve = bistability_curve(p, np.geomspace(0.1, 300.0, 60), 0.44)
     assert _root_counts(curve)[0] == 3
-    for ip, p_trans, _, _ in _roots_by_point(curve):
-        assert p_trans == [r[0] for r in _reference_branches(p, ip, 0.44)]
+    for ip, p_trans, _ in _roots_by_point(curve):
+        assert p_trans == [r[0] for r in reference_branches(p, ip, 0.44)]
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +278,7 @@ def test_a_negative_drive_counts_like_its_polynomial():
         params = dataclasses.replace(random_params(rng), lambda_pump=rng.uniform(0.1, 2.0))
         for eta in -rng.uniform(0.0, 3.0, 3):
             assert len(solve_transmitted_power(params, eta, 0.0)) == \
-                len(_reference_roots(params, eta, 0.0)), (params, eta)
+                len(reference_roots(params, eta, 0.0)), (params, eta)
 
 
 def test_grid_validation():
@@ -340,7 +310,8 @@ def test_middle_root_is_a_saddle_with_an_active_dot():
     assert starts.size > 100
     middle = starts + 1
     assert not np.any(curve.stable[middle]), np.flatnonzero(curve.stable[middle])
-    assert np.all(curve.max_real_eig[middle] > 0.0)
+    assert np.all(root_max_real_eig(params, np.sqrt(grid[curve.point[middle]]), c,
+                                    curve.p_trans[middle]) > 0.0)
 
 
 def test_labels_predict_the_dynamics_with_an_active_dot():
@@ -358,7 +329,8 @@ def test_labels_predict_the_dynamics_with_an_active_dot():
         assert p.g_qd * p.n_inversion != 0.0
         for k in np.flatnonzero(curve.point == 0):
             stable = bool(curve.stable[k])
-            if abs(curve.max_real_eig[k]) < 0.05 or seen[stable] == 10:
+            margin = root_max_real_eig(p, eta0, 0.0, curve.p_trans[k])
+            if abs(margin) < 0.05 or seen[stable] == 10:
                 continue
             seen[stable] += 1
             y = state_vector(steady_state_from_ptrans(p, eta0, 0.0, curve.p_trans[k]))
@@ -376,3 +348,124 @@ def test_labels_predict_the_dynamics_with_an_active_dot():
                 assert distance < 1e-5, (p, eta0, curve.p_trans[k])
             else:
                 assert distance > 1e-3, (p, eta0, curve.p_trans[k])
+
+
+def _bundled_systems():
+    """(name, config) of every bundled scenario, one per sweep value."""
+    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
+        cfg = parse_config(path.read_text())
+        for value in cfg.sweep.values if cfg.sweep is not None else (None,):
+            yield path.stem, cfg if value is None else apply_sweep_value(cfg, value)
+
+
+def _bundled_curves():
+    """(params, C, input grid) of every bundled bistability S-curve."""
+    for _, cfg in _bundled_systems():
+        opt = dict(cfg.task.options)
+        if (opt.get("task") if cfg.task.name == "sweep" else cfg.task.name) == "bistability":
+            grid = np.linspace(opt["input_min"], opt["input_max"], opt["input_points"])
+            yield cfg.params, rocking_parameter(cfg.drive), grid
+
+
+def _pumped_draws(seed, count):
+    """Seeded draws with a pumped, active dot (lambda_pump, g*N nonzero)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        params = random_params(rng)
+        assert params.lambda_pump * params.g_qd * params.n_inversion != 0.0
+        yield params, rng.uniform(0.0, 0.4), np.geomspace(1e-3, 1e2, 200)
+
+
+def _eigenvalues_at(params, c, p_trans):
+    """Eigenvalues of the 8x8 Jacobian at transmitted power P, a_s = sqrt(P)
+    (the phase of a_s is a similarity): one row per P, leading one first."""
+    p_trans = np.atleast_1d(p_trans)
+    eig = np.linalg.eigvals(jacobians(params, np.sqrt(p_trans), params.chi * (p_trans + c)))
+    return np.take_along_axis(eig, np.argsort(-eig.real, axis=-1), axis=-1)
+
+
+def test_folds_are_the_roots_of_the_constant_coefficient():
+    """a_0(P), the characteristic polynomial at lam = 0, is omega_m^2 times
+    the cubic's derivative in P: its roots are `_reaches`' folds and so
+    `turning_points`' p_trans, to 1e-12, on every bundled system and on
+    seeded draws with a pumped dot."""
+    systems = [(cfg.params, rocking_parameter(cfg.drive)) for _, cfg in _bundled_systems()]
+    systems += [(p, c) for p, c, _ in _pumped_draws(3, 200)]
+    compared = 0
+    for params, c in systems:
+        folds = _reaches(params, c)[0]
+        roots = np.roots(_characteristic_polynomial(params, c)[0, ::-1])
+        if np.all(np.isnan(folds)):
+            assert not np.any(roots.imag == 0.0), (params, c, roots)
+            continue
+        np.testing.assert_allclose(np.sort(roots.real), folds, rtol=1e-12, atol=0.0)
+        assert np.all(roots.imag == 0.0)
+        assert {p for _, p in turning_points(params, c)} <= set(folds.tolist())
+        compared += 1
+    assert compared > 50
+
+
+def test_hopf_boundaries_are_the_real_roots_of_the_hurwitz_determinant():
+    """Every real root of Delta_7(P) in the curve's P-range, from an mpmath
+    Delta_7 (its own drift matrix and characteristic polynomial), is one of
+    `_boundaries` to 1e-10 relative: on the bundled S-curves, on pumped
+    draws 12, 21 and 30 of seed 5, which have a Hopf point in range, and on
+    ``bistability_rocking``'s first system over inputs up to 1e4 (P up to
+    113: one interpolant over the range holds 9.0501 only to ~2e-7).
+    On that system they are P = 9.0501 (input 0.1865) and 65.675."""
+    draws = list(_pumped_draws(5, 31))
+    wide = (FIG_BISTABLE, 0.1, np.geomspace(1e-3, 1e4, 200))
+    found = []
+    for params, c, grid in list(_bundled_curves()) + [draws[i] for i in (12, 21, 30)] + [wide]:
+        _, p_trans, _ = transmitted_power_roots(params, np.sqrt(grid), c)
+        bounds = _boundaries(params, c, p_trans)
+        for r in mp_hurwitz_real_roots(params, c):
+            if p_trans.min() <= r <= p_trans.max():
+                assert np.min(np.abs(bounds - r)) <= 1e-10 * r, (params, c, r, bounds)
+                found.append(r)
+    assert len(found) == 8
+    assert found[0] == pytest.approx(9.0501, abs=1e-4)
+    assert found[-2:] == pytest.approx([9.0501, 65.675], abs=1e-3)
+
+
+def test_labels_change_at_a_hopf_boundary_only_where_a_pair_is_imaginary():
+    """At each non-fold boundary across which the label changes (the
+    largest real part at P (1 -+ 1e-7) falls on both sides of the
+    stability threshold), the leading eigenvalue pair is on the imaginary
+    axis: |Re lam| < 1e-10, Im lam clearly nonzero."""
+    cases = list(_bundled_curves()) + list(_pumped_draws(5, 40))
+    changes = 0
+    for params, c, grid in cases:
+        _, p_trans, _ = transmitted_power_roots(params, np.sqrt(grid), c)
+        folds = _reaches(params, c)[0]
+        for b in _boundaries(params, c, p_trans):
+            if b in folds:
+                continue
+            side = _eigenvalues_at(params, c, b * np.array([1.0 - 1e-7, 1.0 + 1e-7]))[:, 0].real
+            if (side[0] < STABILITY_TOL) == (side[1] < STABILITY_TOL):
+                continue
+            lead = _eigenvalues_at(params, c, b)[0, 0]
+            assert abs(lead.real) < 1e-10 and abs(lead.imag) > 1e-6, (params, c, b, lead)
+            changes += 1
+    assert changes >= 3
+
+
+def test_interval_labels_equal_the_per_root_labels():
+    """The labels equal those of one eigenvalue check per root (the
+    oracle's route) on every bundled S-curve and on seeded pumped draws.
+    A root within 1e-9 relative of a boundary may differ, as the per-root
+    threshold -1e-10 moves the boundary by ~1e-10 / slope; none does."""
+    differ = []
+    roots = 0
+    for params, c, grid in list(_bundled_curves()) + list(_pumped_draws(6, 60)):
+        curve = bistability_curve(params, grid, c)
+        oracle = root_max_real_eig(params, np.sqrt(grid[curve.point]), c,
+                                   curve.p_trans) < STABILITY_TOL
+        bounds = _boundaries(params, c, curve.p_trans)
+        for k in np.flatnonzero(curve.stable != oracle):
+            p = curve.p_trans[k]
+            assert np.min(np.abs(bounds - p)) <= 1e-9 * p, (params, c, p)
+            differ.append(float(p))
+        roots += curve.p_trans.size
+    assert roots > 10000
+    assert differ == []

@@ -9,10 +9,10 @@ from optomech_switch import (SteadyState, SystemParams, brownian_weight, drift_m
                              parse_config, rocking_parameter, solve_transmitted_power,
                              spectrum_closed_form, spectrum_matrix, stability,
                              steady_state_from_ptrans)
-from optomech_switch.closed_form import (AUDIT_TOL, _coefficients, _Poly, _printed,
+from optomech_switch.closed_form import (AUDIT_TOL, _coefficients, _printed,
                                          _relative_deviation)
 from optomech_switch.config import apply_sweep_value
-from optomech_switch.steady_state import steady_state
+from optomech_switch.steady_state import _Poly, steady_state
 from conftest import random_params, spectrum_params
 from reference import CLOSED_FORM_REPAIRS, printed_drift_matrix, repaired_closed_form
 

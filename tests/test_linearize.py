@@ -6,8 +6,10 @@ import pytest
 from optomech_switch import (SystemParams, drift_matrix, fluctuation_amplitudes,
                              solve_transmitted_power, stability,
                              steady_state_from_ptrans)
-from optomech_switch.linearize import jacobians
-from conftest import FIG_BISTABLE, random_params
+from optomech_switch.linearize import (_characteristic_polynomial, _hurwitz_determinant,
+                                       jacobians)
+from optomech_switch.steady_state import transmitted_power_roots
+from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
 from reference import model_drift_matrix, printed_drift_matrix
 
 
@@ -136,3 +138,42 @@ def test_inactive_dot_drops_out(rng):
         scale = np.max(np.abs(expected))
         assert np.max(np.min(np.abs(got[:, None] - expected[None, :]), axis=1)) < 1e-12 * scale
         assert np.max(np.min(np.abs(expected[:, None] - got[None, :]), axis=1)) < 1e-12 * scale
+
+
+def test_characteristic_polynomial_is_the_drift_matrix_s(rng):
+    """a_k(P) of `_characteristic_polynomial` at each root's P is np.poly of
+    its drift matrix, times the dot's (lam + kappa_d)^2 + delta_d^2 where
+    g*N = 0 drops its rows, to 1e-10 relative: on the published sets, an
+    inverted and a pumped dot, and random draws.  a_8 and a_7 do not
+    depend on P, the ground of Delta_7's degree 12."""
+    cases = [(FIG_BISTABLE, 0.1), (CLEAN_BISTABLE, 0.0),
+             (FIG_BISTABLE.with_(g_qd=1.0, n_inversion=-1.0), 0.1),
+             (FIG_BISTABLE.with_(g_qd=1.0, n_inversion=0.5), 0.1)]
+    cases += [(random_params(rng), rng.uniform(0.0, 0.4)) for _ in range(30)]
+    eta0 = np.sqrt(np.geomspace(1e-3, 1e2, 25))
+    for params, c in cases:
+        poly = _characteristic_polynomial(params, c)
+        assert np.all(poly[7:, 1:] == 0.0) and poly[8, 0] == 1.0
+        point, p_trans, _ = transmitted_power_roots(params, eta0, c)
+        steady = steady_state_from_ptrans(params, eta0[point], c, p_trans)
+        dot = [params.kappa_d ** 2 + params.delta_d ** 2, 2.0 * params.kappa_d, 1.0]
+        for m, p in zip(drift_matrix(params, steady), steady.p_trans):
+            expected = np.poly(m)[::-1]
+            if m.shape[0] == 6:
+                expected = np.convolve(expected, dot)
+            np.testing.assert_allclose(poly @ [1.0, p, p * p], expected, rtol=1e-10, atol=0.0)
+
+
+def test_hurwitz_determinant_is_orlandos_product(rng):
+    """Delta_{n-1} = (-1)^(n(n-1)/2) a_n^(n-1) prod_{i<k} (lam_i + lam_k) for
+    random real polynomials of degree 2 to 8, in a stack; it vanishes on a
+    polynomial with a root pair +-i w."""
+    for n in range(2, 9):
+        roots = np.sort_complex(np.roots(rng.normal(size=n + 1)))
+        lead = rng.uniform(0.5, 2.0, 3)
+        coef = (lead[:, None] * np.poly(roots)[::-1]).real
+        i, k = np.triu_indices(n, 1)
+        orlando = (-1) ** (n * (n - 1) // 2) * lead ** (n - 1) * np.prod(roots[i] + roots[k]).real
+        np.testing.assert_allclose(_hurwitz_determinant(coef), orlando, rtol=1e-9)
+    hopf = np.convolve([0.3, 1.0, 2.0], [1.7, 0.0, 1.0])  # roots of the second: +-i sqrt(1.7)
+    assert abs(_hurwitz_determinant(hopf)) < 1e-14
