@@ -36,6 +36,12 @@ clock that starts with the up leg.  Its step loop runs in Fortran and
 switches to BDF by itself where the problem turns stiff.  The exact
 Jacobian (`linearize.jacobians`, updated in place) feeds the Newton
 iterations of those stiff steps, so LSODA differences no Jacobians.
+The rhs, like the Jacobian, rewrites one array in place and returns it
+on every call.  odeint copies both into its own work space, and it takes
+a float64 array with no conversion, where a tuple of floats would be
+converted on each of a ramp's ~10^5 calls.  solve_ivp does not copy: its
+Runge-Kutta steps keep the last derivative, so a caller that keeps a
+derivative must copy it.
 odeint has no events and only warns when it fails, so a failure message,
 a non-finite state or a blow-up raises IntegrationFailureError, whose
 last valid time counts from the start of the up leg.  odeint is imported
@@ -54,6 +60,7 @@ randomness.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +101,8 @@ MAGNUS_STEP = 0.1
 MAGNUS_CHUNK = 128
 # 4th-order Magnus: the two Gauss points of a substep, as fractions of it
 GAUSS_POINTS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# 1/k! of the Taylor series of exp, to degree 16
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
 
 
 @dataclass(frozen=True)
@@ -126,28 +135,36 @@ def state_vector(steady: SteadyState) -> np.ndarray:
 
 
 def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
-    """Mean-field rhs(t, y)."""
+    """Mean-field rhs(t, y).  Every call returns the same float64 array,
+    rewritten in place (module notes): odeint copies it, so the ramp may
+    share it, but a caller that keeps a derivative must copy it."""
     ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
     da, db, dd = params.delta_a, params.delta_b, params.delta_d
     j, g, n = params.j_coupling, params.g_qd, params.n_inversion
     wm, gm = params.omega_m, params.gamma_m
     g_om = params.omega_m * params.chi
+    gn = g * n
     lam_sin = params.lambda_pump * n * math.sin(params.theta)
     lam_cos = params.lambda_pump * n * math.cos(params.theta)
+    out = np.empty(8)
+    pack = struct.Struct("8d").pack_into
 
     def rhs(t, y):
-        # on Python floats a call costs under half what it does on numpy scalars
+        # on Python floats a call costs under half what it does on numpy
+        # scalars; gq and gn are the first products of g_om*q*a and g*n*b
         ar, ai, br, bi, sr, si, q, p = y.tolist()
         eta = eta_func(t)
-        dar = -ka * ar + da * ai + j * bi + eta - g_om * q * ai
-        dai = -ka * ai - da * ar - j * br + g_om * q * ar
-        dbr = -kb * br + db * bi + g * si + j * ai
-        dbi = -kb * bi - db * br - g * sr - j * ar
-        dsr = -kd * sr + dd * si - g * n * bi - lam_sin
-        dsi = -kd * si - dd * sr + g * n * br - lam_cos
-        dq = wm * p
-        dp = -wm * q + g_om * (ar * ar + ai * ai + c_rocking) - gm * p
-        return (dar, dai, dbr, dbi, dsr, dsi, dq, dp)
+        gq = g_om * q
+        pack(out, 0,
+             -ka * ar + da * ai + j * bi + eta - gq * ai,
+             -ka * ai - da * ar - j * br + gq * ar,
+             -kb * br + db * bi + g * si + j * ai,
+             -kb * bi - db * br - g * sr - j * ar,
+             -kd * sr + dd * si - gn * bi - lam_sin,
+             -kd * si - dd * sr + gn * br - lam_cos,
+             wm * p,
+             -wm * q + g_om * (ar * ar + ai * ai + c_rocking) - gm * p)
+        return out
 
     return rhs
 
@@ -215,7 +232,9 @@ def _integrate(rhs, jac, y0, tol, t_eval, blowup: bool = True) -> np.ndarray:
 
 def _harmonics(h: int) -> np.ndarray:
     """Harmonic number k of each slot of a length-(2h + 1) fft."""
-    return np.r_[0:h + 1, -h:0]
+    k = np.arange(2 * h + 1)
+    k[h + 1:] -= 2 * h + 1
+    return k
 
 
 def _on_grid(coef: np.ndarray, m: int, shift: float = 0.0) -> np.ndarray:
@@ -246,14 +265,17 @@ def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.
     lin, mirror = _circulant(symbol), _circulant(chi).real
     source = (drive.eta0 + drive.p_amp * np.cos(2.0 * math.pi * np.arange(n) / n)
               - 1j * params.j_coupling * b_pumped[0])
+    jac = np.empty((2 * n, 2 * n))
     for _ in range(COLLOCATION_STEPS):
         q = np.fft.ifft(chi * np.fft.fft(a.real ** 2 + a.imag ** 2)).real
         residual = np.fft.ifft(symbol * np.fft.fft(a)) - 1j * g_om * q * a - source
         # d(residual) = (lin - i*g_om*diag(q)) da - 2i*g_om*a*mirror(Re(conj(a) da))
         holo = lin - np.diag(1j * g_om * q)
         power = (-2j * g_om) * a[:, None] * mirror
-        jac = np.block([[holo.real + power.real * a.real, power.real * a.imag - holo.imag],
-                        [holo.imag + power.imag * a.real, holo.real + power.imag * a.imag]])
+        jac[:n, :n] = holo.real + power.real * a.real
+        jac[:n, n:] = power.real * a.imag - holo.imag
+        jac[n:, :n] = holo.imag + power.imag * a.real
+        jac[n:, n:] = holo.real + power.imag * a.imag
         try:
             step = np.linalg.solve(jac, np.concatenate((residual.real, residual.imag)))
         except np.linalg.LinAlgError as exc:
@@ -305,14 +327,19 @@ def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
 def _expm(x: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack: Taylor series of degree 16 (remainder
     below 1e-19) after scaling the stack to 1-norm <= 1/2, then squaring
-    back."""
+    back.  The series is summed by Paterson and Stockmeyer's scheme: blocks
+    of degree 3 in x, Horner's rule in x^4, 7 products where Horner's rule
+    in x takes 15."""
     norm = float(np.max(np.sum(np.abs(x), axis=-2)))
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     x = x / 2.0 ** squarings
-    eye = np.eye(x.shape[-1])
-    e = eye + x / 16.0
-    for j in range(15, 0, -1):
-        e = eye + (x @ e) / j
+    x2 = x @ x
+    powers = (np.eye(x.shape[-1]), x, x2, x2 @ x)
+    x4 = x2 @ x2
+    e = _TAYLOR[16] * x4
+    for i in (12, 8, 4, 0):
+        block = sum(_TAYLOR[i + j] * powers[j] for j in range(4))
+        e = block + e @ x4
     for _ in range(squarings):
         e = e @ e
     return e

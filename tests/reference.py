@@ -8,6 +8,9 @@
   time, the start state of those one-period integrations.
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
+- ``tuple_rhs`` is the mean-field rhs returned as a tuple of floats, one
+  expression per derivative: the bit-for-bit oracle of the ramp's rhs,
+  which packs the same values into one reused array.
 - ``expanded_cubic`` is the transmitted-power cubic expanded by hand in
   the helper constants A1, A2 and the response's R0, I0 at P = 0
   (docs/cubic_derivation.md), the form that KNOWN_ERRATA 1-3 compare with
@@ -20,7 +23,8 @@
   evaluates the unreduced equations of motion.
 - ``hysteresis_reference`` integrates the legs and the settle of a
   hysteresis sweep with DOP853 at rtol 1e-13, the accuracy oracle of the
-  ramp integrator.
+  ramp integrator.  It copies each derivative of the ramp's rhs, whose
+  array the next call rewrites, since DOP853 keeps the last one.
 - ``jump_input_power`` reads the switching input off a swept hysteresis
   curve, for comparison with the exact knees.
 - ``printed_drift_matrix`` is the printed model's fluctuation drift matrix,
@@ -199,6 +203,34 @@ def orbit_state(orbit, t: float) -> np.ndarray:
     a, b, sig = at(orbit.a), at(orbit.b), at(orbit.sigma)
     return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
                      at(orbit.q).real, at(orbit.p).real])
+
+
+def tuple_rhs(params: SystemParams, eta_func, c_rocking: float):
+    """Mean-field rhs(t, y) as a tuple of Python floats, each derivative
+    written out as one expression: the oracle of ``dynamics._rhs_factory``,
+    whose packed array must hold the same bits."""
+    ka, kb, kd = params.kappa_a, params.kappa_b, params.kappa_d
+    da, db, dd = params.delta_a, params.delta_b, params.delta_d
+    j, g, n = params.j_coupling, params.g_qd, params.n_inversion
+    wm, gm = params.omega_m, params.gamma_m
+    g_om = params.omega_m * params.chi
+    lam_sin = params.lambda_pump * n * math.sin(params.theta)
+    lam_cos = params.lambda_pump * n * math.cos(params.theta)
+
+    def rhs(t, y):
+        ar, ai, br, bi, sr, si, q, p = y.tolist()
+        eta = eta_func(t)
+        dar = -ka * ar + da * ai + j * bi + eta - g_om * q * ai
+        dai = -ka * ai - da * ar - j * br + g_om * q * ar
+        dbr = -kb * br + db * bi + g * si + j * ai
+        dbi = -kb * bi - db * br - g * sr - j * ar
+        dsr = -kd * sr + dd * si - g * n * bi - lam_sin
+        dsi = -kd * si - dd * sr + g * n * br - lam_cos
+        dq = wm * p
+        dp = -wm * q + g_om * (ar * ar + ai * ai + c_rocking) - gm * p
+        return (dar, dai, dbr, dbi, dsr, dsi, dq, dp)
+
+    return rhs
 
 
 def variational_rhs(params: SystemParams, eta_func, c_rocking: float):
@@ -409,7 +441,9 @@ def hysteresis_reference(params: SystemParams, input_ramp, c_rocking: float = 0.
                              1.0 / params.gamma_m)
 
     def run(eta_func, t_eval, y0):
-        sol = solve_ivp(_rhs_factory(params, eta_func, c_rocking), (t_eval[0], t_eval[-1]),
+        rhs = _rhs_factory(params, eta_func, c_rocking)
+        # DOP853 keeps the last derivative, which the next call would rewrite
+        sol = solve_ivp(lambda t, y: rhs(t, y).copy(), (t_eval[0], t_eval[-1]),
                         y0, method="DOP853", t_eval=t_eval, rtol=RAMP_REFERENCE_TOL,
                         atol=RAMP_REFERENCE_TOL * 1e-2)
         assert sol.success, sol.message

@@ -10,7 +10,7 @@ from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailur
                              UndefinedRatioError, bandwidth, hysteresis_sweep,
                              solve_transmitted_power, switch_metrics)
 from optomech_switch import dynamics
-from optomech_switch.dynamics import (TOL, _jacobian_factory, _rhs_factory,
+from optomech_switch.dynamics import (TOL, _expm, _jacobian_factory, _rhs_factory,
                                       floquet_multipliers, periodic_orbit, state_vector,
                                       threshold_measure)
 from optomech_switch.linearize import jacobians
@@ -18,7 +18,7 @@ from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
 from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
                        jump_input_power, monodromy, orbit_state, steady_state_direct,
-                       switch_ratio, variational_rhs)
+                       switch_ratio, tuple_rhs, variational_rhs)
 
 
 def _state_at(trace, i):
@@ -157,6 +157,18 @@ def test_floquet_multipliers_match_the_variational_solve(params, drive):
                        np.sort(np.abs(np.linalg.eigvals(phi))), rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("norm", np.geomspace(1e-3, 40.0, 9))
+def test_expm_matches_scipy(rng, norm):
+    """Stacks scaled to 1-norms 1e-3..40: below 1/2 the series runs
+    unscaled, above it after up to 7 squarings."""
+    from scipy.linalg import expm
+
+    x = rng.normal(size=(16, 8, 8))
+    x *= norm / np.max(np.sum(np.abs(x), axis=-2))
+    ref = expm(x)
+    assert np.max(np.abs(_expm(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_unresolved_spectrum_raises(monkeypatch):
     """This orbit needs 16 harmonics: with the cap at 8 it is unresolved."""
     drive = DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=1.0)
@@ -212,6 +224,29 @@ def test_variational_rhs_is_the_jacobian(rng):
             ramp_jac = jacobian(0.0, y).copy()
             assert np.array_equal(ramp_jac, jac)
             assert np.allclose(ramp_jac, numeric, rtol=1e-7, atol=1e-8)
+
+
+def test_packed_rhs_is_the_tuple_rhs_bit_for_bit(rng):
+    """The ramp's rhs packs into one reused array the bits of the tuple
+    oracle: pumped and absorbing dots, a rocking term, random states, on
+    the rising, held and falling drive of a ramp."""
+    lo, hi, rate, top, fall = 0.3, 4.0, 0.7, 3.7 / 0.7, 3.7 / 0.7 + 2.0
+
+    def eta_func(t):
+        p = lo + rate * t if t < top else hi if t < fall else hi - rate * (t - fall)
+        return math.sqrt(max(p, lo))
+
+    for _ in range(24):
+        p = random_params(rng)
+        c_rocking = rng.uniform(0.01, 0.5)
+        assert p.n_inversion != 0.0 and p.chi != 0.0
+        packed, oracle = (f(p, eta_func, c_rocking) for f in (_rhs_factory, tuple_rhs))
+        for t in (rng.uniform(0.0, top), rng.uniform(top, fall), rng.uniform(fall, fall + top)):
+            y = rng.normal(size=8) * 10.0 ** rng.uniform(-3.0, 2.0)
+            out = packed(t, y)
+            assert out.dtype == np.float64 and out.shape == (8,)
+            assert np.array_equal(out, np.array(oracle(t, y)))
+            assert packed(t, -y) is out
 
 
 def test_switch_ratio_constant_output_is_one():
