@@ -9,7 +9,11 @@ byte-identical, so the checksums are stable.
 Spectrum payloads carry their series as 1-D numpy arrays.  JSON files are
 json.dumps's indented, key-sorted bytes, written by orjson's compiled
 encoder (Ryu's shortest round-trip digits, the same digits as ``repr``)
-and two byte rewrites of its exponent layout; see ``_json``.
+and two byte rewrites of its exponent layout; see ``_json``.  A top-level
+float64 array whose items are all zero or lie in 1e-4 <= |x| < 1e16 is
+checked by value instead: both encoders print those items positionally, so
+their text needs no rewrite, and only the rest of the payload is checked
+as text.
 
 CSV cells are ``"%.12g" % x``, byte for byte, but most are printed by the
 same encoder: numpy rounds each float to 12 significant digits (one exact
@@ -141,6 +145,32 @@ def _fifth_decimal(match) -> bytes:
     return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
 
 
+def _as_repr(text):
+    """orjson's ``text`` with ``repr``'s float layout, or None where its bytes
+    cannot be json.dumps's: where it holds ``null`` (NaN and +-inf, which
+    json.dumps writes as ``NaN`` and ``Infinity``), non-ASCII or DEL (which
+    json.dumps escapes)."""
+    if b"null" in text or b"\x7f" in text or not text.isascii():
+        return None
+    text = _EXPONENT.sub(_exponent, text)
+    # One bytes.find, ten times as fast as the pattern (whose first byte is a
+    # common digit), gates it: every number the rewrite changes has ``0.0000``.
+    if b"0.0000" in text:
+        text = _FIFTH_DECIMAL.sub(_fifth_decimal, text)
+    return text
+
+
+def _positional(value) -> bool:
+    """Whether ``value`` is a C-contiguous 1-D float64 array whose items are
+    all +-0 or finite with 1e-4 <= |x| < 1e16, where ``repr`` and orjson both
+    print the shortest round-trip digits positionally."""
+    if not (type(value) is np.ndarray and value.dtype == np.float64
+            and value.ndim == 1 and value.flags.c_contiguous):
+        return False
+    size = np.abs(value)
+    return bool(((size < 1e16) & ((size >= 1e-4) | (size == 0))).all())
+
+
 def _json(payload) -> bytes:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte
     and encoded, with a numpy array written as the list of its items.
@@ -151,25 +181,45 @@ def _json(payload) -> bytes:
     ``repr`` only down to 1e-4).  Both are anchored on the line end: with an
     indent every number ends its line, while a string ends in a quote and
     holds no raw newline, so they never touch a string.  Wherever orjson's
-    bytes cannot be json.dumps's, json.dumps writes the payload itself: when
-    orjson refuses it (an int beyond 64 bits, a strided array, a non-str
-    key), and when its output holds ``null`` (NaN and +-inf, which json.dumps
-    writes as ``NaN`` and ``Infinity``), non-ASCII or DEL (which json.dumps
-    escapes).  Arrays are float64 or int (the payloads' only kinds): orjson
-    would write a float32 item as its shortest float32 digits.
+    bytes cannot be json.dumps's (see ``_as_repr``), or orjson refuses the
+    payload (an int beyond 64 bits, a strided array, a non-str key),
+    json.dumps writes it itself.  Arrays are float64 or int (the payloads'
+    only kinds): orjson would write a float32 item as its shortest float32
+    digits.
+
+    A top-level dict's ``_positional`` arrays are checked by value, not as
+    text.  Their items' text holds no ``null``, no ``e``, no DEL and no
+    non-ASCII byte, and a ``0.0000`` in it is the tail of a longer number
+    (|x| >= 1e-4), which ``_fifth_decimal`` leaves alone.  Every check and
+    rewrite is local to a line, so the rest of the payload, with ``[]`` in
+    place of those arrays (their keys stay and are checked), is encoded
+    alone and checked.
+    If it needs no rewrite and no json.dumps, neither does the whole
+    document, and orjson's bytes of the whole payload are returned as they
+    are.  Any other payload takes the whole-document route, ``_json_whole``.
     """
+    if isinstance(payload, dict):
+        arrays = [key for key, value in payload.items() if _positional(value)]
+        if arrays:
+            try:
+                rest = orjson.dumps({**payload, **dict.fromkeys(arrays, [])},
+                                    option=_ORJSON_OPTIONS)
+                if _as_repr(rest) == rest:
+                    return orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n"
+            except orjson.JSONEncodeError:
+                pass
+    return _json_whole(payload)
+
+
+def _json_whole(payload) -> bytes:
+    """``_json`` by checking and rewriting the whole document's text."""
     try:
-        text = orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n"
+        text = _as_repr(orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n")
     except orjson.JSONEncodeError:
         text = None
-    if text is None or b"null" in text or b"\x7f" in text or not text.isascii():
+    if text is None:
         return (json.dumps(payload, indent=2, sort_keys=True,
                            default=lambda value: value.tolist()) + "\n").encode()
-    text = _EXPONENT.sub(_exponent, text)
-    # One bytes.find, ten times as fast as the pattern (whose first byte is a
-    # common digit), gates it: every number the rewrite changes has ``0.0000``.
-    if b"0.0000" in text:
-        text = _FIFTH_DECIMAL.sub(_fifth_decimal, text)
     return text
 
 

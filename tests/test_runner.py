@@ -574,6 +574,118 @@ def test_json_writer_falls_back_to_json_dumps(payload):
     assert runner._json(payload) == _oracle_json(payload).encode()
 
 
+@pytest.fixture
+def whole_route_calls(monkeypatch):
+    """The payloads ``runner._json`` hands to its whole-document route."""
+    calls, whole_route = [], runner._json_whole
+
+    def whole(payload):
+        calls.append(payload)
+        return whole_route(payload)
+
+    monkeypatch.setattr(runner, "_json_whole", whole)
+    return calls
+
+
+# In the positional band: both zeros, its ends, integer values and numbers
+# whose text holds ``0.0000`` as the tail (10.00001).
+IN_BAND = np.array([0.0, -0.0, 1e-4, -1e-4, 0.5, 33.9, 10.00001, -120.00003, 100.0,
+                    2.1e9, np.nextafter(1e16, 0), -np.nextafter(1e16, 0)])
+
+
+@pytest.mark.parametrize("edge, in_band", [
+    (1e-4, True), (np.nextafter(1e-4, 0), False), (1e-5, False),
+    (np.nextafter(1e16, 0), True), (1e16, False), (math.nan, False), (math.inf, False),
+    (-math.inf, False), (-0.0, True), (5e-324, False)])
+def test_json_writer_checks_top_level_arrays_by_value(edge, in_band):
+    """A top-level float64 array is taken as it stands only if every item is
+    +-0 or lies in 1e-4 <= |x| < 1e16; an array holding one item beyond
+    that band is checked as text with the rest of the payload."""
+    edged = np.array([0.5, edge, -edge, 2.0])
+    assert runner._positional(edged) is in_band
+    payload = {"omega": IN_BAND, "s_q": edged, "task": "spectrum", "peaks": [{"x": 0.5}]}
+    assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+def test_json_writer_gate_leaves_the_fifth_decimal_rewrite_to_the_whole_route(
+        whole_route_calls):
+    payload = {"omega": OMEGA_WITH_FIFTH_DECIMAL}
+    assert runner._json(payload) == _oracle_json(payload).encode()
+    assert whole_route_calls == [payload]
+
+
+@pytest.mark.parametrize("rest", [
+    {"x": 1e-7}, {"x": 0.00001}, {"x": [1.0, 1e16]}, {"x": None}, {"x": "ü"}, {"ü": 1.0},
+    {"x": "a\x7fb"}, {"x": 2**64}, {"x": math.nan}, {"x": {"y": [math.inf]}}],
+    ids=["1e-7", "fifth-decimal", "1e16", "none", "non-ascii-value", "non-ascii-key",
+         "del", "2**64", "nan", "nested-inf"])
+def test_json_writer_gate_checks_the_rest_of_the_payload(whole_route_calls, rest):
+    """Clean arrays beside a remainder that needs a rewrite or json.dumps:
+    the whole document takes today's route."""
+    payload = {"omega": IN_BAND, "s_q": IN_BAND[::-1].copy(), **rest}
+    assert runner._json(payload) == _oracle_json(payload).encode()
+    assert whole_route_calls == [payload]
+
+
+@pytest.mark.parametrize("payload", [
+    {1: IN_BAND, 2: 0.5}, {"ü": IN_BAND}, {"a\x7fb": IN_BAND}, {"s_q": IN_BAND[::2]},
+    {"s_q": IN_BAND.reshape(3, 4)}, {"n": np.arange(5), "s_q": np.arange(-3, 3) * 7},
+    {"s_q": IN_BAND.tolist()}],
+    ids=["non-str-keys", "non-ascii-key", "del-in-key", "strided", "2-d", "int", "list"])
+def test_json_writer_gate_passes_other_payloads_on(whole_route_calls, payload):
+    """In-band arrays under keys that need json.dumps, arrays the gate must
+    not take (strided, 2-D, int) and lists of in-band items go the
+    whole-document route."""
+    assert runner._json(payload) == _oracle_json(payload).encode()
+    assert whole_route_calls == [payload]
+
+
+def _in_band_array(rng):
+    """A float64 array of +-0 and items in 1e-4 <= |x| < 1e16, at times
+    rounded to a few decimals (integer values, ``10.00001``-like tails),
+    and at times with one item drawn by ``_random_float``."""
+    n = int(rng.integers(0, 30))
+    size = np.clip(10.0 ** rng.uniform(-4, 16, n), 1e-4, np.nextafter(1e16, 0))
+    if rng.random() < 0.3:
+        size = np.round(size, int(rng.integers(0, 8)))
+    values = size * rng.choice([-1.0, 1.0], n)
+    values[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+    if n and rng.random() < 0.2:
+        values[rng.integers(n)] = _random_float(rng)
+    return values
+
+
+def test_json_writer_gate_matches_oracle_on_random_payloads(rng, whole_route_calls):
+    """Top-level dicts of in-band arrays, now and then with one item out of
+    band, beside a ``_random_payload`` remainder half of the time."""
+    for _ in range(2000):
+        payload = {KEYS[k]: _in_band_array(rng) for k in rng.integers(len(KEYS), size=3)}
+        if rng.random() < 0.5:
+            payload[KEYS[rng.integers(len(KEYS))]] = _random_payload(rng, depth=1)
+        assert runner._json(payload) == _oracle_json(payload).encode(), payload
+    assert len(whole_route_calls) < 1500  # the gate took at least a quarter
+
+
+def test_json_writer_takes_a_bundled_spectrum_as_it_stands(monkeypatch):
+    """A matrix-backend spectrum at the benchmark's 20000 points never reaches
+    the whole-document route, and its bytes are still the oracle's."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                        "spectrum_vs_cavity_coupling.cfg")
+    with open(path, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read().replace("omega_points = 2000", "omega_points = 20000"))
+    payloads = list(runner.run_sweep(cfg)["json"].values())
+    assert len(payloads) == len(cfg.sweep.values)
+    expected = [_oracle_json(payload).encode() for payload in payloads]
+
+    def whole(payload):
+        raise AssertionError("the whole-document route ran")
+
+    monkeypatch.setattr(runner, "_json_whole", whole)
+    for payload, text in zip(payloads, expected):
+        assert payload["omega"].size == 20000
+        assert runner._json(payload) == text
+
+
 @pytest.mark.parametrize("payload", [
     "1e5,", "0.00001", "1e-7", ["1e5,", "0.00001", " 0.00001", "-0.00001", "x 1e16"],
     {"1e5,": "0.00001", "0.00001": ["1e16"], "e-7": 1e-7},
