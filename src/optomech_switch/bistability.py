@@ -24,8 +24,8 @@ import numpy as np
 from .linearize import (_characteristic_polynomial, _hurwitz_determinant, drift_matrix,
                         stability)
 from .params import SystemParams
-from .steady_state import (_reaches, steady_state_from_ptrans, transmitted_power_roots,
-                           turning_points)
+from .steady_state import (_cubic, _reaches, steady_state_from_ptrans,
+                           transmitted_power_roots, turning_points)
 
 # Delta_7 has degree <= 12 in P: column 1 of the Hurwitz matrix holds only
 # a_7 and a_8, which do not depend on P, and every other entry is a
@@ -77,7 +77,7 @@ def _boundaries(params: SystemParams, c_rocking: float, p_trans: np.ndarray) -> 
     that rounding has made a complex pair still split the range; a
     candidate where no label changes costs one more eigenvalue check.
     Where the polynomial does not depend on P (chi = 0), only the folds."""
-    folds = _reaches(params, c_rocking)[0]
+    folds = _reaches(_cubic(params, 0.0, c_rocking))[0]
     folds = folds[np.isfinite(folds)]
     poly = _characteristic_polynomial(params, c_rocking)
     positive = p_trans[p_trans > 0.0]

@@ -16,10 +16,15 @@ solved for directly by harmonic balance, with no time integration:
   equation for a(t) remains.
 - Collocation.  That equation is solved at n = 2H + 1 uniform times of a
   period by Newton on the 2n real unknowns, from the lower-branch steady
-  amplitude held constant.  H starts at HARMONICS_START and doubles until
-  the top quarter of the spectrum of a is below SPECTRAL_TAIL of its
-  largest coefficient; past HARMONICS_CAP, or if Newton does not
-  converge, the orbit raises NoConvergenceError.
+  amplitude held constant.  Each step is solved at order n, not 2n: the
+  mirror feeds back only Re(conj(a) da), n real numbers, so one complex
+  solve with the mirror frozen and one real solve for that feedback (a
+  Schur complement) give the step.  Up to H = 32 no solve is large enough
+  for OpenBLAS to run it on a second thread, which then spins for the
+  rest of the run; H = 64 would reach that size again.  H starts at
+  HARMONICS_START and doubles until the top quarter of the spectrum of a
+  is below SPECTRAL_TAIL of its largest coefficient; past HARMONICS_CAP,
+  or if Newton does not converge, the orbit raises NoConvergenceError.
 - Stability.  The Floquet multipliers are the eigenvalues of the
   monodromy matrix, a product of 4th-order Magnus steps of the 8x8
   Jacobian (`linearize.jacobians`) along the orbit.  A multiplier of
@@ -254,9 +259,36 @@ def _circulant(symbol: np.ndarray) -> np.ndarray:
     return column[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
+def _newton_step(frozen: np.ndarray, feedback: np.ndarray, a: np.ndarray,
+                 residual: np.ndarray) -> np.ndarray:
+    """The da that solves frozen da + feedback Re(conj(a) da) = residual, by
+    a Schur complement on r = Re(conj(a) da): one complex solve against
+    [feedback | residual], one real solve for r, then da = y - X r with the
+    complex X times the real r as two real products (module notes)."""
+    sol = np.linalg.solve(frozen, np.column_stack((feedback, residual)))
+    x, y = sol[:, :-1], sol[:, -1]
+    # Re(conj(a) X) and Re(conj(a) y), row by row
+    r = np.linalg.solve(np.eye(a.size) + a.real[:, None] * x.real + a.imag[:, None] * x.imag,
+                        a.real * y.real + a.imag * y.imag)
+    return y - (x.real @ r + 1j * (x.imag @ r))
+
+
 def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.ndarray:
     """Newton on R(a) = D a + (kappa_a + i*delta_a) a + i*J*b[a] - eta
-    - i*g_om*q[|a|^2]*a = 0 at the len(a) uniform times of a period."""
+    - i*g_om*q[|a|^2]*a = 0 at the n = len(a) uniform times of a period.
+
+    The Jacobian acts as dR = H da + P Re(conj(a) da): H = lin
+    - i*g_om*diag(q) is the complex-linear response with the mirror
+    frozen, P = -2i*g_om*diag(a)*mirror the mirror's real feedback.
+    `_newton_step` solves it with one complex solve of order n (n + 1
+    right-hand sides) and one real solve of order n, where the 2n real
+    unknowns took one real solve of order 2n.  With OpenBLAS 0.3.31 on two
+    cores a real solve runs on two threads from order 100 on (98 stays on
+    one); a complex solve of order 65 with 66 right-hand sides and a real
+    matrix-vector product of order 65 stay on one, a complex one of order
+    65 would not.  So up to H = 32 (n = 65) the step stays on one thread;
+    H = 64 (n = 129) would thread again, and no bundled or benchmark orbit
+    needs more than H = 32."""
     n = a.size
     g_om = params.omega_m * params.chi
     nu = drive.omega_mod * _harmonics(n // 2)
@@ -265,25 +297,19 @@ def _collocation(params: SystemParams, drive: DriveConfig, a: np.ndarray) -> np.
     lin, mirror = _circulant(symbol), _circulant(chi).real
     source = (drive.eta0 + drive.p_amp * np.cos(2.0 * math.pi * np.arange(n) / n)
               - 1j * params.j_coupling * b_pumped[0])
-    jac = np.empty((2 * n, 2 * n))
     for _ in range(COLLOCATION_STEPS):
         q = np.fft.ifft(chi * np.fft.fft(a.real ** 2 + a.imag ** 2)).real
         residual = np.fft.ifft(symbol * np.fft.fft(a)) - 1j * g_om * q * a - source
-        # d(residual) = (lin - i*g_om*diag(q)) da - 2i*g_om*a*mirror(Re(conj(a) da))
-        holo = lin - np.diag(1j * g_om * q)
-        power = (-2j * g_om) * a[:, None] * mirror
-        jac[:n, :n] = holo.real + power.real * a.real
-        jac[:n, n:] = power.real * a.imag - holo.imag
-        jac[n:, :n] = holo.imag + power.imag * a.real
-        jac[n:, n:] = holo.real + power.imag * a.imag
         try:
-            step = np.linalg.solve(jac, np.concatenate((residual.real, residual.imag)))
+            step = _newton_step(lin - np.diag(1j * g_om * q), (-2j * g_om) * a[:, None] * mirror,
+                                a, residual)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"periodic orbit: {exc}") from exc
-        a = a - (step[:n] + 1j * step[n:])
+        a = a - step
         if not np.all(np.isfinite(a)):
             break
-        if np.max(np.abs(step)) <= COLLOCATION_TOL * np.max(np.abs(a)):
+        # the largest |Re| or |Im| of the step
+        if np.max(np.abs(step.view(float))) <= COLLOCATION_TOL * np.max(np.abs(a)):
             return a
     raise NoConvergenceError(
         f"periodic orbit: no convergence in {COLLOCATION_STEPS} Newton steps at H = {n // 2}")

@@ -26,6 +26,7 @@ and non-float columns go through ``%`` or ``str``; see ``_round12``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -126,6 +127,8 @@ def _csv(headers, columns) -> bytes:
     return head + text
 
 
+_CONTAINERS = (dict, list, tuple)
+_PLAIN = {*_CONTAINERS, float, int, str, bool, type(None), np.ndarray}
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _EXPONENT = re.compile(rb"e(-?)(\d+)(?=,?\n)")
 _FIFTH_DECIMAL = re.compile(rb"0\.0000([1-9])(\d*)(?=,?\n)")
@@ -171,6 +174,29 @@ def _positional(value) -> bool:
     return bool(((size < 1e16) & ((size >= 1e-4) | (size == 0))).all())
 
 
+def _swapped(payload) -> bool:
+    """Whether ``payload`` holds, at any depth, a numpy array whose bytes are
+    not in the machine's order, which orjson 3.8.3 reads as if they were.
+    The tree is walked a level at a time by C loops: the level's types, then
+    one ``gc.get_referents`` call for the items of its dicts, lists and
+    tuples (numbers, strings and arrays have none).  A level that holds any
+    other object hands on only its containers, subclasses too, which orjson
+    writes as their base types.  orjson refuses a payload nested in more
+    than 255 containers, so the walk stops there (a cycle never ends)."""
+    level = [payload]
+    for _ in range(256):
+        kinds = set(map(type, level))
+        if np.ndarray in kinds and not all(v.dtype.isnative for v in level
+                                           if type(v) is np.ndarray):
+            return True
+        if not kinds <= _PLAIN:
+            level = [v for v in level if isinstance(v, _CONTAINERS)]
+        elif kinds.isdisjoint(_CONTAINERS):
+            return False
+        level = gc.get_referents(*level)
+    return False
+
+
 def _json(payload) -> bytes:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte
     and encoded, with a numpy array written as the list of its items.
@@ -197,7 +223,11 @@ def _json(payload) -> bytes:
     If it needs no rewrite and no json.dumps, neither does the whole
     document, and orjson's bytes of the whole payload are returned as they
     are.  Any other payload takes the whole-document route, ``_json_whole``.
+    A payload that holds an array of non-native byte order (``_swapped``)
+    is json.dumps's to write.
     """
+    if _swapped(payload):
+        return _json_dumps(payload)
     if isinstance(payload, dict):
         arrays = [key for key, value in payload.items() if _positional(value)]
         if arrays:
@@ -217,10 +247,13 @@ def _json_whole(payload) -> bytes:
         text = _as_repr(orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n")
     except orjson.JSONEncodeError:
         text = None
-    if text is None:
-        return (json.dumps(payload, indent=2, sort_keys=True,
-                           default=lambda value: value.tolist()) + "\n").encode()
-    return text
+    return _json_dumps(payload) if text is None else text
+
+
+def _json_dumps(payload) -> bytes:
+    """``_json`` by json.dumps itself."""
+    return (json.dumps(payload, indent=2, sort_keys=True,
+                       default=lambda value: value.tolist()) + "\n").encode()
 
 
 def run_bistability(config: ScenarioConfig):

@@ -161,6 +161,18 @@ def effective_detuning(params: SystemParams, p_trans: float, c_rocking: float) -
     return params.delta_a - params.omega_m * params.chi**2 * (p_trans + c_rocking)
 
 
+def _cubic(params: SystemParams, eta0, c_rocking: float) -> tuple:
+    """(c3, c2, c1, c0) of :func:`cubic_coefficients`, then the moments
+    (|det|^2, k, m) of c0 = -(|det|^2*eta0^2 + 2*k*eta0 + m); only c0
+    depends on eta0."""
+    beta = params.omega_m * params.chi**2
+    _, det, opt0 = response(params, 0.0, params.delta_a - beta * c_rocking)
+    det_sq, k, m = _source_moments(params, det)
+    return (det_sq * beta * beta, -2.0 * beta * (opt0 * det.conjugate()).imag,
+            opt0.real ** 2 + opt0.imag ** 2, -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m),
+            det_sq, k, m)
+
+
 def cubic_coefficients(params: SystemParams, eta0: float,
                        c_rocking: float) -> tuple[float, float, float, float]:
     """Coefficients (c3, c2, c1, c0) of the transmitted-power cubic.
@@ -172,19 +184,15 @@ def cubic_coefficients(params: SystemParams, eta0: float,
     deviations from the published closed form are listed in
     docs/KNOWN_ERRATA.md.
     """
-    beta = params.omega_m * params.chi**2
-    _, det, opt0 = response(params, 0.0, params.delta_a - beta * c_rocking)
-    det_sq, k, m = _source_moments(params, det)
-    return (det_sq * beta * beta, -2.0 * beta * (opt0 * det.conjugate()).imag,
-            opt0.real ** 2 + opt0.imag ** 2, -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m))
+    return _cubic(params, eta0, c_rocking)[:4]
 
 
-def _drive_of_ptrans(params: SystemParams, c_rocking: float, p_trans, sign):
-    """(signed eta0 or nan, input power) of :func:`input_power_of_ptrans`."""
+def _drive_of_ptrans(cubic: tuple, p_trans, sign):
+    """(signed eta0 or nan, input power) of :func:`input_power_of_ptrans`,
+    from :func:`_cubic`'s scalars."""
+    c3, c2, c1, _, det_sq, k, m = cubic
     p = np.asarray(p_trans, dtype=float)
-    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
     lhs = c3 * p**3 + c2 * p**2 + c1 * p
-    det_sq, k, m = _source_moments(params, response(params, 0.0, 0.0)[1])
     with np.errstate(invalid="ignore"):
         if k == 0.0:
             return sign * np.sqrt((lhs - m) / det_sq), (lhs - m) / det_sq
@@ -199,20 +207,21 @@ def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
     quadratic |det|^2*eta0^2 + 2*k*eta0 + m = lhs(p_trans) whose roots are
     eta0 = (-k +- sqrt(D))/|det|^2; ``sign`` picks one.  nan where that
     root is complex or negative (no drive reaches p_trans on it)."""
-    eta0, inp = _drive_of_ptrans(params, c_rocking, p_trans, sign)
+    eta0, inp = _drive_of_ptrans(_cubic(params, 0.0, c_rocking), p_trans, sign)
     return np.where(eta0 >= 0.0, inp, np.nan)
 
 
-def _reaches(params: SystemParams, c_rocking: float):
-    """(folds, drives, inputs): the cubic's folds in p_trans, ascending (nan:
-    none), and per fold the signed eta0 on both roots of the quadratic of
-    :func:`input_power_of_ptrans` (nan: complex, or p_trans <= 0) and, where
-    it is >= 0 (a knee), its input power, whose sqrt it is (else nan)."""
-    c3, c2, c1, _ = cubic_coefficients(params, 0.0, c_rocking)
+def _reaches(cubic: tuple):
+    """(folds, drives, inputs) of the cubic with :func:`_cubic`'s scalars:
+    its folds in p_trans, ascending (nan: none), and per fold the signed
+    eta0 on both roots of the quadratic of :func:`input_power_of_ptrans`
+    (nan: complex, or p_trans <= 0) and, where it is >= 0 (a knee), its
+    input power, whose sqrt it is (else nan)."""
+    c3, c2, c1 = cubic[:3]
     disc = c2 * c2 - 3.0 * c3 * c1  # c3 > 0 where not 0: the - root is the lower fold
     folds = ((-c2 + np.array([-1.0, 1.0]) * math.sqrt(disc)) / (3.0 * c3)
              if c3 != 0.0 and disc > 0.0 else np.full(2, math.nan))
-    eta0, inp = _drive_of_ptrans(params, c_rocking, folds[:, None], np.array([1.0, -1.0]))
+    eta0, inp = _drive_of_ptrans(cubic, folds[:, None], np.array([1.0, -1.0]))
     with np.errstate(invalid="ignore"):
         drives = np.where(folds[:, None] > 0.0, np.where(eta0 >= 0.0, np.sqrt(inp), eta0), np.nan)
     return folds, drives, np.where(drives >= 0.0, inp, np.nan)
@@ -222,24 +231,24 @@ def turning_points(params: SystemParams, c_rocking: float) -> tuple[tuple[float,
     """Exact (input_power, p_trans) saddle-node points of the S-curve,
     ascending in input power: each fold at every drive eta0 >= 0 of
     :func:`_reaches`, so with a pumped dot one fold can be reached twice."""
-    folds, _, inputs = _reaches(params, c_rocking)
+    folds, _, inputs = _reaches(_cubic(params, 0.0, c_rocking))
     hit = np.isfinite(inputs)
     return tuple(sorted(set(zip(inputs[hit].tolist(), np.repeat(folds, 2)[hit.ravel()].tolist()))))
 
 
-def _newton_polish(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Three Newton steps on each root (row polynomials, leading coefficient
-    first); a root stops at its first step that is not finite."""
-    live = np.ones(x.shape, dtype=bool)
-    for _ in range(3):
-        p = dp = np.zeros_like(x)
-        for c in poly.T:
-            dp = dp * x + p
-            p = p * x + c
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+def _newton_polish(coef: tuple, x: np.ndarray) -> np.ndarray:
+    """Three Newton steps on each root x of the polynomial ``coef``, leading
+    coefficient first (scalars, or one per root); a root stops at its first
+    step that is not finite (it keeps x, so every later step is that one)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            # Horner's rule for the value p and the slope dp together
+            p, dp = coef[0] * x + coef[1], coef[0]
+            for c in coef[2:]:
+                dp = dp * x + p
+                p = p * x + c
             step = p / dp
-        live &= np.isfinite(step)
-        x = np.where(live, x - step, x)
+            x = np.where(np.isfinite(step), x - step, x)
     return x
 
 
@@ -260,37 +269,45 @@ def transmitted_power_roots(params: SystemParams, eta0,
     three roots where it is + at the lower fold and - at the upper, one
     otherwise, and on a knee the fold's p_trans as a double root, listed
     once.  Where three are due, a conjugate pair splits into re -+ |im|.
+    c3, c2 and c1 are checked and used as Python scalars and only c0 is an
+    array, so a one-point call makes no numpy call for them.
     """
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
-    coeffs = np.column_stack(np.broadcast_arrays(*cubic_coefficients(params, eta0, c_rocking)))
-    if not np.all(np.isfinite(coeffs)):
+    cubic = _cubic(params, eta0, c_rocking)
+    c3, c2, c1, c0 = cubic[:4]
+    if not (math.isfinite(c3) and math.isfinite(c2) and math.isfinite(c1)
+            and np.isfinite(c0).all()):
         raise DegenerateModelError("non-finite polynomial coefficients")
-    if not np.all(np.any(coeffs, axis=1)):
+    if not (c3 or c2 or c1 or c0.all()):
         raise DegenerateModelError("transmitted-power polynomial vanished identically")
-    poly = coeffs if np.any(coeffs[:, 0]) else coeffs[:, 2:]
-    if not np.any(poly[:, 0]):  # c3 = c1 = 0: a nonzero constant
+    head = (c3, c2, c1) if c3 else (c1,)
+    if not head[0]:  # c3 = c1 = 0: a nonzero constant
         return np.zeros(0, int), np.zeros(0), np.zeros(0, int)
-    deg = poly.shape[1] - 1
-    folds, drives, _ = _reaches(params, c_rocking)
+    deg = len(head)
+    folds, drives, _ = _reaches(cubic)
     companion = np.zeros((eta0.size, deg, deg))
-    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-    companion[:, range(1, deg), range(deg - 1)] = 1.0
+    companion[:, 0, :-1] = [-c / head[0] for c in head[1:]]
+    companion[:, 0, -1] = -c0 / head[0]
+    companion[:, 1:, :-1] = np.eye(deg - 1)
     z = np.linalg.eigvals(companion)
     imag = np.abs(z.imag)
     most_real = np.where(imag == imag.min(axis=1, keepdims=True), z.real, np.nan)
-    top, bottom = np.nanmax(most_real, axis=1), np.nanmin(most_real, axis=1)
-    at_lo, at_hi = (np.where(np.any(eta0[:, None] == reach, axis=1), 0,
-                             (-1) ** (1 + np.sum(eta0[:, None] < reach, axis=1)))
-                    for reach in drives)
+    # nanmax and nanmin of each row (every row has a value)
+    top, bottom = np.fmax.reduce(most_real, axis=1), np.fmin.reduce(most_real, axis=1)
+    # per point and fold: -1 times the product of sign(eta0 - d) over its
+    # drives d (one flip per drive above eta0, 0 on a drive), a missing
+    # drive (nan) taken as -inf, below every eta0
+    at_lo, at_hi = -np.sign(eta0[:, None, None] - np.fmax(drives, -np.inf)).prod(axis=2).T
     every = (at_lo > 0) & (at_hi < 0)
-    single = np.where(at_hi >= 0, bottom, top)
-    double = np.select([at_lo == 0, at_hi == 0], folds, np.nan)
-    cand = np.column_stack([np.where(every[:, None], np.sort(z.real + z.imag, axis=1), np.nan),
-                            np.where(every, np.nan, single), double])
+    cand = np.empty((eta0.size, deg + 2))
+    cand[:, :deg] = np.sort(z.real + z.imag, axis=1)
+    cand[~every, :deg] = np.nan
+    cand[:, deg] = np.where(every, np.nan, np.where(at_hi >= 0, bottom, top))
+    cand[:, deg + 1] = np.where(at_lo == 0, folds[0], np.where(at_hi == 0, folds[1], np.nan))
     point, col = np.nonzero(~np.isnan(cand))
     simple = col <= deg
     x = cand[point, col]
-    x[simple] = _newton_polish(poly[point[simple]], x[simple])
+    x[simple] = _newton_polish((*head, c0[point[simple]]), x[simple])
     p_trans, mult = np.where(x > 0.0, x, 0.0), np.where(simple, 1, 2)
     order = np.lexsort((p_trans, point))
     return point[order], p_trans[order], mult[order]

@@ -8,6 +8,10 @@
   time, the start state of those one-period integrations.
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
+- ``dense_newton_step`` solves the collocation Newton system on the 2n
+  real unknowns (Re da, Im da) with one real 2n x 2n solve, the assembly
+  the harmonic balance used before its step was split: the oracle of
+  ``dynamics._newton_step``.
 - ``tuple_rhs`` is the mean-field rhs returned as a tuple of floats, one
   expression per derivative: the bit-for-bit oracle of the ramp's rhs,
   which packs the same values into one reused array.
@@ -203,6 +207,21 @@ def orbit_state(orbit, t: float) -> np.ndarray:
     a, b, sig = at(orbit.a), at(orbit.b), at(orbit.sigma)
     return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
                      at(orbit.q).real, at(orbit.p).real])
+
+
+def dense_newton_step(frozen: np.ndarray, feedback: np.ndarray, a: np.ndarray,
+                      residual: np.ndarray) -> np.ndarray:
+    """The da that solves frozen da + feedback Re(conj(a) da) = residual, as
+    one real system on (Re da, Im da): Re(conj(a) da) = Re(a) Re(da)
+    + Im(a) Im(da) scales the feedback's columns."""
+    n = a.size
+    jac = np.empty((2 * n, 2 * n))
+    jac[:n, :n] = frozen.real + feedback.real * a.real
+    jac[:n, n:] = feedback.real * a.imag - frozen.imag
+    jac[n:, :n] = frozen.imag + feedback.imag * a.real
+    jac[n:, n:] = frozen.real + feedback.imag * a.imag
+    step = np.linalg.solve(jac, np.concatenate((residual.real, residual.imag)))
+    return step[:n] + 1j * step[n:]
 
 
 def tuple_rhs(params: SystemParams, eta_func, c_rocking: float):

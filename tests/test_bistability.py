@@ -13,7 +13,8 @@ from optomech_switch.bistability import _boundaries
 from optomech_switch.config import apply_sweep_value
 from optomech_switch.dynamics import state_vector
 from optomech_switch.linearize import STABILITY_TOL, _characteristic_polynomial, jacobians
-from optomech_switch.steady_state import _reaches, input_power_of_ptrans, transmitted_power_roots
+from optomech_switch.steady_state import (_cubic, _reaches, input_power_of_ptrans,
+                                          transmitted_power_roots)
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
 from reference import (integrate_meanfield, mp_hurwitz_real_roots, reference_branches,
                        reference_roots, root_max_real_eig)
@@ -393,7 +394,7 @@ def test_folds_are_the_roots_of_the_constant_coefficient():
     systems += [(p, c) for p, c, _ in _pumped_draws(3, 200)]
     compared = 0
     for params, c in systems:
-        folds = _reaches(params, c)[0]
+        folds = _reaches(_cubic(params, 0.0, c))[0]
         roots = np.roots(_characteristic_polynomial(params, c)[0, ::-1])
         if np.all(np.isnan(folds)):
             assert not np.any(roots.imag == 0.0), (params, c, roots)
@@ -437,7 +438,7 @@ def test_labels_change_at_a_hopf_boundary_only_where_a_pair_is_imaginary():
     changes = 0
     for params, c, grid in cases:
         _, p_trans, _ = transmitted_power_roots(params, np.sqrt(grid), c)
-        folds = _reaches(params, c)[0]
+        folds = _reaches(_cubic(params, 0.0, c))[0]
         for b in _boundaries(params, c, p_trans):
             if b in folds:
                 continue

@@ -1,5 +1,7 @@
 import cmath
 import math
+from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from scipy.integrate import trapezoid
 
 from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailureError,
                              NoConvergenceError, SystemParams, UndefinedGainError,
-                             UndefinedRatioError, bandwidth, hysteresis_sweep,
-                             solve_transmitted_power, switch_metrics)
+                             UndefinedRatioError, bandwidth, hysteresis_sweep, parse_config,
+                             run_scenario, solve_transmitted_power, switch_metrics)
 from optomech_switch import dynamics
 from optomech_switch.dynamics import (TOL, _expm, _jacobian_factory, _rhs_factory,
                                       floquet_multipliers, periodic_orbit, state_vector,
@@ -16,9 +18,11 @@ from optomech_switch.dynamics import (TOL, _expm, _jacobian_factory, _rhs_factor
 from optomech_switch.linearize import jacobians
 from optomech_switch.steady_state import steady_state
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, FIG_SWITCH, random_params
-from reference import (drive_value, gain, hysteresis_reference, integrate_meanfield,
-                       jump_input_power, monodromy, orbit_state, steady_state_direct,
-                       switch_ratio, tuple_rhs, variational_rhs)
+from reference import (dense_newton_step, drive_value, gain, hysteresis_reference,
+                       integrate_meanfield, jump_input_power, monodromy, orbit_state,
+                       steady_state_direct, switch_ratio, tuple_rhs, variational_rhs)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _state_at(trace, i):
@@ -155,6 +159,53 @@ def test_floquet_multipliers_match_the_variational_solve(params, drive):
     assert np.linalg.norm(y1 - y0) < 1e-9 * np.linalg.norm(y0)
     assert np.allclose(np.sort(np.abs(floquet_multipliers(params, orbit))),
                        np.sort(np.abs(np.linalg.eigvals(phi))), rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_inversion, sizes", [(-1.0, {17, 33}), (0.0, {17, 33, 65}),
+                                                 (0.5, {17, 33, 65})])
+def test_newton_step_is_the_dense_solve(monkeypatch, rng, n_inversion, sizes):
+    """The split Newton step equals the 2n x 2n real solve at every step of
+    an orbit's Newton runs, to convergence, and at seeded random states and
+    residuals in the same systems.  The pumped dot's orbit (N = +0.5) is
+    solved, then refused as unstable; its steps count all the same."""
+    calls = []
+    step = dynamics._newton_step
+
+    def record(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_newton_step", record)
+    with suppress(UndefinedRatioError):
+        periodic_orbit(FIG_BISTABLE.with_(n_inversion=n_inversion),
+                       DriveConfig(eta0=0.1, p_amp=0.5, omega_mod=0.5))
+    assert {a.size for _, _, a, _ in calls} == sizes
+    for frozen, feedback, a, residual in calls:
+        n = a.size
+        moved = a * (1.0 + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        random_state = (frozen + np.diag(0.1j * np.max(np.abs(frozen)) * rng.normal(size=n)),
+                        feedback * (moved / a)[:, None], moved,
+                        np.max(np.abs(a)) * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        for args in ((frozen, feedback, a, residual), random_state):
+            ref = dense_newton_step(*args)
+            assert np.max(np.abs(step(*args) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_no_collocation_solve_is_large_enough_to_thread(monkeypatch, tmp_path):
+    """This sweep reaches H = 32 (n = 65 collocation points).  Every solve
+    stays at order <= 65, where the real system on 2n unknowns had order
+    130, a size at which OpenBLAS's solve runs on two threads."""
+    orders = []
+    solve = np.linalg.solve
+
+    def record(a, b):
+        orders.append(a.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", record)
+    cfg = parse_config((ROOT / "scenarios" / "switch_metrics_vs_omega_variant_b.cfg").read_text())
+    run_scenario(cfg, out_dir=str(tmp_path))
+    assert max(orders) == 65
 
 
 @pytest.mark.parametrize("norm", np.geomspace(1e-3, 40.0, 9))

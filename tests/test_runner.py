@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import OrderedDict
 
 import numpy as np
 import orjson
@@ -572,6 +573,30 @@ def test_json_writer_falls_back_to_json_dumps(payload):
     """Payloads whose orjson bytes cannot be json.dumps's (null, non-ASCII,
     raw DEL) or that orjson refuses (wide ints, non-str keys, strided arrays)."""
     assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+SWAPPED = np.array([0.5, 1.5, 1e-7]).astype(np.dtype(float).newbyteorder())
+
+
+@pytest.mark.parametrize("payload", [
+    SWAPPED, {"a": SWAPPED}, {"a": SWAPPED, "task": "t"}, {"s_q": SWAPPED, "omega": SWAPPED[:2]},
+    [1.0, SWAPPED], {"deep": [{"x": (0.5, SWAPPED)}]}, {"x": OrderedDict(a=SWAPPED)},
+    {"n": np.arange(3).astype(np.dtype(int).newbyteorder()), "f": [np.float64(2.5)]}],
+    ids=["bare", "top", "top-with-string", "top-pair", "in-list", "nested", "dict-subclass",
+         "int"])
+def test_json_writer_reads_arrays_of_non_native_byte_order(payload):
+    """orjson reads such an array's bytes as if they were native (0.5 comes
+    out as 2.8363e-319); the writer hands the payload to json.dumps."""
+    assert runner._json(payload) == _oracle_json(payload).encode()
+
+
+def test_json_writer_refuses_a_cyclic_payload():
+    """The byte-order walk stops at orjson's nesting limit; json.dumps then
+    refuses the cycle."""
+    cycle = [1.0]
+    cycle.append({"a": cycle})
+    with pytest.raises(ValueError, match="Circular reference"):
+        runner._json(cycle)
 
 
 @pytest.fixture
