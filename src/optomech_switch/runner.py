@@ -9,11 +9,14 @@ byte-identical, so the checksums are stable.
 Spectrum payloads carry their series as 1-D numpy arrays.  JSON files are
 json.dumps's indented, key-sorted bytes, written by orjson's compiled
 encoder (Ryu's shortest round-trip digits, the same digits as ``repr``)
-and two byte rewrites of its exponent layout; see ``_json``.  A top-level
-float64 array whose items are all zero or lie in 1e-4 <= |x| < 1e16 is
-checked by value instead: both encoders print those items positionally, so
-their text needs no rewrite, and only the rest of the payload is checked
-as text.
+and two byte rewrites of its exponent layout; see ``_json``.  orjson's
+numpy mode sees only the float64 arrays at the top level of a dict
+payload; anything else numpy in a payload (a scalar, a nested array,
+another dtype or byte order) makes json.dumps write the payload, so task
+payloads hold Python scalars.  A top-level float64 array whose items are
+all zero or lie in 1e-4 <= |x| < 1e16 is checked by value: both encoders
+print those items positionally, so their text needs no rewrite, and only
+the rest of the payload is checked as text.
 
 CSV cells are ``"%.12g" % x``, byte for byte, but most are printed by the
 same encoder: numpy rounds each float to 12 significant digits (one exact
@@ -26,7 +29,6 @@ and non-float columns go through ``%`` or ``str``; see ``_round12``.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -127,9 +129,7 @@ def _csv(headers, columns) -> bytes:
     return head + text
 
 
-_CONTAINERS = (dict, list, tuple)
-_PLAIN = {*_CONTAINERS, float, int, str, bool, type(None), np.ndarray}
-_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
 _EXPONENT = re.compile(rb"e(-?)(\d+)(?=,?\n)")
 _FIFTH_DECIMAL = re.compile(rb"0\.0000([1-9])(\d*)(?=,?\n)")
 
@@ -174,29 +174,6 @@ def _positional(value) -> bool:
     return bool(((size < 1e16) & ((size >= 1e-4) | (size == 0))).all())
 
 
-def _swapped(payload) -> bool:
-    """Whether ``payload`` holds, at any depth, a numpy array whose bytes are
-    not in the machine's order, which orjson 3.8.3 reads as if they were.
-    The tree is walked a level at a time by C loops: the level's types, then
-    one ``gc.get_referents`` call for the items of its dicts, lists and
-    tuples (numbers, strings and arrays have none).  A level that holds any
-    other object hands on only its containers, subclasses too, which orjson
-    writes as their base types.  orjson refuses a payload nested in more
-    than 255 containers, so the walk stops there (a cycle never ends)."""
-    level = [payload]
-    for _ in range(256):
-        kinds = set(map(type, level))
-        if np.ndarray in kinds and not all(v.dtype.isnative for v in level
-                                           if type(v) is np.ndarray):
-            return True
-        if not kinds <= _PLAIN:
-            level = [v for v in level if isinstance(v, _CONTAINERS)]
-        elif kinds.isdisjoint(_CONTAINERS):
-            return False
-        level = gc.get_referents(*level)
-    return False
-
-
 def _json(payload) -> bytes:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte
     and encoded, with a numpy array written as the list of its items.
@@ -206,45 +183,42 @@ def _json(payload) -> bytes:
     ``0.00001`` into ``1e-05`` (orjson writes positionally down to 1e-5,
     ``repr`` only down to 1e-4).  Both are anchored on the line end: with an
     indent every number ends its line, while a string ends in a quote and
-    holds no raw newline, so they never touch a string.  Wherever orjson's
-    bytes cannot be json.dumps's (see ``_as_repr``), or orjson refuses the
-    payload (an int beyond 64 bits, a strided array, a non-str key),
-    json.dumps writes it itself.  Arrays are float64 or int (the payloads'
-    only kinds): orjson would write a float32 item as its shortest float32
-    digits.
+    holds no raw newline, so they never touch a string.
 
-    A top-level dict's ``_positional`` arrays are checked by value, not as
-    text.  Their items' text holds no ``null``, no ``e``, no DEL and no
-    non-ASCII byte, and a ``0.0000`` in it is the tail of a longer number
-    (|x| >= 1e-4), which ``_fifth_decimal`` leaves alone.  Every check and
-    rewrite is local to a line, so the rest of the payload, with ``[]`` in
-    place of those arrays (their keys stay and are checked), is encoded
-    alone and checked.
-    If it needs no rewrite and no json.dumps, neither does the whole
-    document, and orjson's bytes of the whole payload are returned as they
-    are.  Any other payload takes the whole-document route, ``_json_whole``.
-    A payload that holds an array of non-native byte order (``_swapped``)
-    is json.dumps's to write.
+    orjson's numpy mode sees only the arrays at the top level of a dict
+    payload whose type is ``np.ndarray`` and whose dtype equals float64 (a
+    non-native byte order does not, and orjson would misread it).  The rest
+    of the payload, with ``[]`` in place of those arrays (their keys stay),
+    is encoded without numpy mode, so orjson refuses any other numpy object
+    (an array elsewhere or of another dtype, whose float32 items it would
+    print with float32 digits, or a numpy scalar), as it refuses an int
+    beyond 64 bits and a non-str key.  A payload that orjson refuses, or
+    whose orjson bytes cannot be json.dumps's (see ``_as_repr``), json.dumps
+    writes itself, at more than ten times orjson's cost on a spectrum:
+    task payloads hold Python scalars.
+
+    Without arrays the rest is the document, and ``_as_repr`` makes it the
+    file.  With arrays, the whole payload is encoded once more in numpy
+    mode.  Where the rest needs no rewrite and every array is
+    ``_positional``, that text is the file as it stands: the arrays' items
+    hold no ``null``, no ``e``, no DEL and no non-ASCII byte, and a
+    ``0.0000`` in them is the tail of a longer number (|x| >= 1e-4), which
+    ``_fifth_decimal`` leaves alone; every check and rewrite is local to a
+    line.  Otherwise ``_as_repr`` checks and rewrites the whole text.
     """
-    if _swapped(payload):
-        return _json_dumps(payload)
-    if isinstance(payload, dict):
-        arrays = [key for key, value in payload.items() if _positional(value)]
-        if arrays:
-            try:
-                rest = orjson.dumps({**payload, **dict.fromkeys(arrays, [])},
-                                    option=_ORJSON_OPTIONS)
-                if _as_repr(rest) == rest:
-                    return orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n"
-            except orjson.JSONEncodeError:
-                pass
-    return _json_whole(payload)
-
-
-def _json_whole(payload) -> bytes:
-    """``_json`` by checking and rewriting the whole document's text."""
+    items = payload.items() if isinstance(payload, dict) else ()
+    arrays = [key for key, value in items
+              if type(value) is np.ndarray and value.dtype == np.float64]
     try:
-        text = _as_repr(orjson.dumps(payload, option=_ORJSON_OPTIONS) + b"\n")
+        text = orjson.dumps({**payload, **dict.fromkeys(arrays, [])} if arrays else payload,
+                            option=_ORJSON_OPTIONS) + b"\n"
+        if arrays:
+            whole = orjson.dumps(payload,
+                                 option=_ORJSON_OPTIONS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+            if _as_repr(text) == text and all(_positional(payload[key]) for key in arrays):
+                return whole
+            text = whole
+        text = _as_repr(text)
     except orjson.JSONEncodeError:
         text = None
     return _json_dumps(payload) if text is None else text

@@ -188,8 +188,13 @@ def cubic_coefficients(params: SystemParams, eta0: float,
 
 
 def _drive_of_ptrans(cubic: tuple, p_trans, sign):
-    """(signed eta0 or nan, input power) of :func:`input_power_of_ptrans`,
-    from :func:`_cubic`'s scalars."""
+    """(signed eta0, input power eta0^2) that places a steady state at
+    ``p_trans``, from :func:`_cubic`'s scalars: the steady-state polynomial
+    inverted.  With a pumped dot (k nonzero) it is a quadratic
+    |det|^2*eta0^2 + 2*k*eta0 + m = lhs(p_trans) whose roots are
+    eta0 = (-k +- sqrt(D))/|det|^2; ``sign`` picks one.  eta0 is nan where
+    that root is complex; where it is negative, no drive reaches p_trans on
+    that root."""
     c3, c2, c1, _, det_sq, k, m = cubic
     p = np.asarray(p_trans, dtype=float)
     lhs = c3 * p**3 + c2 * p**2 + c1 * p
@@ -200,21 +205,10 @@ def _drive_of_ptrans(cubic: tuple, p_trans, sign):
     return eta0, eta0**2
 
 
-def input_power_of_ptrans(params: SystemParams, c_rocking: float, p_trans,
-                          sign: float = 1.0) -> np.ndarray:
-    """Input power eta0^2 that places a steady state at the given p_trans:
-    the steady-state polynomial inverted, with a pumped dot (k nonzero) a
-    quadratic |det|^2*eta0^2 + 2*k*eta0 + m = lhs(p_trans) whose roots are
-    eta0 = (-k +- sqrt(D))/|det|^2; ``sign`` picks one.  nan where that
-    root is complex or negative (no drive reaches p_trans on it)."""
-    eta0, inp = _drive_of_ptrans(_cubic(params, 0.0, c_rocking), p_trans, sign)
-    return np.where(eta0 >= 0.0, inp, np.nan)
-
-
 def _reaches(cubic: tuple):
     """(folds, drives, inputs) of the cubic with :func:`_cubic`'s scalars:
     its folds in p_trans, ascending (nan: none), and per fold the signed
-    eta0 on both roots of the quadratic of :func:`input_power_of_ptrans`
+    eta0 on both roots of the quadratic of :func:`_drive_of_ptrans`
     (nan: complex, or p_trans <= 0) and, where it is >= 0 (a knee), its
     input power, whose sqrt it is (else nan)."""
     c3, c2, c1 = cubic[:3]

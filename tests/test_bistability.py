@@ -13,7 +13,7 @@ from optomech_switch.bistability import _boundaries
 from optomech_switch.config import apply_sweep_value
 from optomech_switch.dynamics import state_vector
 from optomech_switch.linearize import STABILITY_TOL, _characteristic_polynomial, jacobians
-from optomech_switch.steady_state import (_cubic, _reaches, input_power_of_ptrans,
+from optomech_switch.steady_state import (_cubic, _drive_of_ptrans, _reaches,
                                           transmitted_power_roots)
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
 from reference import (integrate_meanfield, mp_hurwitz_real_roots, reference_branches,
@@ -136,7 +136,8 @@ def test_input_power_inverts_the_cubic(rng):
         for root, _ in solve_transmitted_power(p, eta0, c):
             if root < 1e-12:
                 continue
-            back = input_power_of_ptrans(p, c, root)
+            drive, back = _drive_of_ptrans(_cubic(p, 0.0, c), root, 1.0)
+            assert drive >= 0.0
             assert back == pytest.approx(eta0**2, rel=1e-8, abs=1e-12)
 
 

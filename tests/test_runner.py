@@ -576,39 +576,81 @@ def test_json_writer_falls_back_to_json_dumps(payload):
 
 
 SWAPPED = np.array([0.5, 1.5, 1e-7]).astype(np.dtype(float).newbyteorder())
+F32 = np.array([0.1, 1e-7, 3.0, 1e16], np.float32)
+F16 = np.array([0.1, 1e-5, 3.0, 6e4], np.float16)
+POSITIONAL = np.array([0.5, 1.5, 33.9])
 
 
 @pytest.mark.parametrize("payload", [
     SWAPPED, {"a": SWAPPED}, {"a": SWAPPED, "task": "t"}, {"s_q": SWAPPED, "omega": SWAPPED[:2]},
     [1.0, SWAPPED], {"deep": [{"x": (0.5, SWAPPED)}]}, {"x": OrderedDict(a=SWAPPED)},
-    {"n": np.arange(3).astype(np.dtype(int).newbyteorder()), "f": [np.float64(2.5)]}],
+    {"n": np.arange(3).astype(np.dtype(int).newbyteorder()), "f": [np.float64(2.5)]},
+    {"a": F32}, [F32], {"x": {"y": F32}}, {"a": F32[0]}, [F32[0]], {"x": {"y": F32[0]}},
+    {"a": F16}, [F16], {"x": {"y": F16}}, {"a": F16[0]}, [F16[0]], {"x": {"y": F16[0]}},
+    {"s_q": POSITIONAL, "x": np.float64(0.1)}, {"s_q": POSITIONAL, "n": np.int64(7)},
+    {"s_q": POSITIONAL, "ok": np.bool_(True)}],
     ids=["bare", "top", "top-with-string", "top-pair", "in-list", "nested", "dict-subclass",
-         "int"])
+         "int", "f32-top", "f32-in-list", "f32-nested", "f32-scalar-top", "f32-scalar-in-list",
+         "f32-scalar-nested", "f16-top", "f16-in-list", "f16-nested", "f16-scalar-top",
+         "f16-scalar-in-list", "f16-scalar-nested", "float64-scalar", "int64-scalar",
+         "bool-scalar"])
 def test_json_writer_reads_arrays_of_non_native_byte_order(payload):
-    """orjson reads such an array's bytes as if they were native (0.5 comes
-    out as 2.8363e-319); the writer hands the payload to json.dumps."""
+    """orjson's numpy mode reads an array of non-native byte order as if its
+    bytes were native (0.5 comes out as 2.8363e-319) and prints float32 and
+    float16 items and scalars with their own shortest digits (0.1, where
+    json.dumps prints 0.10000000149011612); numpy scalars sit here beside a
+    positional array.  The writer hands each such payload to json.dumps."""
     assert runner._json(payload) == _oracle_json(payload).encode()
 
 
 def test_json_writer_refuses_a_cyclic_payload():
-    """The byte-order walk stops at orjson's nesting limit; json.dumps then
-    refuses the cycle."""
+    """orjson refuses a payload nested beyond its depth limit; json.dumps
+    then refuses the cycle."""
     cycle = [1.0]
     cycle.append({"a": cycle})
     with pytest.raises(ValueError, match="Circular reference"):
         runner._json(cycle)
 
 
+def _orjson_text(payload):
+    """orjson's bytes of the whole payload, arrays included, or None where
+    orjson refuses it."""
+    try:
+        return orjson.dumps(payload, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                            | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    except orjson.JSONEncodeError:
+        return None
+
+
 @pytest.fixture
 def whole_route_calls(monkeypatch):
-    """The payloads ``runner._json`` hands to its whole-document route."""
-    calls, whole_route = [], runner._json_whole
+    """The payloads whose whole document ``runner._json`` checks as text:
+    their orjson text, set-aside arrays included, reaches ``_as_repr``, or
+    ``_json_dumps`` writes them.  The array gate took any other payload as
+    it stands."""
+    calls, texts, dumped = [], [], []
+    as_repr, json_dumps, write = runner._as_repr, runner._json_dumps, runner._json
 
-    def whole(payload):
-        calls.append(payload)
-        return whole_route(payload)
+    def checked(text):
+        texts.append(text)
+        return as_repr(text)
 
-    monkeypatch.setattr(runner, "_json_whole", whole)
+    def dumps(payload):
+        dumped.append(payload)
+        return json_dumps(payload)
+
+    def observed(payload):
+        texts.clear()
+        dumped.clear()
+        result = write(payload)
+        whole = _orjson_text(payload)
+        if dumped or (whole is not None and whole in texts):
+            calls.append(payload)
+        return result
+
+    monkeypatch.setattr(runner, "_as_repr", checked)
+    monkeypatch.setattr(runner, "_json_dumps", dumps)
+    monkeypatch.setattr(runner, "_json", observed)
     return calls
 
 
@@ -660,7 +702,8 @@ def test_json_writer_gate_checks_the_rest_of_the_payload(whole_route_calls, rest
 def test_json_writer_gate_passes_other_payloads_on(whole_route_calls, payload):
     """In-band arrays under keys that need json.dumps, arrays the gate must
     not take (strided, 2-D, int) and lists of in-band items go the
-    whole-document route."""
+    whole-document route.  Int arrays never reach orjson's numpy mode:
+    orjson refuses them and json.dumps writes the payload."""
     assert runner._json(payload) == _oracle_json(payload).encode()
     assert whole_route_calls == [payload]
 
@@ -691,7 +734,7 @@ def test_json_writer_gate_matches_oracle_on_random_payloads(rng, whole_route_cal
     assert len(whole_route_calls) < 1500  # the gate took at least a quarter
 
 
-def test_json_writer_takes_a_bundled_spectrum_as_it_stands(monkeypatch):
+def test_json_writer_takes_a_bundled_spectrum_as_it_stands(whole_route_calls):
     """A matrix-backend spectrum at the benchmark's 20000 points never reaches
     the whole-document route, and its bytes are still the oracle's."""
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
@@ -700,15 +743,39 @@ def test_json_writer_takes_a_bundled_spectrum_as_it_stands(monkeypatch):
         cfg = parse_config(fh.read().replace("omega_points = 2000", "omega_points = 20000"))
     payloads = list(runner.run_sweep(cfg)["json"].values())
     assert len(payloads) == len(cfg.sweep.values)
-    expected = [_oracle_json(payload).encode() for payload in payloads]
-
-    def whole(payload):
-        raise AssertionError("the whole-document route ran")
-
-    monkeypatch.setattr(runner, "_json_whole", whole)
-    for payload, text in zip(payloads, expected):
+    for payload in payloads:
         assert payload["omega"].size == 20000
-        assert runner._json(payload) == text
+        assert runner._json(payload) == _oracle_json(payload).encode()
+    assert whole_route_calls == []
+
+
+def test_json_writer_routes_every_bundled_payload_by_its_contract(whole_route_calls,
+                                                                 monkeypatch):
+    """Every JSON payload of the bundled scenarios: json.dumps writes exactly
+    those whose orjson text holds ``null`` (the switch metrics without a
+    bandwidth), and no spectrum's arrays are checked as text.  A numpy
+    scalar in a task payload would send it to json.dumps and fail here."""
+    dumped, json_dumps = [], runner._json_dumps
+
+    def dumps(payload):
+        dumped.append(payload)
+        return json_dumps(payload)
+
+    monkeypatch.setattr(runner, "_json_dumps", dumps)
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    payloads = []
+    for name in sorted(os.listdir(scenarios)):
+        with open(os.path.join(scenarios, name), encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        bundle = runner.TASK_RUNNERS[cfg.task.name](cfg)
+        payloads += [*bundle["json"].values(), *bundle["always"].values()]
+    for payload in payloads:
+        assert runner._json(payload) == _oracle_json(payload).encode()
+    with_null = [p for p in payloads if b"null" in _orjson_text(p)]
+    assert [id(p) for p in dumped] == [id(p) for p in with_null]
+    assert with_null and all(p["task"] == "switch-metrics" for p in with_null)
+    spectra = [p for p in payloads if p.get("task") == "spectrum"]
+    assert spectra and not any(p.get("task") == "spectrum" for p in whole_route_calls)
 
 
 @pytest.mark.parametrize("payload", [
