@@ -252,10 +252,13 @@ def _parse_sweep(entries, section_line) -> SweepSpec:
     return SweepSpec(parameter=param_raw, values=values)
 
 
-def parse_formats(raw: str, line=None) -> tuple:
-    """The comma list `raw`, from `[output] formats` or `--format`, as a
-    non-empty subset of FORMATS."""
-    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+def parse_formats(raw, line=None) -> tuple:
+    """`raw` as a non-empty subset of FORMATS: a comma list, from `[output]
+    formats` or `--format`, or an iterable of names."""
+    if isinstance(raw, str):
+        formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+    else:
+        formats = tuple(raw)
     if not formats or any(f not in FORMATS for f in formats):
         raise ConfigError(f"formats must be a subset of {{{','.join(FORMATS)}}}, "
                           f"got {raw!r}", line)

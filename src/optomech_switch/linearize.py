@@ -6,17 +6,17 @@ fixed point it is the drift matrix M of the Gaussian fluctuations,
 dO/dt = M O + f, in the order O = [q, p, u1, v1, u2, v2, s_r, s_i] of the
 mirror, cavity B, cavity A and the dot (u = sqrt(2) Re, v = sqrt(2) Im); f,
 the Brownian force and the cavities' vacuum noise, leaves the dot out.
-Where g*N = 0, M is block-triangular (the dot's eigenvalues are -kappa_d
-+- i*delta_d), so `drift_matrix` drops the dot's rows.  `stability` reads
-M's eigenvalues.  Along the S-curve at fixed rocking C, M's characteristic
-polynomial has coefficients quadratic in P = |a_s|^2
-(`_characteristic_polynomial`, collected from `steady_state.response`);
-`bistability` labels its roots by the P-intervals between the roots of the
-constant coefficient (the folds) and of the Hurwitz determinant
-(`_hurwitz_determinant`, zero where an eigenvalue pair sums to zero).  The
-spectrum (`spectrum._response_power`) solves the same model by Cramer's
-rule, from the undivided responses dot, det and opt of
-`steady_state.response` in place of M's entries.
+M keeps the dot's rows at every g*N: where g*N = 0 it is block-triangular,
+and the dot adds the eigenvalues -kappa_d +- i*delta_d to the printed 6x6
+model's.  `stability` reads M's eigenvalues.  Along the S-curve at fixed
+rocking C, M's characteristic polynomial has coefficients quadratic in
+P = |a_s|^2 (`_characteristic_polynomial`, collected from
+`steady_state.response`); `bistability` labels its roots by the
+P-intervals between the roots of the constant coefficient (the folds) and
+of the Hurwitz determinant (`_hurwitz_determinant`, zero where an
+eigenvalue pair sums to zero).  The spectrum (`spectrum._response_power`)
+solves the same model by Cramer's rule, from the undivided responses dot,
+det and opt of `steady_state.response` in place of M's entries.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ def jacobians(params: SystemParams, a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
-    """Drift matrix M at a fixed point, order O: 8x8, or 6x6 where g*N = 0;
-    a stack (..., n, n) for a state with array fields.  The caller
-    guarantees fixed points (mean-field residual below 1e-8)."""
-    order = QUADRATURE_ORDER[:6 if params.g_qd * params.n_inversion == 0.0 else 8]
+    """Drift matrix M at a fixed point, 8x8 in the order O; a stack
+    (..., 8, 8) for a state with array fields.  The caller guarantees fixed
+    points (mean-field residual below 1e-8)."""
     jac = jacobians(params, np.ravel(steady.a_s), np.ravel(steady.q_s))
-    m = jac[:, order][:, :, order]
+    m = jac[:, QUADRATURE_ORDER][:, :, QUADRATURE_ORDER]
     # u = sqrt(2) Re: only the entries between the mirror and the fields scale
     m[:, :2, 2:] /= math.sqrt(2.0)
     m[:, 2:, :2] *= math.sqrt(2.0)
@@ -89,10 +88,9 @@ def stability(m: np.ndarray) -> StabilityReport:
 
 
 def _characteristic_polynomial(params: SystemParams, c_rocking: float) -> np.ndarray:
-    """Real (9, 3) array a with det(lam*I - J) = sum_{k,j} a[k, j] lam^k P^j,
-    J the 8x8 Jacobian at the fixed point of transmitted power P at rocking
-    C, the dot included whatever g*N (where g*N = 0 its factor only adds
-    the roots -kappa_d +- i*delta_d).
+    """Real (9, 3) array a with det(lam*I - M) = sum_{k,j} a[k, j] lam^k P^j,
+    M the drift matrix (`drift_matrix`) at the fixed point of transmitted
+    power P at rocking C.
 
     The mirror's Schur complement gives, with dot, det and opt the
     :func:`steady_state.response` at nu = -i*lam (so kappa + i(delta + nu)

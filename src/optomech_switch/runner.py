@@ -44,7 +44,8 @@ import scipy
 from . import __version__
 from .bistability import bistability_curve
 from .closed_form import spectrum_closed_form
-from .config import ScenarioConfig, TaskSpec, apply_sweep_value, serialize_config
+from .config import (ScenarioConfig, TaskSpec, apply_sweep_value, parse_formats,
+                     serialize_config)
 from .dynamics import bandwidth, hysteresis_sweep, switch_metrics
 from .errors import NumericalError, OptomechError, OutputError
 from .spectrum import spectrum_matrix
@@ -360,16 +361,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None,
     """Execute the config and write result files plus manifest.json.
 
     Returns the manifest dictionary.  All computation happens before any
-    file is touched; files are written atomically.  Sweeps run in this
-    process; ``jobs`` accepts only 1 and stays for callers that still pass
-    ``jobs=1`` (the benchmark harness), until ROADMAP item 5 drops it.
+    file is touched; files are written atomically.  ``formats`` overrides
+    ``[output] formats``: a comma list as ``--format`` takes it, or an
+    iterable of names, either a non-empty subset of ``FORMATS``
+    (ConfigError otherwise).  Sweeps run in this process; ``jobs`` accepts
+    only 1 and stays for callers that still pass ``jobs=1`` (the benchmark
+    harness), until ROADMAP item 5 drops it.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1 (sweeps run in-process), got {jobs!r}")
     out_dir = out_dir or config.output.directory
     if not out_dir:
         raise OutputError("no output directory given (config [output] dir or --out)")
-    formats = tuple(formats) if formats else config.output.formats
+    formats = config.output.formats if formats is None else parse_formats(formats)
 
     bundle = TASK_RUNNERS[config.task.name](config)
 

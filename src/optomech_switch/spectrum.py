@@ -90,8 +90,8 @@ def _response_power(params: SystemParams, steady: SteadyState, omega: np.ndarray
         den = (omega_m^2 - w^2 - i gamma_m w) opt opt'
               - i omega_m G^2 |a_s|^2 (det opt' - det' opt),
 
-    the determinant of -i w I - M (times dot dot' where M has no dot rows),
-    nonzero on the real axis at a stable state; T_0 = omega_m opt opt' / den.
+    the determinant of -i w I - M, the 8x8 drift matrix, nonzero on the real
+    axis at a stable state; T_0 = omega_m opt opt' / den.
     A cavity's amplitude and phase inputs give c (x + y) and i c (x - y), c =
     omega_m G sqrt(kappa / 2) / den (A: x = a_s* det opt', y = a_s det' opt;
     B: x = -i J a_s* dot opt', y = i J a_s dot' opt).  As |x + y|^2 + |x -

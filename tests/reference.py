@@ -31,12 +31,12 @@
   array the next call rewrites, since DOP853 keeps the last one.
 - ``jump_input_power`` reads the switching input off a swept hysteresis
   curve, for comparison with the exact knees.
-- ``printed_drift_matrix`` is the printed model's fluctuation drift matrix,
-  written out entry by entry: the mirror and the two cavities, with the
-  dot held fluctuation-free, exact where g*N = 0.
-  ``model_drift_matrix`` borders it with the dot's rows and columns where
-  g*N != 0, written out from the mean-field equations: the oracle of
-  ``linearize.drift_matrix``.
+- ``printed_drift_matrix`` is the printed model's 6x6 fluctuation drift
+  matrix, written out entry by entry: the mirror and the two cavities, with
+  the dot held fluctuation-free.  ``model_drift_matrix`` borders it with
+  the dot's rows and columns at every g*N, written out from the mean-field
+  equations: the oracle of ``linearize.drift_matrix``, whose leading 6x6
+  block is the printed one where g*N = 0.
 - ``reference_roots`` is the per-point root route that the batched solver
   replaced: ``np.roots``, an |imag| cut, Newton steps, a clamp and a merge,
   each with its own tolerance.  ``root_max_real_eig`` is the per-root
@@ -519,7 +519,8 @@ def printed_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarra
     [q, p, u1, v1, u2, v2] of ``linearize.drift_matrix``, with the printed
     couplings a_plus = sqrt(2)*omega_m*chi*Re(a_s) and
     a_minus_i = -sqrt(2)*omega_m*chi*Im(a_s).  It holds the dot
-    fluctuation-free, which is exact only where g*N = 0."""
+    fluctuation-free: where g*N = 0 it is the leading block of the model's
+    block-triangular 8x8, whose other eigenvalues are the dot's."""
     ap = math.sqrt(2.0) * params.omega_m * params.chi * steady.a_s.real
     iam = -math.sqrt(2.0) * params.omega_m * params.chi * steady.a_s.imag
     wm, gm = params.omega_m, params.gamma_m
@@ -534,18 +535,14 @@ def printed_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarra
 
 
 def model_drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
-    """The drift matrix of the mean-field model, shaped as
-    ``linearize.drift_matrix``'s: the printed one where g*N = 0; else
-    bordered by the dot coherence's quadratures (s_r, s_i), scaled as the
-    cavities' are, from ds/dt = -(kappa_d + i delta_d) s + i g N b and the
-    -i g s of db/dt."""
-    printed = printed_drift_matrix(params, steady)
+    """The 8x8 drift matrix of the mean-field model in
+    ``linearize.drift_matrix``'s order: the printed one bordered by the dot
+    coherence's quadratures (s_r, s_i), scaled as the cavities' are, from
+    ds/dt = -(kappa_d + i delta_d) s + i g N b and the -i g s of db/dt."""
     g, gn = params.g_qd, params.g_qd * params.n_inversion
-    if gn == 0.0:
-        return printed
     kd, dd = params.kappa_d, params.delta_d
     m = np.zeros((8, 8))
-    m[:6, :6] = printed
+    m[:6, :6] = printed_drift_matrix(params, steady)
     m[2, 7], m[3, 6] = g, -g
     m[6, 3], m[7, 2] = -gn, gn
     m[6:, 6:] = [[-kd, dd], [-dd, -kd]]

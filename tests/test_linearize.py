@@ -6,8 +6,7 @@ import pytest
 from optomech_switch import (SystemParams, drift_matrix, fluctuation_amplitudes,
                              solve_transmitted_power, stability,
                              steady_state_from_ptrans)
-from optomech_switch.linearize import (_characteristic_polynomial, _hurwitz_determinant,
-                                       jacobians)
+from optomech_switch.linearize import _characteristic_polynomial, _hurwitz_determinant
 from optomech_switch.steady_state import transmitted_power_roots
 from conftest import CLEAN_BISTABLE, FIG_BISTABLE, random_params
 from reference import model_drift_matrix, printed_drift_matrix
@@ -45,25 +44,28 @@ def test_amplitudes_vanish_without_coupling():
 
 
 def test_matrix_layout():
-    """At g*N = 0 the drift matrix is the printed one: the same entries, up
-    to the rounding of a_plus, a_minus_i and Delta, which the Jacobian
-    forms in another order."""
+    """At g*N = 0 the drift matrix's leading 6x6 block is the printed one:
+    the same entries, up to the rounding of a_plus, a_minus_i and Delta,
+    which the Jacobian forms in another order.  The dot's rows hold only its
+    own block, so the matrix is block-triangular."""
     p = FIG_BISTABLE
     st = _steady(p, 0.3, 0.10)
     m = drift_matrix(p, st)
     expected = printed_drift_matrix(p, st)
     a_plus, a_minus_i = fluctuation_amplitudes(st, p)
     assert (expected[1, 4], expected[4, 0]) == (a_plus, a_minus_i)
-    assert m.shape == (6, 6)
-    assert np.array_equal(m == 0.0, expected == 0.0)
-    np.testing.assert_allclose(m, expected, rtol=1e-15, atol=0.0)
+    assert m.shape == (8, 8)
+    assert np.array_equal(m[:6, :6] == 0.0, expected == 0.0)
+    np.testing.assert_allclose(m[:6, :6], expected, rtol=1e-15, atol=0.0)
+    assert np.all(m[6:, :6] == 0.0)
+    assert np.array_equal(m[6:, 6:], [[-p.kappa_d, p.delta_d], [-p.delta_d, -p.kappa_d]])
     d = st.eff_detuning
     assert d == pytest.approx(p.delta_a - p.omega_m * p.chi**2 * (st.p_trans + 0.10),
                               rel=1e-12)
 
 
 def test_active_dot_matrix_is_the_model_matrix(rng):
-    """With g*N != 0 the drift matrix is 8x8: the printed one bordered by the
+    """With g*N != 0 the drift matrix is the printed one bordered by the
     dot's rows and columns, as the mean-field equations give them."""
     for _ in range(15):
         p = random_params(rng)
@@ -76,32 +78,43 @@ def test_active_dot_matrix_is_the_model_matrix(rng):
 
 
 def test_trace_identity(rng):
-    for _ in range(15):
-        p = random_params(rng)
+    """The trace is the sum of the decay rates, the dot's included at every
+    g*N, a third of the draws with g = 0 or N = 0."""
+    for k in range(15):
+        p = random_params(rng).with_(**[{}, {"g_qd": 0.0}, {"n_inversion": 0.0}][k % 3])
         st = _steady(p, rng.uniform(0.05, 1.0))
         m = drift_matrix(p, st)
-        dot = 2 * p.kappa_d if p.g_qd * p.n_inversion != 0.0 else 0.0
-        assert m.shape[0] == (8 if dot else 6)
+        assert m.shape == (8, 8)
         assert np.trace(m) == pytest.approx(
-            -p.gamma_m - 2 * p.kappa_a - 2 * p.kappa_b - dot, rel=1e-12)
+            -p.gamma_m - 2 * p.kappa_a - 2 * p.kappa_b - 2 * p.kappa_d, rel=1e-12)
 
 
 def test_block_diagonal_when_decoupled():
+    """chi = J = 0 decouples the mirror and cavity A from the rest; at
+    N = 0 the dot still feeds cavity B (g) but takes nothing back (g*N)."""
     p = SystemParams(chi=0.0, j_coupling=0.0, lambda_pump=0.0)
     st = _steady(p, 0.4)
     m = drift_matrix(p, st)
+    assert m.shape == (8, 8)
     assert np.all(m[:2, 2:] == 0.0) and np.all(m[2:, :2] == 0.0)
-    assert np.all(m[2:4, 4:] == 0.0) and np.all(m[4:, 2:4] == 0.0)
+    assert np.all(m[4:6, [2, 3, 6, 7]] == 0.0) and np.all(m[[2, 3, 6, 7], 4:6] == 0.0)
+    assert np.all(m[6:, 2:4] == 0.0)
+    assert np.array_equal(m[2:4, 6:], [[0.0, p.g_qd], [-p.g_qd, 0.0]])
 
 
 def test_uncoupled_damped_system_is_stable():
+    """With every coupling off the eigenvalues are each part's own decay:
+    the largest real part is the slowest of the mirror's, the cavities'
+    and the dot's."""
     p = SystemParams(chi=0.0, j_coupling=0.0, lambda_pump=0.0, g_qd=0.0)
     st = _steady(p, 0.2)
     m = drift_matrix(p, st)
     report = stability(m)
     assert report.stable
-    assert m.shape == (6, 6)
+    assert m.shape == (8, 8)
     assert report.max_real_part < 0.0
+    slowest = -min(p.gamma_m / 2.0, p.kappa_a, p.kappa_b, p.kappa_d)
+    assert report.max_real_part == pytest.approx(slowest, rel=1e-12)
 
 
 def test_middle_branch_positive_eigenvalue():
@@ -113,38 +126,49 @@ def test_middle_branch_positive_eigenvalue():
     assert report.max_real_part > 0.0
 
 
-def _with_dot(p, st):
-    """The 8x8 Jacobian at the fixed point in the drift matrix's order and
-    scaling, the dot's rows kept: [q, p, u1, v1, u2, v2, s_r, s_i] with every
-    field coordinate sqrt(2) times the Jacobian's."""
-    jac = jacobians(p, np.array([st.a_s]), np.array([st.q_s]))[0]
-    order = [6, 7, 2, 3, 0, 1, 4, 5]
-    scale = np.array([1.0, 1.0] + [math.sqrt(2.0)] * 6)
-    return scale[:, None] * jac[np.ix_(order, order)] / scale[None, :]
-
-
 def test_inactive_dot_drops_out(rng):
-    """Where g*N = 0 the full 8x8 eigenvalues are the 6x6's plus
-    -kappa_d +- i*delta_d: the matrix is block-triangular there."""
+    """Where g*N = 0 the eigenvalues are the printed 6x6's plus
+    -kappa_d +- i*delta_d: the matrix is block-triangular there, and it is
+    the model matrix."""
     for k in range(12):
         p = random_params(rng).with_(**({"n_inversion": 0.0} if k % 3 else {"g_qd": 0.0}))
         st = _steady(p, rng.uniform(0.05, 1.0))
-        m6, m8 = drift_matrix(p, st), _with_dot(p, st)
-        assert m6.shape == (6, 6)
-        np.testing.assert_allclose(m8[:6, :6], m6, rtol=1e-15, atol=0.0)
+        m = drift_matrix(p, st)
+        assert m.shape == (8, 8) and np.all(m[6:, :6] == 0.0)
+        np.testing.assert_allclose(m, model_drift_matrix(p, st), rtol=1e-14, atol=0.0)
         dot = -p.kappa_d + 1j * p.delta_d * np.array([1.0, -1.0])
-        expected = np.concatenate((np.linalg.eigvals(m6), dot))
-        got = np.linalg.eigvals(m8)
+        expected = np.concatenate((np.linalg.eigvals(printed_drift_matrix(p, st)), dot))
+        got = np.linalg.eigvals(m)
         scale = np.max(np.abs(expected))
         assert np.max(np.min(np.abs(got[:, None] - expected[None, :]), axis=1)) < 1e-12 * scale
         assert np.max(np.min(np.abs(expected[:, None] - got[None, :]), axis=1)) < 1e-12 * scale
 
 
+def test_stability_margin_is_continuous_through_zero_coupling():
+    """The largest real part does not jump where N crosses 0: on the
+    published S-curve rates with a slow dot and no pump, at the lower root
+    of input 0.35 and C = 0.1, N = 0 and N = +-1e-9 agree to 1e-6, and at
+    N = 0 the margin is the dot's own -kappa_d."""
+    eta0 = math.sqrt(0.35)
+    for kappa_d in (0.01, 1e-11):
+        base = FIG_BISTABLE.with_(kappa_d=kappa_d, lambda_pump=0.0)
+        margins = []
+        for n in (0.0, 1e-9, -1e-9):
+            p = base.with_(n_inversion=n)
+            st = _steady(p, eta0, 0.10)
+            m = drift_matrix(p, st)
+            if n == 0.0:
+                np.testing.assert_allclose(m[:6, :6], printed_drift_matrix(p, st),
+                                           rtol=1e-15, atol=0.0)
+            margins.append(stability(m).max_real_part)
+        assert margins[0] == pytest.approx(-kappa_d, rel=1e-12)
+        assert margins[1:] == pytest.approx([margins[0]] * 2, rel=0.0, abs=1e-6)
+
+
 def test_characteristic_polynomial_is_the_drift_matrix_s(rng):
     """a_k(P) of `_characteristic_polynomial` at each root's P is np.poly of
-    its drift matrix, times the dot's (lam + kappa_d)^2 + delta_d^2 where
-    g*N = 0 drops its rows, to 1e-10 relative: on the published sets, an
-    inverted and a pumped dot, and random draws.  a_8 and a_7 do not
+    its drift matrix, to 1e-10 relative: on the published sets (g*N = 0),
+    an inverted and a pumped dot, and random draws.  a_8 and a_7 do not
     depend on P, the ground of Delta_7's degree 12."""
     cases = [(FIG_BISTABLE, 0.1), (CLEAN_BISTABLE, 0.0),
              (FIG_BISTABLE.with_(g_qd=1.0, n_inversion=-1.0), 0.1),
@@ -156,12 +180,9 @@ def test_characteristic_polynomial_is_the_drift_matrix_s(rng):
         assert np.all(poly[7:, 1:] == 0.0) and poly[8, 0] == 1.0
         point, p_trans, _ = transmitted_power_roots(params, eta0, c)
         steady = steady_state_from_ptrans(params, eta0[point], c, p_trans)
-        dot = [params.kappa_d ** 2 + params.delta_d ** 2, 2.0 * params.kappa_d, 1.0]
         for m, p in zip(drift_matrix(params, steady), steady.p_trans):
-            expected = np.poly(m)[::-1]
-            if m.shape[0] == 6:
-                expected = np.convolve(expected, dot)
-            np.testing.assert_allclose(poly @ [1.0, p, p * p], expected, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(poly @ [1.0, p, p * p], np.poly(m)[::-1],
+                                       rtol=1e-10, atol=0.0)
 
 
 def test_hurwitz_determinant_is_orlandos_product(rng):

@@ -10,6 +10,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optomech_switch"
+TESTS = ROOT / "tests"
 
 # Names the benchmark's tracer still lists although they left the package
 # on purpose; the tracer's own upkeep is to drop them.
@@ -17,10 +18,10 @@ GONE_FROM_THE_PACKAGE = {"dynamics.solve_ivp", "dynamics.integrate_meanfield",
                          "steady_state.steady_state_direct"}
 
 
-def _imported_modules():
-    """Top-level names of the absolute imports in the package's modules."""
+def _imported_modules(directory):
+    """Top-level names of the absolute imports in the modules of `directory`."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.partition(".")[0] for alias in node.names)
@@ -29,14 +30,34 @@ def _imported_modules():
     return names
 
 
+def _declared(specs):
+    """Import names of pyproject.toml requirement strings."""
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_") for spec in specs}
+
+
+def _project():
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
 def test_third_party_imports_are_declared_dependencies():
     """Every module the package imports, outside the standard library and
     the package itself, is named in pyproject.toml's dependencies."""
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_")
-                for spec in project["dependencies"]}
-    third_party = _imported_modules() - set(sys.stdlib_module_names) - {PACKAGE.name}
+    declared = _declared(_project()["dependencies"])
+    third_party = _imported_modules(PACKAGE) - set(sys.stdlib_module_names) - {PACKAGE.name}
     assert third_party, "found no third-party import"
+    assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_test_imports_are_declared_dependencies():
+    """Every module a test file imports, outside the standard library, the
+    package and the tests' own modules, is named in pyproject.toml's
+    dependencies or its ``test`` extra."""
+    project = _project()
+    declared = _declared(project["dependencies"] + project["optional-dependencies"]["test"])
+    local = {path.stem for path in TESTS.glob("*.py")}
+    third_party = (_imported_modules(TESTS) - set(sys.stdlib_module_names)
+                   - {PACKAGE.name} - local)
+    assert {"mpmath", "numpy", "pytest"} <= third_party
     assert third_party <= declared, sorted(third_party - declared)
 
 

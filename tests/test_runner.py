@@ -86,15 +86,32 @@ def test_bistability_outputs(tmp_path):
         assert hashlib.sha256(_read(tmp_path / name)).hexdigest() == digest
 
 
-def test_reruns_byte_identical(tmp_path):
-    cfg = parse_config(SPECTRUM)
+def _assert_reruns_byte_identical(cfg, tmp_path):
+    """Two in-process runs of `cfg` write the same files, byte for byte,
+    manifest included."""
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_scenario(cfg, out_dir=str(d1))
     run_scenario(cfg, out_dir=str(d2))
     names = sorted(os.listdir(d1))
-    assert names == sorted(os.listdir(d2))
+    assert "manifest.json" in names and names == sorted(os.listdir(d2))
     for name in names:
-        assert _read(d1 / name) == _read(d2 / name)
+        assert _read(d1 / name) == _read(d2 / name), name
+
+
+def test_reruns_byte_identical(tmp_path):
+    _assert_reruns_byte_identical(parse_config(SPECTRUM), tmp_path)
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+BUNDLED_SCENARIOS = sorted(name[:-4] for name in os.listdir(SCENARIO_DIR) if name.endswith(".cfg"))
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_scenario_reruns_byte_identical(tmp_path, name):
+    """Every bundled scenario reruns byte-identically: the ramp, the
+    harmonic balance, the sweeps and the spectra alike."""
+    with open(os.path.join(SCENARIO_DIR, f"{name}.cfg"), encoding="utf-8") as fh:
+        _assert_reruns_byte_identical(parse_config(fh.read()), tmp_path)
 
 
 def test_spectrum_outputs_and_peaks(tmp_path):
@@ -107,6 +124,25 @@ def test_spectrum_outputs_and_peaks(tmp_path):
     data = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
     assert data.shape == (600, 2)
     assert np.all(data[:, 1] >= 0.0)
+
+
+@pytest.mark.parametrize("formats, written", [
+    ("json", {"bistability.json"}), (" csv , json", {"bistability.csv", "bistability.json"}),
+    (("csv",), {"bistability.csv"}), (["json", "csv"], {"bistability.csv", "bistability.json"}),
+])
+def test_run_scenario_reads_formats_as_the_cli_does(tmp_path, formats, written):
+    """A str is a comma list, as ``--format`` takes it; any other iterable
+    is a list of names."""
+    manifest = run_scenario(parse_config(BISTABILITY), out_dir=str(tmp_path), formats=formats)
+    assert set(manifest["files"]) == written | {"knees.json"}
+
+
+@pytest.mark.parametrize("formats", ["xml", "", "csv,xml", ["xml"], [], ("csv", "xml"),
+                                     ["csv,json"]])
+def test_run_scenario_rejects_formats_outside_the_set(tmp_path, formats):
+    with pytest.raises(ConfigError, match="formats must be a subset of"):
+        run_scenario(parse_config(BISTABILITY), out_dir=str(tmp_path / "o"), formats=formats)
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_partial_failure_recorded(tmp_path):
@@ -737,9 +773,8 @@ def test_json_writer_gate_matches_oracle_on_random_payloads(rng, whole_route_cal
 def test_json_writer_takes_a_bundled_spectrum_as_it_stands(whole_route_calls):
     """A matrix-backend spectrum at the benchmark's 20000 points never reaches
     the whole-document route, and its bytes are still the oracle's."""
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
-                        "spectrum_vs_cavity_coupling.cfg")
-    with open(path, encoding="utf-8") as fh:
+    with open(os.path.join(SCENARIO_DIR, "spectrum_vs_cavity_coupling.cfg"),
+              encoding="utf-8") as fh:
         cfg = parse_config(fh.read().replace("omega_points = 2000", "omega_points = 20000"))
     payloads = list(runner.run_sweep(cfg)["json"].values())
     assert len(payloads) == len(cfg.sweep.values)
@@ -762,10 +797,9 @@ def test_json_writer_routes_every_bundled_payload_by_its_contract(whole_route_ca
         return json_dumps(payload)
 
     monkeypatch.setattr(runner, "_json_dumps", dumps)
-    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
     payloads = []
-    for name in sorted(os.listdir(scenarios)):
-        with open(os.path.join(scenarios, name), encoding="utf-8") as fh:
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         bundle = runner.TASK_RUNNERS[cfg.task.name](cfg)
         payloads += [*bundle["json"].values(), *bundle["always"].values()]
@@ -860,8 +894,7 @@ def test_csv_writer_matches_oracle_at_scale(rng):
 def test_csv_writer_prints_a_bundled_spectrum_in_bulk():
     """At least 99% of a matrix-backend spectrum's (omega, S_q) cells are
     ones ``runner._round12`` is sure of, which orjson prints, not ``%``."""
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "nms_three_peak_demo.cfg")
-    with open(path, encoding="utf-8") as fh:
+    with open(os.path.join(SCENARIO_DIR, "nms_three_peak_demo.cfg"), encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     headers, columns = runner.run_spectrum(cfg)["csv"]["spectrum.csv"]
     _, sure = runner._round12(np.column_stack(columns).ravel())
@@ -901,15 +934,14 @@ def test_written_files_match_oracle(tmp_path, monkeypatch, text):
         assert _read(tmp_path / name) == content.encode(), name
 
 
-# bundled scenarios that no other test runs
+# bundled sweeps whose every point must succeed
 SMOKE_SCENARIOS = ("bandwidth_vs_pamp", "bistability_rocking", "switch_metrics_vs_omega_variant_b",
                    "switch_ratio_vs_pamp_variant_a", "switch_ratio_vs_pamp_variant_b")
 
 
 @pytest.mark.parametrize("name", SMOKE_SCENARIOS)
 def test_bundled_sweep_scenario_runs_every_point(tmp_path, name):
-    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-    with open(os.path.join(scenarios, f"{name}.cfg"), encoding="utf-8") as fh:
+    with open(os.path.join(SCENARIO_DIR, f"{name}.cfg"), encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     manifest = run_scenario(cfg, out_dir=str(tmp_path))
     index = json.loads(_read(tmp_path / "sweep_index.json"))

@@ -19,7 +19,6 @@ from optomech_switch.spectrum import (PEAK_PROMINENCE_FRACTION, _response_power,
 from optomech_switch.steady_state import steady_state
 from conftest import SPECTRUM_GRID, random_params, spectrum_params
 from reference import model_drift_matrix, mirror_transfer, transfer_rows
-from test_linearize import _with_dot
 
 
 def _correlation_matrix(omega, params):
@@ -42,7 +41,7 @@ def correlation_oracle(params, steady, omega_grid):
     """Full-correlation S_q(w) = 1/2 [T(w) D(w) T(-w) + T(-w) D(-w) T(w)], complex.
 
     T comes from a full per-frequency solve of the printed model, bordered
-    by the dot where g*N != 0 (``reference.model_drift_matrix``), against
+    by the dot (``reference.model_drift_matrix``), against
     the input matrix F (Brownian force into p, vacuum inputs into both
     cavities, none into the dot), and T(-w) = conj T(w).  The imaginary
     part is the residue of the optical cross correlations, which cancel
@@ -298,20 +297,15 @@ def _weighted_power(params, grid, t):
 
 def _solve_cases(recorded):
     """(M, params, steady, grid): every bundled spectrum evaluation, an
-    active dot (8 rows), the J ~ 1.5 mode crossings, and g*N = 0 both ways
-    against the 8-row Jacobian with the dot kept."""
+    active dot, the J ~ 1.5 mode crossings, and g*N = 0 both ways."""
     assert len(recorded) > len(SPECTRUM_SCENARIOS)
     cases = [(drift_matrix(p, st), p, st, grid) for p, st, grid in recorded]
     grid = np.linspace(0.0, 2.5, 2001)
     for p in (spectrum_params().with_(n_inversion=-0.5), spectrum_params(j_coupling=1.45),
-              spectrum_params(j_coupling=1.55)):
+              spectrum_params(j_coupling=1.55), spectrum_params(),
+              spectrum_params().with_(g_qd=0.0, n_inversion=-0.5)):
         st = _stable_state(p, 0.1, 0.10)
         cases.append((drift_matrix(p, st), p, st, grid))
-    assert cases[-3][0].shape == (8, 8)
-    # g*N = 0 both ways: the dot's rows kept change no T_k
-    for p in (spectrum_params(), spectrum_params().with_(g_qd=0.0, n_inversion=-0.5)):
-        st = _stable_state(p, 0.1, 0.10)
-        cases.append((_with_dot(p, st), p, st, grid))
     return cases
 
 
