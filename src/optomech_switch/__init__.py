@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .bistability import BistabilityCurve, bistability_curve
 from .closed_form import fluctuation_amplitudes, spectrum_closed_form
 from .config import ScenarioConfig, parse_config, serialize_config
-from .dynamics import (SwitchMetrics, bandwidth, gain_vs_frequency, hysteresis_sweep,
-                       switch_metrics)
+from .dynamics import SwitchMetrics, bandwidth, hysteresis_sweep, switch_metrics
 from .errors import (ConfigError, DegenerateGridError, DegenerateModelError,
                      IntegrationFailureError, NoConvergenceError, NumericalError,
                      OptomechError, OutputError, SingularResponseError, UndefinedGainError,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .linearize import (_characteristic_polynomial, _hurwitz_determinant, drift_matrix,
                         stability)
-from .params import SystemParams
+from .errors import NumericalError
+from .params import SystemParams, _grid
 from .steady_state import (_cubic, _reaches, steady_state_from_ptrans,
                            transmitted_power_roots, turning_points)
 
@@ -89,7 +90,10 @@ def _boundaries(params: SystemParams, c_rocking: float, p_trans: np.ndarray) -> 
         edges = np.concatenate([[0.0], edges])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None, None] + half[:, None, None] * _NODES[:, None]
-    values = _hurwitz_determinant(poly[:, 0] + nodes * (poly[:, 1] + nodes * poly[:, 2]))
+    with np.errstate(over="ignore"):
+        values = _hurwitz_determinant(poly[:, 0] + nodes * (poly[:, 1] + nodes * poly[:, 2]))
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"Delta_7 overflows on p_trans in [{edges[0]:.6g}, {last:.6g}]")
     x = _chebyshev_roots(values @ _TO_CHEBYSHEV.T).real
     hopf = (mid[:, None] + half[:, None] * x)[np.abs(x) <= 1.0]
     return np.sort(np.concatenate([folds, hopf]))
@@ -97,11 +101,7 @@ def _boundaries(params: SystemParams, c_rocking: float, p_trans: np.ndarray) -> 
 
 def bistability_curve(params: SystemParams, input_grid, c_rocking: float) -> BistabilityCurve:
     """Branches of transmitted power over an ascending input-power grid."""
-    grid = np.asarray(input_grid, dtype=float)
-    if grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("input grid must be finite and ascending with >= 2 points")
-    if np.any(grid < 0.0):
-        raise ValueError("input powers must be >= 0")
+    grid = _grid(input_grid, "input grid")
     eta0 = np.sqrt(grid)
     point, p_trans, _ = transmitted_power_roots(params, eta0, c_rocking)
     # cells: the open intervals between the boundaries, and the boundaries

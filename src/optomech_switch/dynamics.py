@@ -71,10 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateGridError, IntegrationFailureError, NoConvergenceError,
-                     UndefinedGainError, UndefinedRatioError)
+from .errors import (IntegrationFailureError, NoConvergenceError, UndefinedGainError,
+                     UndefinedRatioError)
 from .linearize import jacobians
-from .params import DriveConfig, SystemParams
+from .params import DriveConfig, SystemParams, _grid
 from .steady_state import SteadyState, eliminated, steady_state
 
 # |state|^2 beyond this aborts the integration as a blow-up; checked only
@@ -92,6 +92,8 @@ MAX_STEPS = 100000
 # the orbit counts as unresolved
 HARMONICS_START = 8
 HARMONICS_CAP = 256
+# Magnus substep cap (2^18 took 21 MB and 2.1 s; no bundled or benchmark orbit needs > 2^9)
+MAGNUS_CAP = 2 ** 18
 # the spectrum of a is resolved when its top quarter is below this share
 # of its largest coefficient
 SPECTRAL_TAIL = 1e-12
@@ -379,14 +381,18 @@ def floquet_multipliers(params: SystemParams, orbit: PeriodicOrbit) -> np.ndarra
     the two Gauss points of each of N substeps, multiplied in order as a
     tree within stacks of MAGNUS_CHUNK substeps.  N is a power of two, at
     least 4H + 1 (the degree of q) and large enough that h times the
-    largest rate of the Jacobian is at most MAGNUS_STEP.
+    largest rate of the Jacobian is at most MAGNUS_STEP; past MAGNUS_CAP
+    it raises NoConvergenceError, before sampling the orbit.
     """
     period = 2.0 * math.pi / orbit.omega_mod
     samples = _on_grid(orbit.a, orbit.q.size)
     rate = float(np.max(np.sum(np.abs(jacobians(params, samples,
                                                  _on_grid(orbit.q, orbit.q.size).real)),
                                axis=-2)))
-    substeps = 1 << math.ceil(math.log2(max(orbit.q.size, period * rate / MAGNUS_STEP)))
+    need = max(orbit.q.size, period * rate / MAGNUS_STEP)
+    if not need <= MAGNUS_CAP:
+        raise NoConvergenceError(f"periodic orbit: more than {MAGNUS_CAP} Magnus substeps")
+    substeps = 1 << math.ceil(math.log2(need))
     h = period / substeps
     nodes = [(_on_grid(orbit.a, substeps, c), _on_grid(orbit.q, substeps, c).real)
              for c in GAUSS_POINTS]
@@ -436,26 +442,12 @@ def switch_metrics(params: SystemParams, drive: DriveConfig) -> SwitchMetrics:
     return _metrics(params, drive)
 
 
-def gain_vs_frequency(params: SystemParams, eta0: float, p_amp: float,
-                      omega_grid) -> np.ndarray:
-    """Gain of the periodic response at each modulation frequency of the grid."""
-    return np.array([_metrics(params, DriveConfig(eta0=eta0, p_amp=p_amp,
-                                                  omega_mod=float(om))).gain
-                     for om in np.asarray(omega_grid, dtype=float)])
-
-
 def bandwidth(params: SystemParams, eta0: float, p_amp: float, omega_grid) -> float:
-    """-3 dB width of gain(omega_mod): measure of {gain >= max/sqrt(2)}.
-
-    Interval boundaries between grid points are located by linear
-    interpolation.
-    """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.size < 2:
-        raise DegenerateGridError("bandwidth needs at least 2 frequency points")
-    if np.any(np.diff(omega_grid) <= 0.0):
-        raise DegenerateGridError("frequency grid must be strictly ascending")
-    g = gain_vs_frequency(params, eta0, p_amp, omega_grid)
+    """-3 dB width of gain(omega_mod), the measure of {gain >= max/sqrt(2)}: the
+    gain at each grid point, linearly interpolated between them."""
+    omega_grid = _grid(omega_grid, "frequency grid")
+    g = np.array([_metrics(params, DriveConfig(eta0=eta0, p_amp=p_amp, omega_mod=om)).gain
+                  for om in omega_grid.tolist()])
     top = np.max(g)
     if top <= 0.0:
         return 0.0
@@ -482,16 +474,10 @@ def hysteresis_sweep(params: SystemParams, input_ramp, c_rocking: float = 0.0,
     held at the top input for 20 times the slowest of the cavity-A,
     mechanical and damping times, so post-jump ringing does not
     contaminate the downward leg.  Returns (up, down), each an (n, 2)
-    array of (input_power, output_power).  The ramp must be finite and
-    ``rate`` finite and > 0; either is checked before integrating.
+    array of (input_power, output_power).  The ramp must pass `params._grid`
+    and ``rate`` be finite and > 0; both are checked before integrating.
     """
-    ramp = np.asarray(input_ramp, dtype=float)
-    if ramp.size < 2 or np.any(np.diff(ramp) <= 0.0):
-        raise DegenerateGridError("input ramp must be ascending with >= 2 points")
-    if np.any(ramp < 0.0):
-        raise ValueError("input powers must be >= 0")
-    if not np.all(np.isfinite(ramp)):
-        raise ValueError("input ramp must be finite")
+    ramp = _grid(input_ramp, "input ramp")
     if rate is None:
         rate = params.gamma_m / 20.0
     if not 0.0 < rate < math.inf:

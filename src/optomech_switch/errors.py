@@ -52,7 +52,7 @@ class UndefinedGainError(NumericalError):
 
 
 class DegenerateGridError(NumericalError):
-    """A frequency/power grid has too few points."""
+    """A scan grid has fewer than 2 points or is not strictly ascending."""
 
 
 class IntegrationFailureError(NumericalError):

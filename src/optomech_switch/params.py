@@ -16,6 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .errors import DegenerateGridError
+
 
 class InvalidValueError(ValueError):
     """A field value the model does not admit; ``field`` names the field."""
@@ -23,6 +27,17 @@ class InvalidValueError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(message)
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """``values`` as floats; ValueError unless all are finite and >= 0,
+    DegenerateGridError unless there are >= 2, strictly ascending."""
+    grid = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(grid) & (grid >= 0.0)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+        raise DegenerateGridError(f"{name} must be strictly ascending with >= 2 points")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -244,16 +244,15 @@ def run_bistability(config: ScenarioConfig):
     branches = [{"p_trans": p, "stable": s}
                 for p, s in zip(curve.p_trans.tolist(), curve.stable.tolist())]
     bounds = starts.tolist()
+    knees = {"rocking_c": c, "knees": list(curve.knees)}
     payload = {
         "task": "bistability",
-        "rocking_c": c,
-        "knees": list(curve.knees),
+        **knees,
         "points": [{"input_power": ip, "branches": branches[lo:hi]}
                    for ip, lo, hi in zip(grid.tolist(), bounds[:-1], bounds[1:])],
     }
     return {"csv": {"bistability.csv": (headers, columns)},
-            "json": {"bistability.json": payload},
-            "always": {"knees.json": {"rocking_c": c, "knees": list(curve.knees)}}}
+            "json": {"bistability.json": payload}, "always": {"knees.json": knees}}
 
 
 def run_spectrum(config: ScenarioConfig):

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech_switch import (DriveConfig, IntegrationFailureError, SystemParams,
-                             bistability_curve, cubic_coefficients, parse_config,
-                             rocking_parameter, solve_transmitted_power,
-                             steady_state_from_ptrans, turning_points)
+from optomech_switch import (DegenerateGridError, DriveConfig, IntegrationFailureError,
+                             NumericalError, SystemParams, bistability_curve,
+                             cubic_coefficients, parse_config, rocking_parameter,
+                             solve_transmitted_power, steady_state_from_ptrans, turning_points)
 from optomech_switch.bistability import _boundaries
 from optomech_switch.config import apply_sweep_value
 from optomech_switch.dynamics import state_vector
@@ -284,15 +284,26 @@ def test_a_negative_drive_counts_like_its_polynomial():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateGridError):
         bistability_curve(FIG_BISTABLE, [0.5], 0.0)
     for grid in ([0.1, np.nan], [0.1, np.inf], [np.nan, 0.5]):
         with pytest.raises(ValueError):
             bistability_curve(FIG_BISTABLE, grid, 0.0)
-    with pytest.raises(ValueError):
-        bistability_curve(FIG_BISTABLE, [0.5, 0.4], 0.0)
+    for grid in ([0.5, 0.4], np.linspace(1.0, 1.0000000000000002, 3)):
+        with pytest.raises(DegenerateGridError):
+            bistability_curve(FIG_BISTABLE, grid, 0.0)
     with pytest.raises(ValueError):
         bistability_curve(FIG_BISTABLE, [-0.1, 0.5], 0.0)
+
+
+def test_hurwitz_determinant_overflow_is_a_numerical_error():
+    """Delta_7 has degree 12 in P: on the default system it overflows on the
+    interpolation pieces of an input grid up to 1e100, and the curve is
+    refused with the p_trans range, not labelled.  A grid up to 1e60 runs."""
+    curve = bistability_curve(SystemParams(), np.linspace(0.0, 1e60, 3), 0.0)
+    assert curve.p_trans.size == 3
+    with pytest.raises(NumericalError, match=r"Delta_7 overflows on p_trans in \[0, 1.07"):
+        bistability_curve(SystemParams(), np.linspace(0.0, 1e100, 3), 0.0)
 
 
 def test_middle_root_is_a_saddle_with_an_active_dot():

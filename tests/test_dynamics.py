@@ -229,6 +229,22 @@ def test_unresolved_spectrum_raises(monkeypatch):
         switch_metrics(FIG_BISTABLE.with_(gamma_m=0.1), drive)
 
 
+def test_magnus_cap_refuses_an_orbit_before_sampling(monkeypatch):
+    """At omega_mod = 0.1 this orbit needs 2^11 Magnus substeps: with the cap
+    at 2^9 it is refused before any array of that length is sampled."""
+    params = FIG_BISTABLE  # bandwidth_vs_pamp's system, at its first p_amp
+    drive = DriveConfig(eta0=0.1, p_amp=0.2, omega_mod=0.1)
+    switch_metrics(params, drive)
+    monkeypatch.setattr(dynamics, "MAGNUS_CAP", 2 ** 9)
+    lengths = []
+    on_grid = dynamics._on_grid
+    monkeypatch.setattr(dynamics, "_on_grid",
+                        lambda coef, m, shift=0.0: lengths.append(m) or on_grid(coef, m, shift))
+    with pytest.raises(NoConvergenceError, match="more than 512 Magnus substeps"):
+        switch_metrics(params, drive)
+    assert lengths and max(lengths) <= 2 ** 9
+
+
 def test_unstable_orbit_raises():
     """Hopf-unstable lower branch: the only T-periodic orbit has max |mu| > 2."""
     drive = DriveConfig(eta0=0.9, p_amp=0.05, omega_mod=1.0)

@@ -15,7 +15,7 @@ TESTS = ROOT / "tests"
 # Names the benchmark's tracer still lists although they left the package
 # on purpose; the tracer's own upkeep is to drop them.
 GONE_FROM_THE_PACKAGE = {"dynamics.solve_ivp", "dynamics.integrate_meanfield",
-                         "steady_state.steady_state_direct"}
+                         "dynamics.gain_vs_frequency", "steady_state.steady_state_direct"}
 
 
 def _imported_modules(directory):

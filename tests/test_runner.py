@@ -378,6 +378,41 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert not out.exists() or os.listdir(out) == []
 
 
+_DEGENERATE = "input_min = 1.0\ninput_max = 1.0000000000000002\ninput_points = 3\n"
+_MODULATED = "eta0 = 0.1\np_amp = 0.5\nomega_mod = 1.0\n"
+
+
+# [system] defaults.  Each grid passes the config's checks (max > min, enough
+# points), but np.linspace repeats a point, Delta_7 overflows or the orbit
+# needs more Magnus substeps than the cap.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, drive, options, error_type", [
+    ("bistability", "", _DEGENERATE, "DegenerateGridError"),
+    ("hysteresis", "", _DEGENERATE, "DegenerateGridError"),
+    ("switch-metrics", _MODULATED, "bandwidth_min = 1.0\nbandwidth_max = 1.0000000000000002\n"
+     "bandwidth_points = 3\n", "DegenerateGridError"),
+    ("sweep", "", f"task = bistability\n{_DEGENERATE}"
+     "\n[sweep]\nparameter = system.chi\nvalues = 0.3, 0.6\n", "NumericalError"),
+    ("bistability", "", "input_min = 0\ninput_max = 1e100\ninput_points = 3\n",
+     "NumericalError"),
+    ("switch-metrics", _MODULATED, "bandwidth_min = 1e-300\nbandwidth_max = 2e-300\n"
+     "bandwidth_points = 2\n", "NoConvergenceError"),
+], ids=["bistability-repeated-point", "hysteresis-repeated-point", "bandwidth-repeated-point",
+        "sweep-repeated-point", "delta-7-overflow", "magnus-cap"])
+def test_cli_refuses_edge_grids_with_one_record(tmp_path, capsys, task, drive, options,
+                                                error_type):
+    """Exit 3 with one JSON error record on stderr, no traceback and no files."""
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(f"[system]\n\n[drive]\n{drive}\n[task]\nname = {task}\n{options}")
+    out = tmp_path / "o"
+    code = cli_main([task, "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and len(err.splitlines()) == 1, err
+    record = json.loads(err)["error"]
+    assert (record["type"], record["exit_code"]) == (error_type, 3)
+    assert not out.exists()
+
+
 SWITCH = """
 [system]
 kappa_a = 0.1
