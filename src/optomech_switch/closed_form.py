@@ -206,13 +206,13 @@ def spectrum_closed_form(params: SystemParams, steady: SteadyState,
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     reference = spectrum_matrix(params, steady, omega_grid)  # refuses unstable states
-    dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
-    den = _power(dd)
-    if np.max(den) == 0.0 or np.any(den < 1e-28 * np.max(den)):
-        raise SingularResponseError("closed-form denominator vanished on the grid")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # far out the powers of w overflow: s_q may hold inf, nan
+        dd, k1b, k2, k3, k4, k5 = _coefficients(params, steady, omega_grid)
+        den = _power(dd)
         s_q = (_power(k1b) * brownian_weight(omega_grid, params) + _power(k2)
                + _power(k3) + _power(k4) + _power(k5)) / den
+    if np.max(den) == 0.0 or np.any(den < 1e-28 * np.max(den)):
+        raise SingularResponseError("closed-form denominator vanished on the grid")
 
     deviation = _relative_deviation(s_q, reference.s_q)
     bad = deviation > AUDIT_TOL

@@ -121,24 +121,21 @@ class SwitchMetrics:
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """The T-periodic response as Fourier coefficients in numpy's fft order,
-    x(t) = sum_k x_k exp(i*k*omega_mod*t): a, b and sigma (equation-of-motion
-    sign) to harmonic H; the output power |a|^2, q and p to 2H."""
+    x(t) = sum_k x_k exp(i*k*omega_mod*t): a to harmonic H, the output power
+    |a|^2 and q to 2H.  b, sigma and p follow from a and q per harmonic."""
 
     omega_mod: float
     a: np.ndarray
-    b: np.ndarray
-    sigma: np.ndarray
     power: np.ndarray
     q: np.ndarray
-    p: np.ndarray
 
 
 def state_vector(steady: SteadyState) -> np.ndarray:
-    """Initial condition vector for the integrator from a fixed point."""
+    """Initial condition vector for the integrator from a fixed point (p = 0)."""
     sig = steady.sigma_ge_s
     return np.array([steady.a_s.real, steady.a_s.imag,
                      steady.b_s.real, steady.b_s.imag,
-                     sig.real, sig.imag, steady.q_s, steady.p_s])
+                     sig.real, sig.imag, steady.q_s, 0.0])
 
 
 def _rhs_factory(params: SystemParams, eta_func, c_rocking: float):
@@ -335,17 +332,10 @@ def periodic_orbit(params: SystemParams, drive: DriveConfig) -> PeriodicOrbit:
                 f"periodic orbit: spectrum not resolved within {HARMONICS_CAP} harmonics")
         h *= 2
         a = _on_grid(coef, 2 * h + 1)
-    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(
-        params, drive.omega_mod * _harmonics(h))
-    b, sigma = b_of_a * coef, sigma_of_a * coef
-    b[0] += b_pumped[0]
-    sigma[0] += sigma_pumped[0]
     # |a|^2 to harmonic 2H, exactly, from 4H + 1 samples
     power = np.fft.fft(np.abs(_on_grid(coef, 4 * h + 1)) ** 2) / (4 * h + 1)
-    nu = drive.omega_mod * _harmonics(2 * h)
-    q = eliminated(params, nu)[-1] * power
-    orbit = PeriodicOrbit(omega_mod=drive.omega_mod, a=coef, b=b, sigma=sigma, power=power,
-                          q=q, p=1j * nu * q / params.omega_m)
+    q = eliminated(params, drive.omega_mod * _harmonics(2 * h))[-1] * power
+    orbit = PeriodicOrbit(omega_mod=drive.omega_mod, a=coef, power=power, q=q)
     mu = float(np.max(np.abs(floquet_multipliers(params, orbit))))
     if mu >= 1.0:
         raise UndefinedRatioError(f"no stable T-periodic response, max |mu| = {mu:.4g}")

@@ -1,10 +1,11 @@
 """Batch execution of scenario configs and deterministic result files.
 
 Every task computes its full result in memory first and only then writes
-files (each through a temp file + atomic rename), so a failing run never
-leaves partial outputs.  A manifest.json records the config hash, tool
-versions and per-file checksums; reruns of the same config are
-byte-identical, so the checksums are stable.
+files, each through a temp file + atomic rename, manifest.json last: a
+failed write keeps the files before it but no temp file, so a directory
+without manifest.json holds an incomplete run.  The manifest records the
+config hash, tool versions and per-file checksums; reruns of the same
+config are byte-identical, so the checksums are stable.
 
 Spectrum payloads carry their series as 1-D numpy arrays.  JSON files are
 json.dumps's indented, key-sorted bytes, written by orjson's compiled
@@ -257,7 +258,8 @@ def run_bistability(config: ScenarioConfig):
 
 def run_spectrum(config: ScenarioConfig):
     opt = dict(config.task.options)
-    grid = np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past 1.8e308: refused as nan S_q
+        grid = np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
     c = rocking_parameter(config.drive)
     steady = steady_state(config.params, config.drive.eta0, c, opt["branch"])
     backend = spectrum_matrix if opt["backend"] == "matrix" else spectrum_closed_form

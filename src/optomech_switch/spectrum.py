@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableStateError
+from .errors import NumericalError, UnstableStateError
 from .linearize import drift_matrix, stability
 from .params import SystemParams
 from .steady_state import SteadyState, response
@@ -118,7 +118,8 @@ def spectrum_matrix(params: SystemParams, steady: SteadyState,
                     omega_grid: np.ndarray) -> SpectrumSeries:
     """Symmetrized displacement spectrum S_q(w) from `_response_power`.
 
-    Refuses steady states that the drift matrix labels unstable.
+    Refuses steady states that the drift matrix labels unstable, and grids
+    on which S_q is not finite (far out, the powers of w overflow).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     report = stability(drift_matrix(params, steady))
@@ -126,9 +127,14 @@ def spectrum_matrix(params: SystemParams, steady: SteadyState,
         raise UnstableStateError(
             f"steady state is not stable (max Re eig = {report.max_real_part:.3e})")
 
-    brownian, vacua = _response_power(params, steady, omega_grid)
-    s_q = (params.gamma_m / params.omega_m * thermal_coth_times_omega(omega_grid, params)
-           * brownian + vacua)
+    with np.errstate(all="ignore"):  # a non-finite S_q is refused below
+        brownian, vacua = _response_power(params, steady, omega_grid)
+        s_q = (params.gamma_m / params.omega_m * thermal_coth_times_omega(omega_grid, params)
+               * brownian + vacua)
+    bad = np.flatnonzero(~np.isfinite(s_q))
+    if bad.size:
+        raise NumericalError(f"S_q is not finite at omega = {omega_grid[bad[0]]:.6g} "
+                             f"(grid point {bad[0]} of {s_q.size})")
     return SpectrumSeries(omega_grid=omega_grid, s_q=s_q, peaks=detect_peaks(omega_grid, s_q))
 
 

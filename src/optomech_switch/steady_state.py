@@ -44,25 +44,17 @@ from .params import DriveConfig, SystemParams
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Mean-field fixed point of the slowly varying amplitudes.
-
-    ``sigma_eg_s`` keeps the published sign convention for the dot
-    coherence; the variable integrated by the equations of motion is its
-    negative (see docs/KNOWN_ERRATA.md).
-    """
+    """Mean-field fixed point of the slowly varying amplitudes, the mirror
+    at rest (p = 0).  ``sigma_ge_s`` is the dot coherence in the sign of the
+    equations of motion; the published one is its negative
+    (docs/KNOWN_ERRATA.md item 4)."""
 
     a_s: complex
     b_s: complex
-    sigma_eg_s: complex
+    sigma_ge_s: complex
     q_s: float
-    p_s: float
     p_trans: float
     eff_detuning: float
-
-    @property
-    def sigma_ge_s(self) -> complex:
-        """Coherence in the convention of the equations of motion."""
-        return -self.sigma_eg_s
 
 
 def rocking_parameter(drive: DriveConfig) -> float:
@@ -168,9 +160,10 @@ def _cubic(params: SystemParams, eta0, c_rocking: float) -> tuple:
     beta = params.omega_m * params.chi**2
     _, det, opt0 = response(params, 0.0, params.delta_a - beta * c_rocking)
     det_sq, k, m = _source_moments(params, det)
+    with np.errstate(over="ignore"):  # a non-finite c0 is refused by the root solve
+        c0 = -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m)
     return (det_sq * beta * beta, -2.0 * beta * (opt0 * det.conjugate()).imag,
-            opt0.real ** 2 + opt0.imag ** 2, -(eta0 * eta0 * det_sq + 2.0 * eta0 * k + m),
-            det_sq, k, m)
+            opt0.real ** 2 + opt0.imag ** 2, c0, det_sq, k, m)
 
 
 def cubic_coefficients(params: SystemParams, eta0: float,
@@ -338,8 +331,8 @@ def steady_state_from_ptrans(params: SystemParams, eta0: float, c_rocking: float
     b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(params, 0.0)
     p_trans = abs(a_s) ** 2
     return SteadyState(a_s=a_s, b_s=b_of_a * a_s + b_pumped,
-                       sigma_eg_s=-(sigma_of_a * a_s + sigma_pumped),
-                       q_s=params.chi * (p_trans + c_rocking), p_s=0.0, p_trans=p_trans,
+                       sigma_ge_s=sigma_of_a * a_s + sigma_pumped,
+                       q_s=params.chi * (p_trans + c_rocking), p_trans=p_trans,
                        eff_detuning=effective_detuning(params, p_trans, c_rocking))
 
 

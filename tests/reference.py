@@ -5,7 +5,9 @@
   metrics are checked against ``switch_ratio`` and ``gain`` of its densely
   sampled periodic response, over long runs and over one period.
 - ``orbit_state`` sums a harmonic-balance orbit's Fourier series at one
-  time, the start state of those one-period integrations.
+  time, the start state of those one-period integrations.  The orbit holds
+  a and q; ``orbit_coefficients`` rebuilds b and sigma from a with
+  ``steady_state.eliminated`` per harmonic, and p = dq/dt / omega_m.
 - ``monodromy`` integrates the variational equations over one period, the
   Floquet oracle for the harmonic-balance stability check.
 - ``dense_newton_step`` solves the collocation Newton system on the 2n
@@ -87,7 +89,7 @@ from optomech_switch.dynamics import (TOL, _integrate, _jacobian_factory, _rhs_f
 from optomech_switch.errors import NoConvergenceError, UndefinedGainError, UndefinedRatioError
 from optomech_switch.linearize import STABILITY_TOL
 from optomech_switch.spectrum import thermal_coth_times_omega
-from optomech_switch.steady_state import cubic_coefficients, response, steady_state
+from optomech_switch.steady_state import cubic_coefficients, eliminated, response, steady_state
 
 
 # trace samples per drive period of a modulated drive
@@ -197,16 +199,34 @@ def gain(output_power: np.ndarray, drive_power: np.ndarray) -> float:
     return 0.5 * (out_hi - out_lo) / in_amp
 
 
-def orbit_state(orbit, t: float) -> np.ndarray:
-    """8-vector of the integrator state of ``orbit`` (a
-    ``dynamics.PeriodicOrbit``) at time t."""
-    def at(coef):
-        k = np.fft.fftfreq(coef.size, 1.0 / coef.size)  # harmonic of each fft slot
-        return complex(np.sum(coef * np.exp(1j * k * orbit.omega_mod * t)))
+def _harmonic_numbers(coef: np.ndarray) -> np.ndarray:
+    """Harmonic number of each fft slot of ``coef``."""
+    return np.fft.fftfreq(coef.size, 1.0 / coef.size)
 
-    a, b, sig = at(orbit.a), at(orbit.b), at(orbit.sigma)
+
+def orbit_coefficients(params: SystemParams, orbit) -> tuple:
+    """(b, sigma, p) Fourier coefficients of ``orbit`` (a
+    ``dynamics.PeriodicOrbit`` of ``params``): b and sigma (equation-of-motion
+    sign) to harmonic H from a, p = dq/dt / omega_m to 2H from q."""
+    b_of_a, sigma_of_a, b_pumped, sigma_pumped, _ = eliminated(
+        params, orbit.omega_mod * _harmonic_numbers(orbit.a))
+    b, sigma = b_of_a * orbit.a, sigma_of_a * orbit.a
+    b[0] += b_pumped[0]
+    sigma[0] += sigma_pumped[0]
+    nu = orbit.omega_mod * _harmonic_numbers(orbit.q)
+    return b, sigma, 1j * nu * orbit.q / params.omega_m
+
+
+def orbit_state(params: SystemParams, orbit, t: float) -> np.ndarray:
+    """8-vector of the integrator state of ``orbit`` (a
+    ``dynamics.PeriodicOrbit`` of ``params``) at time t."""
+    def at(coef):
+        return complex(np.sum(coef * np.exp(1j * _harmonic_numbers(coef) * orbit.omega_mod * t)))
+
+    b, sigma, p = orbit_coefficients(params, orbit)
+    a, b, sig = at(orbit.a), at(b), at(sigma)
     return np.array([a.real, a.imag, b.real, b.imag, sig.real, sig.imag,
-                     at(orbit.q).real, at(orbit.p).real])
+                     at(orbit.q).real, at(p).real])
 
 
 def dense_newton_step(frozen: np.ndarray, feedback: np.ndarray, a: np.ndarray,
@@ -306,7 +326,7 @@ def meanfield_residual(params: SystemParams, eta0: float, c_rocking: float,
     """
     a, b = state.a_s, state.b_s
     sig = state.sigma_ge_s
-    q, p = state.q_s, state.p_s
+    q, p = state.q_s, 0.0
     g_om = params.omega_m * params.chi  # optomechanical coupling G
     da = (-1j * params.delta_a * a - 1j * params.j_coupling * b + eta0
           + 1j * g_om * a * q - params.kappa_a * a)
@@ -437,8 +457,8 @@ def steady_state_direct(params: SystemParams, eta0: float, c_rocking: float,
                       [-1j * params.g_qd * params.n_inversion, dd]])
     b, sig = np.linalg.solve(block, [-1j * params.j_coupling * a, -1j * pump])
     p = abs(a) ** 2
-    state = SteadyState(a_s=a, b_s=complex(b), sigma_eg_s=-complex(sig),
-                        q_s=params.chi * (p + c_rocking), p_s=0.0, p_trans=p,
+    state = SteadyState(a_s=a, b_s=complex(b), sigma_ge_s=complex(sig),
+                        q_s=params.chi * (p + c_rocking), p_trans=p,
                         eff_detuning=dt - beta * p)
     full = meanfield_residual(params, eta0, c_rocking, state)
     if np.max(np.abs(full)) >= 1e-10:

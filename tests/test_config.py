@@ -132,6 +132,38 @@ def test_sweep_requires_section():
     assert "[sweep]" in str(err.value)
 
 
+_HEAD = "[system]\n[drive]\n[task]\n"
+_SWEEP_TASK = _HEAD + "name = sweep\ntask = bistability\n"
+
+
+@pytest.mark.parametrize("text, line, fragment", [
+    ("[system\n[drive]\n", 1, "malformed section header '[system'"),
+    ("[system]\n[drive]\n[system]\n", 3, "duplicate section [system]"),
+    ("[system]\nchi =\n", 2, "empty value"),
+    (_HEAD + "name = bistability\n[wibble]\n", 5, "unknown section [wibble]"),
+    (_HEAD + "name = bistability\n[sweep]\nparameter = system.chi\nvalues = 0.3\n", 5,
+     "[sweep] section is only valid with task name = sweep"),
+    (_HEAD + "input_points = 3\n", 3, "[task] needs a 'name' key"),
+    (_HEAD + "name = sweep\n[sweep]\nparameter = system.chi\nvalues = 0.3\n", 4,
+     "task 'sweep' needs 'task = <inner task name>'"),
+    (_HEAD + "name = sweep\ntask = wibble\n[sweep]\n", 5, "unknown inner task 'wibble'"),
+    (_SWEEP_TASK + "[sweep]\nvalues = 0.3\n", 6, "[sweep] needs a 'parameter' key"),
+    (_SWEEP_TASK + "[sweep]\nparameter = system.chi\n", 6, "[sweep] needs a 'values' key"),
+    (_SWEEP_TASK + "[sweep]\nparameter = system.chi\nvalues = 0.3\nwibble = 1\n", 9,
+     "unknown [sweep] key 'wibble'"),
+    (_HEAD + "name = bistability\n[output]\ndir = out\nwibble = 1\n", 7,
+     "unknown [output] key 'wibble'"),
+], ids=["malformed-header", "duplicate-section", "empty-value", "unknown-section",
+        "sweep-section-without-sweep-task", "task-without-name", "sweep-without-inner-task",
+        "unknown-inner-task", "sweep-without-parameter", "sweep-without-values",
+        "unknown-sweep-key", "unknown-output-key"])
+def test_config_refusals_name_their_line(text, line, fragment):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {fragment}"
+
+
 def test_sweep_parameter_validated():
     text = ("[system]\n[drive]\n[task]\nname = sweep\ntask = spectrum\n"
             "[sweep]\nparameter = system.bogus\nvalues = 1,2\n")

@@ -20,8 +20,8 @@ def _steady(params, eta0, c=0.0, which=0):
 def _synthetic_state(a_s):
     from optomech_switch import SteadyState
 
-    return SteadyState(a_s=a_s, b_s=0j, sigma_eg_s=0j, q_s=0.0, p_s=0.0,
-                       p_trans=abs(a_s) ** 2, eff_detuning=0.0)
+    return SteadyState(a_s=a_s, b_s=0j, sigma_ge_s=0j, q_s=0.0, p_trans=abs(a_s) ** 2,
+                       eff_detuning=0.0)
 
 
 def test_amplitudes_real_mean_field():

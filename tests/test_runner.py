@@ -288,6 +288,7 @@ def test_cli_missing_config_is_io_error(tmp_path, capsys):
     (["--out", "taken"], 4, "OutputError"),   # --out names an existing file
     (["--out", "o", "--format", "csv,xml"], 2, "ConfigError"),
     (["--out", "o", "--config", "nope.cfg"], 4, "FileNotFoundError"),
+    ([], 4, "OutputError"),                   # no --out and no [output] dir
 ])
 def test_cli_error_record_per_exit_code_row(tmp_path, monkeypatch, capsys,
                                             extra, exit_code, error_type):
@@ -383,8 +384,9 @@ _MODULATED = "eta0 = 0.1\np_amp = 0.5\nomega_mod = 1.0\n"
 
 
 # [system] defaults.  Each grid passes the config's checks (max > min, enough
-# points), but np.linspace repeats a point, Delta_7 overflows or the orbit
-# needs more Magnus substeps than the cap.
+# points), but np.linspace repeats a point, Delta_7 overflows, the orbit
+# needs more Magnus substeps than the cap, or the transmitted-power
+# polynomial's constant term overflows (eta0^2 * |det|^2 past 1.8e308).
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("task, drive, options, error_type", [
     ("bistability", "", _DEGENERATE, "DegenerateGridError"),
@@ -397,8 +399,13 @@ _MODULATED = "eta0 = 0.1\np_amp = 0.5\nomega_mod = 1.0\n"
      "NumericalError"),
     ("switch-metrics", _MODULATED, "bandwidth_min = 1e-300\nbandwidth_max = 2e-300\n"
      "bandwidth_points = 2\n", "NoConvergenceError"),
+    ("bistability", "", "input_min = 0\ninput_max = 1.7e308\ninput_points = 3\n",
+     "DegenerateModelError"),
+    ("spectrum", "eta0 = 1e160\n", "", "DegenerateModelError"),
+    ("switch-metrics", _MODULATED.replace("0.1", "1e160"), "", "DegenerateModelError"),
 ], ids=["bistability-repeated-point", "hysteresis-repeated-point", "bandwidth-repeated-point",
-        "sweep-repeated-point", "delta-7-overflow", "magnus-cap"])
+        "sweep-repeated-point", "delta-7-overflow", "magnus-cap", "bistability-c0-overflow",
+        "spectrum-c0-overflow", "switch-metrics-c0-overflow"])
 def test_cli_refuses_edge_grids_with_one_record(tmp_path, capsys, task, drive, options,
                                                 error_type):
     """Exit 3 with one JSON error record on stderr, no traceback and no files."""
@@ -411,6 +418,50 @@ def test_cli_refuses_edge_grids_with_one_record(tmp_path, capsys, task, drive, o
     record = json.loads(err)["error"]
     assert (record["type"], record["exit_code"]) == (error_type, 3)
     assert not out.exists()
+
+
+# eta0 = 0.3 on the [system] defaults: S_q is finite up to omega ~ 3e30 (0.0
+# by underflow there) and not finite from 1e31 on; a span past 1.8e308 makes
+# np.linspace's frequencies nan and inf.  The closed form checks itself
+# against the matrix route first, so it refuses the same grids.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("backend", ["matrix", "closed-form"])
+@pytest.mark.parametrize("omega_min, omega_max, where", [
+    ("0", "1e200", "omega = 5e+199 (grid point 1 of 3)"),
+    ("0", "1e31", "omega = 1e+31 (grid point 2 of 3)"),
+    ("-1e308", "1e308", "omega = nan (grid point 0 of 3)")],
+    ids=["5e199", "1e31", "overflowing-span"])
+def test_cli_refuses_a_spectrum_that_is_not_finite(tmp_path, capsys, backend, omega_min,
+                                                   omega_max, where):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(f"[system]\n\n[drive]\neta0 = 0.3\n\n[task]\nname = spectrum\n"
+                        f"backend = {backend}\nomega_min = {omega_min}\n"
+                        f"omega_max = {omega_max}\nomega_points = 3\n")
+    out = tmp_path / "o"
+    code = cli_main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and len(err.splitlines()) == 1, err
+    record = json.loads(err)["error"]
+    assert record["type"] == "NumericalError"
+    assert record["message"] == f"S_q is not finite at {where}"
+    assert not out.exists()
+
+
+def test_failed_rename_exits_4_and_leaves_the_run_incomplete(tmp_path, capsys):
+    """Files are written in name order, then the manifest: a directory in
+    the way of knees.json stops the run after the two bistability files.
+    The run reads as incomplete because it has no manifest.json, and the
+    temp file of the failed write is gone."""
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(BISTABILITY)
+    out = tmp_path / "o"
+    (out / "knees.json").mkdir(parents=True)
+    code = cli_main(["bistability", "--config", str(cfg_path), "--out", str(out)])
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (code, record["type"], record["exit_code"]) == (4, "OutputError", 4)
+    assert "knees.json" in record["message"]
+    assert sorted(os.listdir(out)) == ["bistability.csv", "bistability.json", "knees.json"]
+    assert (out / "knees.json").is_dir() and os.listdir(out / "knees.json") == []
 
 
 SWITCH = """

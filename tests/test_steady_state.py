@@ -169,14 +169,14 @@ def test_back_substitution_matches_the_oracle(rng):
             state = steady_state_from_ptrans(p, eta0, c_rock, ptr)
             direct = steady_state_direct(p, eta0, c_rock, initial_guess=state.a_s)
             assert direct.a_s == state.a_s
-            np.testing.assert_allclose([state.b_s, state.sigma_eg_s],
-                                       [direct.b_s, direct.sigma_eg_s], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose([state.b_s, state.sigma_ge_s],
+                                       [direct.b_s, direct.sigma_ge_s], rtol=1e-13, atol=0.0)
 
 
 def test_from_ptrans_undriven_dot():
     p = FIG_BISTABLE.with_(lambda_pump=0.0, n_inversion=0.0)
     st = steady_state_from_ptrans(p, 0.2, 0.0, 0.03)
-    assert st.sigma_eg_s == 0.0
+    assert st.sigma_ge_s == 0.0
     expected_b = -1j * p.j_coupling * st.a_s / (p.kappa_b + 1j * p.delta_b)
     assert st.b_s == pytest.approx(expected_b, rel=1e-12)
 
@@ -196,7 +196,6 @@ def test_from_ptrans_self_consistency_upper_root():
     upper = roots[-1][0]
     st = steady_state_from_ptrans(FIG_BISTABLE, math.sqrt(ip), 0.10, upper)
     assert abs(st.p_trans - upper) / upper < 1e-9
-    assert st.p_s == 0.0
     assert st.q_s == pytest.approx(FIG_BISTABLE.chi * (st.p_trans + 0.10), rel=1e-12)
 
 
@@ -225,7 +224,7 @@ def test_dot_drive_vanishes_at_zero_inversion():
     st_pumped = steady_state_direct(p, 0.3, 0.0)
     st_unpumped = steady_state_direct(p.with_(lambda_pump=0.0), 0.3, 0.0)
     assert st_pumped.a_s == pytest.approx(st_unpumped.a_s, rel=1e-12)
-    assert st_pumped.sigma_eg_s == 0.0
+    assert st_pumped.sigma_ge_s == 0.0
 
 
 def test_outputs_independent_of_dot_at_zero_inversion(rng):
